@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from mpmath import mp, mpf, nstr
+from mpmath import mpf, nstr
 
 from . import __version__
 from .curve import (
@@ -103,10 +103,6 @@ def _resolve_curve(args) -> tuple[WeierstrassModel, str]:
         model = _parse_curve_arg(args.curve)
         return model, str(model)
     raise TwistgateError("select a curve with --label or --curve")
-
-
-def _fmt_mpf(x, digits=20) -> str:
-    return nstr(mpf(x), digits)
 
 
 def _sign_str(s: int) -> str:
@@ -254,16 +250,16 @@ def _cmd_lvalue(args) -> CommandResult:
         "conductor": est.conductor,
         "root_number": est.root_number,
         "terms_used": est.terms_used,
-        "value": _fmt_mpf(est.value, 30),
-        "tail_bound": _fmt_mpf(est.tail_bound, 10),
+        "value": nstr(est.value, 30),
+        "tail_bound": nstr(est.tail_bound, 10),
         "margin_factor": args.margin,
         "verdict": est.verdict,
         "note": EVIDENCE_NOTE,
     }
     text = [
         f"L(E,1) for {name}: N = {est.conductor}, root number {_sign_str(est.root_number)}",
-        f"  value = {_fmt_mpf(est.value, 30)}",
-        f"  tail bound = {_fmt_mpf(est.tail_bound, 10)} "
+        f"  value = {nstr(est.value, 30)}",
+        f"  tail bound = {nstr(est.tail_bound, 10)} "
         f"({est.terms_used} terms, margin factor {args.margin})",
         f"  verdict: {est.verdict}",
         f"  note: {EVIDENCE_NOTE}",
@@ -341,8 +337,8 @@ def _cmd_check_hypothesis(args) -> CommandResult:
                 "discriminant": c.discriminant,
                 "root_number": c.root_number.value,
                 "formula_sign": c.formula_sign,
-                "lvalue": _fmt_mpf(c.lvalue.value, 25),
-                "tail_bound": _fmt_mpf(c.lvalue.tail_bound, 8),
+                "lvalue": nstr(c.lvalue.value, 25),
+                "tail_bound": nstr(c.lvalue.tail_bound, 8),
                 "terms_used": c.lvalue.terms_used,
                 "conductor": c.lvalue.conductor,
                 "verdict": c.lvalue.verdict,
@@ -362,7 +358,7 @@ def _cmd_check_hypothesis(args) -> CommandResult:
             text.append(
                 f"  character {signs}: d_S = {c.discriminant}, N = {c.lvalue.conductor}, "
                 f"w = {_sign_str(c.root_number.value)} (formula {_sign_str(c.formula_sign)}), "
-                f"L(1) = {_fmt_mpf(c.lvalue.value, 12)} [{c.lvalue.verdict}"
+                f"L(1) = {nstr(c.lvalue.value, 12)} [{c.lvalue.verdict}"
                 + (", retried x4 terms]" if c.retried else "]")
             )
         text.append(f"  unramified at primes dividing 6p: "

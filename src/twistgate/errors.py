@@ -50,6 +50,11 @@ class UnsupportedPlaceError(TwistgateError):
     """Local root number not covered at this place."""
 
 
+class UnsupportedReductionAtTwoError(UnsupportedReductionError, UnsupportedPlaceError):
+    """Additive reduction at 2, or a model not minimal at 2: neither the
+    conductor exponent nor the local root number there is covered."""
+
+
 class HypothesisViolationError(TwistgateError):
     """A precondition of the twist root-number formula failed."""
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .curve import curve_by_label, quadratic_twist
+from .descent import characters
 from .errors import CurveTableError
 from .lseries import (
     COEFFICIENT_BUDGET,
@@ -96,20 +97,31 @@ def square_subset(ds) -> tuple[int, ...] | None:
     return None
 
 
+def _odd_exponent_mask(d: int, prime_bits: dict[int, int]) -> int:
+    """GF(2) vector of d modulo squares: one bit per prime (and -1) dividing d
+    to an odd power, bit positions assigned in prime_bits as primes appear."""
+    mask = 0
+    for q, e in factor(abs(d)).factors:
+        if e % 2:
+            mask ^= 1 << prime_bits.setdefault(q, len(prime_bits))
+    if d < 0:
+        mask ^= 1 << prime_bits.setdefault(-1, len(prime_bits))
+    return mask
+
+
+def _reduce(mask: int, basis: list[int]) -> int:
+    """mask reduced by an echelon basis; 0 iff mask lies in its span."""
+    for row in basis:
+        mask = min(mask, mask ^ row)
+    return mask
+
+
 def exponent_vectors_independent(ds) -> bool:
     """Second implementation of the subset test: GF(2) rank of exponent vectors."""
     prime_bits: dict[int, int] = {}
     basis: list[int] = []
     for d in ds:
-        mask = 0
-        for q, e in factor(abs(d)).factors:
-            if e % 2:
-                bit = prime_bits.setdefault(q, len(prime_bits))
-                mask ^= 1 << bit
-        if d < 0:
-            mask ^= 1 << prime_bits.setdefault(-1, len(prime_bits))
-        for row in basis:
-            mask = min(mask, mask ^ row)
+        mask = _reduce(_odd_exponent_mask(d, prime_bits), basis)
         if mask == 0:
             return False
         basis.append(mask)
@@ -146,11 +158,6 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
             "product of d_%s is a perfect square" % ",".join(str(i + 1) for i in combo),
         )
     return AdmissibilityCheck(True)
-
-
-def characters(r: int) -> list[tuple[int, ...]]:
-    """Sign characters of Gal(K/Q) = (Z/2)^r, the trivial one first."""
-    return list(itertools.product((1, -1), repeat=r))
 
 
 def character_discriminant(tup: AdmissibleTuple, signs) -> int:
@@ -202,13 +209,7 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     n3p = 3 * p
     singles = [d for d in range(1, bound + 1) if _single_ok(d, n3p)]
     prime_bits: dict[int, int] = {}
-    masks = []
-    for d in singles:
-        mask = 0
-        for q, _ in factor(d).factors:
-            bit = prime_bits.setdefault(q, len(prime_bits))
-            mask ^= 1 << bit
-        masks.append(mask)
+    masks = [_odd_exponent_mask(d, prime_bits) for d in singles]
     results: list[AdmissibleTuple] = []
 
     def extend(start: int, chosen: list[int], basis: list[int]):
@@ -217,9 +218,7 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
             results.append(tup)
             return
         for idx in range(start, len(singles)):
-            reduced = masks[idx]
-            for row in basis:
-                reduced = min(reduced, reduced ^ row)
+            reduced = _reduce(masks[idx], basis)
             if reduced == 0:
                 continue  # some subset product would be a square
             chosen.append(singles[idx])

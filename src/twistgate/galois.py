@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import WeierstrassModel, invariants
-from .errors import BadAuxPrimeError, UnsupportedPrimeError
+from .errors import BadAuxPrimeError, UnsupportedPrimeError, UnsupportedReductionAtTwoError
 from .numtheory import factor, is_prime, primes_up_to
-from .reduction import ReductionKind, classify, count_points
+from .reduction import LocalData, ReductionKind
 
 PASS_STATEMENT = (
     "criterion hypotheses verified; surjectivity follows by Serre's Proposition 21"
@@ -49,18 +49,11 @@ class SurjectivityReport:
         return PASS_STATEMENT if self.overall else "criterion hypotheses NOT verified"
 
 
-def _is_good_prime(E: WeierstrassModel, q: int) -> bool:
-    if q == 2:
-        return invariants(E).delta % 2 != 0
-    return classify(E, q).kind is ReductionKind.GOOD
-
-
 def default_aux_prime(E: WeierstrassModel) -> int:
     """Smallest odd prime of good reduction."""
-    for q in primes_up_to(1000):
-        if q == 2:
-            continue
-        if _is_good_prime(E, q):
+    data = LocalData(E)
+    for q in primes_up_to(1000)[1:]:
+        if data.at(q).kind is ReductionKind.GOOD:
             return q
     raise BadAuxPrimeError("no odd good prime below 1000")
 
@@ -77,7 +70,11 @@ def serre_check(E: WeierstrassModel, ell: int, aux: int | None = None) -> Surjec
         aux = default_aux_prime(E)
     if not is_prime(aux):
         raise BadAuxPrimeError(f"auxiliary prime {aux} is not prime")
-    if not _is_good_prime(E, aux):
+    try:
+        aux_data = LocalData(E).at(aux)
+    except UnsupportedReductionAtTwoError:
+        aux_data = None
+    if aux_data is None or aux_data.kind is not ReductionKind.GOOD:
         raise BadAuxPrimeError(f"{aux} is a bad prime of the curve")
     j = invariants(E).j
     j_checks = []
@@ -85,7 +82,7 @@ def serre_check(E: WeierstrassModel, ell: int, aux: int | None = None) -> Surjec
         for q, e in factor(j.denominator).factors:
             # v_q(j) = -e at a pole of j
             j_checks.append(JExponentCheck(q, -e, e % ell != 0))
-    points = count_points(E, aux)
+    points = aux_data.points  # on the model minimal at aux, which need not be E
     aux_check = AuxPrimeCheck(aux, points, points % ell != 0)
     overall = aux_check.ok and all(c.ok for c in j_checks)
     return SurjectivityReport(ell, tuple(j_checks), aux_check, overall)

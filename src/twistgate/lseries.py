@@ -1,6 +1,9 @@
 """Dirichlet coefficients from local reduction data and an exponentially
 convergent evaluation of L(E,1) with a rigorous tail majorant.
 
+Every a_p, a_2 included, and the conductor and root number come from the
+model's LocalData record (reduction.py).
+
 The value is computed from the symmetric-point identity
 
     L(E,1) = sum_n (a_n/n) exp(-2 pi n t / sqrt(N))
@@ -28,11 +31,11 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .curve import WeierstrassModel, invariants
-from .errors import TermBudgetError, UnsupportedPlaceError
+from .curve import WeierstrassModel
+from .errors import TermBudgetError
 from .numtheory import primes_up_to
-from .reduction import ReductionKind, classify, conductor, count_points_naive
-from .rootnum import global_root_number
+from .reduction import LocalData, ReductionKind
+from .rootnum import root_number_of
 
 COEFFICIENT_BUDGET = 10**6
 DEFAULT_DPS = 50
@@ -63,21 +66,6 @@ class LValueEstimate:
             raise ValueError("tail bound must be nonnegative")
 
 
-def _local_ap(E: WeierstrassModel, p: int) -> tuple[int, bool]:
-    """(a_p, is_good) from the reduction data at p."""
-    if p == 2:
-        inv = invariants(E)
-        if inv.delta % 2:
-            return 3 - count_points_naive(E, 2), True
-        if inv.c4 % 2 == 0:
-            raise UnsupportedPlaceError("additive reduction at 2: a_2 not computed")
-        return 3 - count_points_naive(E, 2), False
-    data = classify(E, p)
-    if data.kind is ReductionKind.GOOD:
-        return data.a_p, True
-    return data.a_p, False
-
-
 def dirichlet_coefficients(E: WeierstrassModel, M: int) -> list[int]:
     """Coefficients a_1..a_M of L(E,s); returned as a list with a_n at index n.
 
@@ -94,13 +82,15 @@ def dirichlet_coefficients(E: WeierstrassModel, M: int) -> list[int]:
     if M == 1:
         return coeffs
     primes = primes_up_to(M)
+    data = LocalData(E)
     prime_power_values: dict[int, list[int]] = {}
     for p in primes:
-        a_p, good = _local_ap(E, p)
+        reduction = data.at(p)
+        a_p = reduction.a_p
         pows = [1, a_p]
         pk = p * p
         while pk <= M:
-            if good:
+            if reduction.kind is ReductionKind.GOOD:
                 pows.append(a_p * pows[-1] - p * pows[-2])
             else:
                 pows.append(a_p * pows[-1])
@@ -141,9 +131,10 @@ def l_value_at_1(
     """
     if t <= 0:
         raise ValueError("evaluation point t must be positive")
-    N = conductor(E)
+    data = LocalData(E)
+    N = data.conductor()
     if root_number is None:
-        root_number = global_root_number(E).value
+        root_number = root_number_of(data).value
     M = default_terms(N) if terms is None else int(terms)
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"terms = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")

@@ -1,5 +1,7 @@
 """Reduction data at primes: point counts over F_p, reduction-type
-classification at odd primes, traces of Frobenius, conductors.
+classification, traces of Frobenius, conductors, and LocalData: the one
+record of a model's local data that root numbers, L-series coefficients and
+the Serre check read.  The reduction at 2 is decided in _reduction only.
 
 Point counts follow the convention that the count of a bad reduction
 includes the singular point (and the point at infinity), so that
@@ -14,16 +16,18 @@ asserts this table literally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .curve import WeierstrassModel, invariants, minimalize_at
+from .curve import CurveInvariants, WeierstrassModel, invariants, minimalize_at
 from .errors import (
     NonMinimalModelError,
     PrimeTooLargeError,
     UnsupportedPrimeError,
+    UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
 from .numtheory import factor, is_prime, valuation
@@ -140,28 +144,75 @@ def classify(E: WeierstrassModel, p: int) -> ReductionData:
         raise NonMinimalModelError(
             "model may be non-minimal at 3 (v3(Delta) >= 12 and v3(c4) >= 4)"
         )
+    return _reduction(E, inv, p)
+
+
+def _reduction(E: WeierstrassModel, inv: CurveInvariants, p: int) -> ReductionData:
+    """Reduction data at p of a model minimal at p, inv its invariants.  At 2,
+    odd Delta is good, odd c4 multiplicative (and minimal), else it raises."""
+    if p == 2 and inv.delta % 2 == 0 and inv.c4 % 2 == 0:
+        raise UnsupportedReductionAtTwoError("additive (or non-minimal) reduction at 2")
     points = count_points(E, p)
     a_p = p + 1 - points
-    if v_delta == 0:
+    if inv.delta % p:
         kind = ReductionKind.GOOD
-    elif inv.c4 % p != 0:
-        if a_p == 1:
-            kind = ReductionKind.MULT_SPLIT
-        elif a_p == -1:
-            kind = ReductionKind.MULT_NONSPLIT
-        else:
-            raise AssertionError(f"multiplicative defect {a_p} at p = {p}")
+    elif inv.c4 % p:
+        # ReductionData rejects any other defect
+        kind = ReductionKind.MULT_SPLIT if a_p == 1 else ReductionKind.MULT_NONSPLIT
+    elif inv.j != 0 and valuation(inv.j, p) < 0:
+        kind = ReductionKind.ADD_POT_MULT
     else:
-        if inv.j != 0 and valuation(inv.j, p) < 0:
-            kind = ReductionKind.ADD_POT_MULT
-        else:
-            kind = ReductionKind.ADD_POT_GOOD
+        kind = ReductionKind.ADD_POT_GOOD
     return ReductionData(p, kind, points, a_p)
 
 
-def bad_primes(E: WeierstrassModel) -> list[int]:
-    """Primes dividing the discriminant of the given model, ascending."""
-    return list(factor(abs(invariants(E).delta)).primes())
+@dataclass(frozen=True)
+class LocalData:
+    """Invariants, primes of Delta and ReductionData at each prime of a model,
+    built once per computation and passed down.  at(p) decides p on first
+    use and remembers it; walking delta_primes in ascending order, callers
+    meet the first failing prime's error first."""
+
+    model: WeierstrassModel
+    _decided: dict[int, ReductionData] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def inv(self) -> CurveInvariants:
+        return invariants(self.model)
+
+    @cached_property
+    def delta_primes(self) -> tuple[int, ...]:
+        """Primes dividing the discriminant of the model, ascending."""
+        return factor(abs(self.inv.delta)).primes()
+
+    def at(self, p: int) -> ReductionData:
+        """Reduction data at the prime p, of a model minimal at p; odd
+        primes of Delta go through classify, which minimalizes."""
+        data = self._decided.get(p)
+        if data is None:
+            if p == 2 or self.inv.delta % p:
+                data = _reduction(self.model, self.inv, p)
+            else:
+                data = classify(self.model, p)
+            self._decided[p] = data
+        return data
+
+    def conductor(self) -> int:
+        """See conductor()."""
+        N = 1
+        for p in self.delta_primes:
+            kind = self.at(p).kind
+            if kind.is_multiplicative:
+                N *= p
+            elif kind.is_additive:
+                if p == 3:
+                    raise UnsupportedReductionError(
+                        "additive reduction at 3: conductor exponent unsupported"
+                    )
+                N *= p * p
+        return N
 
 
 def conductor(E: WeierstrassModel) -> int:
@@ -173,25 +224,4 @@ def conductor(E: WeierstrassModel) -> int:
     at 2 (multiplicative reduction at 2 is still detected safely because a
     non-minimal model has v2(c4) >= 4).
     """
-    inv = invariants(E)
-    N = 1
-    for p in bad_primes(E):
-        if p == 2:
-            if inv.c4 % 2 == 0:
-                raise UnsupportedReductionError(
-                    "additive (or non-minimal) reduction at 2: conductor unsupported"
-                )
-            N *= 2
-            continue
-        data = classify(E, p)
-        if data.kind is ReductionKind.GOOD:
-            continue
-        if data.kind.is_multiplicative:
-            N *= p
-        else:
-            if p == 3:
-                raise UnsupportedReductionError(
-                    "additive reduction at 3: conductor exponent unsupported"
-                )
-            N *= p * p
-    return N
+    return LocalData(E).conductor()

@@ -9,7 +9,9 @@ Local signs follow the Dokchitser-Dokchitser case table over Q_p / R:
     (4) (-1)^floor(v_p(Delta_min) * p / 12) for additive potentially good
         reduction, p >= 5.
 
-Uncovered places (additive reduction at 2, additive potentially good at 3)
+The kind at each prime comes from the model's LocalData record
+(reduction.py), which also decides the reduction at 2.  Uncovered places
+(additive or non-minimal reduction at 2, additive potentially good at 3)
 raise UnsupportedPlaceError rather than guessing.
 """
 
@@ -18,16 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curve import WeierstrassModel, invariants, minimalize_at
-from .errors import HypothesisViolationError, UnsupportedPlaceError
+from .curve import WeierstrassModel
+from .errors import HypothesisViolationError, UnsupportedPlaceError, UnsupportedReductionAtTwoError
 from .numtheory import is_prime, is_squarefree, jacobi, valuation
-from .reduction import (
-    ReductionKind,
-    bad_primes,
-    classify,
-    conductor,
-    count_points_naive,
-)
+from .reduction import LocalData, ReductionKind
 
 INFINITE_PLACE = "inf"
 
@@ -37,14 +33,6 @@ CASE_SPLIT = "split-mult"
 CASE_NONSPLIT = "nonsplit-mult"
 CASE_ADD_POT_MULT = "add-pot-mult"
 CASE_ADD_POT_GOOD = "add-pot-good"
-
-_KIND_TO_CASE = {
-    ReductionKind.GOOD: CASE_GOOD,
-    ReductionKind.MULT_SPLIT: CASE_SPLIT,
-    ReductionKind.MULT_NONSPLIT: CASE_NONSPLIT,
-    ReductionKind.ADD_POT_MULT: CASE_ADD_POT_MULT,
-    ReductionKind.ADD_POT_GOOD: CASE_ADD_POT_GOOD,
-}
 
 
 @dataclass(frozen=True)
@@ -80,31 +68,13 @@ class RootNumber:
             raise ValueError("value must equal the product of local signs")
 
 
-def _local_factor_at_2(E: WeierstrassModel) -> tuple[int, str]:
-    inv = invariants(E)
-    if inv.delta % 2:
-        return 1, CASE_GOOD
-    if inv.c4 % 2 == 0:
-        raise UnsupportedPlaceError("additive reduction at 2 is not covered")
-    defect = 3 - count_points_naive(E, 2)
-    if defect == 1:
-        return -1, CASE_SPLIT
-    if defect == -1:
-        return 1, CASE_NONSPLIT
-    raise AssertionError(f"multiplicative defect {defect} at p = 2")
-
-
-def _local_factor(E: WeierstrassModel, place) -> tuple[int, str]:
+def _local_factor(data: LocalData, place) -> tuple[int, str]:
     if place == INFINITE_PLACE:
         return -1, CASE_ARCHIMEDEAN
     p = place
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"place must be 'inf' or a prime, got {place!r}")
-    if p == 2:
-        return _local_factor_at_2(E)
-    model = minimalize_at(E, p) if p >= 5 else E
-    data = classify(model, p)
-    kind = data.kind
+    kind = data.at(p).kind
     if kind is ReductionKind.GOOD:
         return 1, CASE_GOOD
     if kind is ReductionKind.MULT_SPLIT:
@@ -119,14 +89,16 @@ def _local_factor(E: WeierstrassModel, place) -> tuple[int, str]:
         raise UnsupportedPlaceError(
             "additive potentially good reduction at 3 is not covered"
         )
-    v = valuation(invariants(model).delta, p)
+    # Minimalizing lowers v_p(Delta) by a multiple of 12, and a p-minimal
+    # model with potentially good reduction has v_p(Delta) < 12.
+    v = valuation(data.inv.delta, p) % 12
     sign = -1 if (v * p // 12) % 2 else 1
     return sign, CASE_ADD_POT_GOOD
 
 
 def local_root_number(E: WeierstrassModel, place) -> int:
     """Local root number at 'inf' or a prime (model p-minimalized first)."""
-    return _local_factor(E, place)[0]
+    return _local_factor(LocalData(E), place)[0]
 
 
 def global_root_number(E: WeierstrassModel) -> RootNumber:
@@ -135,11 +107,16 @@ def global_root_number(E: WeierstrassModel) -> RootNumber:
     Primes that become good after p-minimalization contribute +1 and are
     omitted from the ledger.
     """
+    return root_number_of(LocalData(E))
+
+
+def root_number_of(data: LocalData) -> RootNumber:
+    """global_root_number from a local-data record."""
     ledger: list[tuple[object, int, str]] = [(INFINITE_PLACE, -1, CASE_ARCHIMEDEAN)]
     value = -1
-    for p in bad_primes(E):
+    for p in data.delta_primes:
         try:
-            sign, case = _local_factor(E, p)
+            sign, case = _local_factor(data, p)
         except UnsupportedPlaceError as exc:
             raise UnsupportedPlaceError(f"at p = {p}: {exc}") from exc
         if case == CASE_GOOD:
@@ -156,15 +133,15 @@ def twist_root_number_formula(E: WeierstrassModel, d: int) -> int:
     hypothesis raises HypothesisViolationError naming the condition.  The
     value equals the global root number of the twisted curve.
     """
-    inv = invariants(E)
-    for p in bad_primes(E):
-        if p == 2:
-            if inv.c4 % 2 == 0:
-                raise HypothesisViolationError("E is not semistable: additive reduction at 2")
-            continue
-        if classify(E, p).kind.is_additive:
+    data = LocalData(E)
+    for p in data.delta_primes:
+        try:
+            additive = data.at(p).kind.is_additive
+        except UnsupportedReductionAtTwoError as exc:
+            raise HypothesisViolationError(f"E is not semistable: {exc}") from exc
+        if additive:
             raise HypothesisViolationError(f"E is not semistable: additive reduction at {p}")
-    N = conductor(E)
+    N = data.conductor()
     if N % 2 == 0:
         raise HypothesisViolationError(f"conductor {N} is even")
     if not isinstance(d, int) or d <= 0:
@@ -175,4 +152,4 @@ def twist_root_number_formula(E: WeierstrassModel, d: int) -> int:
         raise HypothesisViolationError(f"twist parameter {d} is not 1 mod 4")
     if math.gcd(d, N) != 1:
         raise HypothesisViolationError(f"twist parameter {d} shares a factor with N = {N}")
-    return jacobi(d, N) * global_root_number(E).value
+    return jacobi(d, N) * root_number_of(data).value

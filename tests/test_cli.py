@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from mpmath import mp, mpf
 
+from twistgate import curve_by_label, l_value_at_1
 from twistgate.cli import (
     STATUS_CHECK_FAILED,
     STATUS_OK,
@@ -116,6 +118,12 @@ class TestLValue:
         assert doc["payload"]["conductor"] == 4335
         assert doc["payload"]["terms_used"] == 1500
 
+    def test_printed_digits_are_true_digits(self, capsys):
+        result, doc = run_json(capsys, ["lvalue", "--label", "15a1"])
+        exact = l_value_at_1(curve_by_label("15a1")).value
+        with mp.workdps(50):
+            assert abs(mpf(doc["payload"]["value"]) - exact) < mpf(10) ** -28
+
 
 class TestSerreCheck:
     def test_pass(self, capsys):
@@ -133,6 +141,16 @@ class TestSerreCheck:
     def test_ell_2_unsupported(self, capsys):
         result = run(["serre-check", "--ell", "2", "--label", "15a1"])
         assert result.exit_code == 2
+
+    def test_aux_count_uses_the_minimal_model(self, capsys):
+        # 15a1 scaled by u = 11 is not minimal at 11, but its minimal model
+        # has good reduction there; the count must be that of 15a1 over F_11
+        argv = ["serre-check", "--ell", "3", "--aux", "11"]
+        _, scaled = run_json(capsys, argv + ["--curve", "11,121,1331,-146410,-17715610"])
+        _, table = run_json(capsys, argv + ["--label", "15a1"])
+        assert scaled["status"] == table["status"] == STATUS_OK
+        assert scaled["payload"]["aux_prime"] == table["payload"]["aux_prime"]
+        assert table["payload"]["aux_prime"]["points"] == 16
 
 
 class TestSearch:

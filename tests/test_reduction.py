@@ -4,12 +4,16 @@ import pytest
 
 from twistgate.curve import WeierstrassModel, quadratic_twist
 from twistgate.errors import (
+    HypothesisViolationError,
     NonMinimalModelError,
     PrimeTooLargeError,
+    UnsupportedPlaceError,
     UnsupportedPrimeError,
     UnsupportedReductionError,
 )
-from twistgate.numtheory import primes_up_to, squarefree_part
+from twistgate.galois import serre_check
+from twistgate.lseries import l_value_at_1
+from twistgate.numtheory import factor, primes_up_to, squarefree_part
 from twistgate.reduction import (
     ReductionData,
     ReductionKind,
@@ -17,7 +21,9 @@ from twistgate.reduction import (
     conductor,
     count_points,
     count_points_naive,
+    LocalData,
 )
+from twistgate.rootnum import global_root_number, twist_root_number_formula
 
 
 def scale_model(E, u):
@@ -170,3 +176,54 @@ class TestConductor:
         # y^2 + xy = x^3 + 2: Delta = -1730 = -2 * 5 * 173, c4 = 1
         model = WeierstrassModel(1, 0, 0, 0, 2)
         assert conductor(model) == 1730
+
+
+class TestLocalData:
+    def test_matches_classify_and_the_naive_count_at_2(self, e15, e21):
+        twists = [quadratic_twist(e15, d) for d in (13, 17, 29)]
+        twists += [quadratic_twist(e21, d) for d in (5, 17)]
+        # [1,0,0,0,2]: multiplicative at 2 and at 173
+        for model in [e15, e21, *twists, WeierstrassModel(1, 0, 0, 0, 2)]:
+            data = LocalData(model)
+            assert data.delta_primes == factor(abs(data.inv.delta)).primes()
+            for p in primes_up_to(200):
+                if p == 2:
+                    at2 = data.at(2)
+                    assert at2.points == count_points_naive(model, 2), model
+                    assert at2.kind.is_multiplicative == (data.inv.delta % 2 == 0)
+                else:
+                    assert data.at(p) == classify(model, p), (model, p)
+
+
+class TestErrorPrecedence:
+    """y^2 = x^3 + x + 195 is additive at 2, and Delta = -2^4 * 1026679 has a
+    prime factor beyond the point-count bound: the prime 2, which comes
+    first, must decide every error."""
+
+    E = WeierstrassModel(0, 0, 0, 1, 195)
+
+    def test_the_large_prime_alone_would_fail_differently(self):
+        assert factor(abs(LocalData(self.E).inv.delta)).primes() == (2, 1026679)
+        with pytest.raises(PrimeTooLargeError):
+            classify(self.E, 1026679)
+
+    def test_conductor(self):
+        with pytest.raises(UnsupportedReductionError):
+            conductor(self.E)
+
+    def test_global_root_number(self):
+        with pytest.raises(UnsupportedPlaceError):
+            global_root_number(self.E)
+
+    def test_l_value(self):
+        with pytest.raises(UnsupportedReductionError):
+            l_value_at_1(self.E)
+
+    def test_twist_formula(self):
+        with pytest.raises(HypothesisViolationError, match="semistable"):
+            twist_root_number_formula(self.E, 17)
+
+    def test_serre_check_passes(self):
+        report = serre_check(self.E, 3)
+        assert report.overall
+        assert report.aux_check.q == 3
