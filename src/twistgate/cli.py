@@ -30,13 +30,14 @@ from .curve import (
 from .descent import enumerate_signed_modules, lemma_sum_check, quad_point_search, twist_map
 from .errors import TwistgateError
 from .fieldsearch import (
+    MAX_SEARCH_BOUND,
     OVERALL_VERIFIED,
     check_hypothesis,
     search,
 )
 from .galois import serre_check
 from .lseries import EVIDENCE_NOTE, l_value_at_1
-from .numtheory import factor, is_squarefree, jacobi
+from .numtheory import factor, is_prime, is_squarefree, jacobi
 from .reduction import classify, conductor
 from .rootnum import global_root_number, twist_root_number_formula
 
@@ -144,6 +145,8 @@ def _cmd_curve_info(args) -> CommandResult:
 
 
 def _cmd_reduction(args) -> CommandResult:
+    if not is_prime(args.p):
+        raise TwistgateError(f"--p must be a prime, got {args.p}")
     model, name = _resolve_curve(args)
     if args.twist is not None:
         model = quadratic_twist(model, args.twist)
@@ -240,6 +243,8 @@ def _cmd_twist_root_check(args) -> CommandResult:
 
 
 def _cmd_lvalue(args) -> CommandResult:
+    if args.terms is not None and args.terms < 1:
+        raise TwistgateError(f"--terms must be positive, got {args.terms}")
     model, name = _resolve_curve(args)
     if args.twist is not None:
         model = quadratic_twist(model, args.twist)
@@ -301,6 +306,10 @@ def _cmd_serre_check(args) -> CommandResult:
 
 
 def _cmd_search(args) -> CommandResult:
+    if args.r < 1:
+        raise TwistgateError(f"--r must be at least 1, got {args.r}")
+    if not 1 <= args.bound <= MAX_SEARCH_BOUND:
+        raise TwistgateError(f"--bound must be between 1 and {MAX_SEARCH_BOUND}, got {args.bound}")
     tuples = search(args.p, args.r, args.bound)
     payload = {
         "p": args.p,

@@ -219,8 +219,11 @@ def load_curve_table(path: str | None = None) -> dict[str, WeierstrassModel]:
     if path is None:
         text = resources.files("twistgate").joinpath("curves.tsv").read_text()
     else:
-        with open(path, encoding="ascii") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="ascii") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CurveTableError(f"cannot read curve table {path!r}: {exc}") from exc
     table: dict[str, WeierstrassModel] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -75,6 +75,12 @@ class NonInvolutiveActionError(TwistgateError):
     """Generator matrices of a signed module must square to the identity."""
 
 
+class TwistDerivationError(TwistgateError):
+    """Deriving a twist's a_p from its table curve failed an exact check: the
+    twist parameter d was not recovered exactly, or (d/p) = 0 at a prime
+    where a_p was to be derived."""
+
+
 class TermBudgetError(TwistgateError):
     """Requested series length exceeds the coefficient budget."""
 

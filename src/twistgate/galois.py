@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .curve import WeierstrassModel, invariants
 from .errors import BadAuxPrimeError, UnsupportedPrimeError, UnsupportedReductionAtTwoError
 from .numtheory import factor, is_prime, primes_up_to
-from .reduction import LocalData, ReductionKind
+from .reduction import ReductionKind, local_data
 
 PASS_STATEMENT = (
     "criterion hypotheses verified; surjectivity follows by Serre's Proposition 21"
@@ -51,7 +51,7 @@ class SurjectivityReport:
 
 def default_aux_prime(E: WeierstrassModel) -> int:
     """Smallest odd prime of good reduction."""
-    data = LocalData(E)
+    data = local_data(E)
     for q in primes_up_to(1000)[1:]:
         if data.at(q).kind is ReductionKind.GOOD:
             return q
@@ -71,7 +71,7 @@ def serre_check(E: WeierstrassModel, ell: int, aux: int | None = None) -> Surjec
     if not is_prime(aux):
         raise BadAuxPrimeError(f"auxiliary prime {aux} is not prime")
     try:
-        aux_data = LocalData(E).at(aux)
+        aux_data = local_data(E).at(aux)
     except UnsupportedReductionAtTwoError:
         aux_data = None
     if aux_data is None or aux_data.kind is not ReductionKind.GOOD:

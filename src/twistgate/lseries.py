@@ -2,7 +2,10 @@
 convergent evaluation of L(E,1) with a rigorous tail majorant.
 
 Every a_p, a_2 included, and the conductor and root number come from the
-model's LocalData record (reduction.py).
+model's LocalData record (reduction.py).  For a quadratic twist X^d of a
+curve X of the curve table, the a_p at odd primes not dividing
+Delta(E) Delta(X) are (d/p) a_p(X), read from X's per-process a_p table;
+the other primes are decided on the model itself.
 
 The value is computed from the symmetric-point identity
 
@@ -34,7 +37,7 @@ from mpmath import mp
 from .curve import WeierstrassModel
 from .errors import TermBudgetError
 from .numtheory import primes_up_to
-from .reduction import LocalData, ReductionKind
+from .reduction import local_data
 from .rootnum import root_number_of
 
 COEFFICIENT_BUDGET = 10**6
@@ -70,8 +73,10 @@ def dirichlet_coefficients(E: WeierstrassModel, M: int) -> list[int]:
     """Coefficients a_1..a_M of L(E,s); returned as a list with a_n at index n.
 
     a_p = p + 1 - #X(F_p) at good p, +1 / -1 / 0 at split / nonsplit /
-    additive p; prime powers by a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)}
-    (good) or a_p^k (bad); extended multiplicatively.
+    additive p (LocalData.traces, which derives the a_p of a twist of a
+    table curve at its good odd primes); prime powers by
+    a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} (good) or a_p^k (bad);
+    extended multiplicatively.
     """
     if not isinstance(M, int) or M < 1:
         raise ValueError("M must be a positive integer")
@@ -82,15 +87,13 @@ def dirichlet_coefficients(E: WeierstrassModel, M: int) -> list[int]:
     if M == 1:
         return coeffs
     primes = primes_up_to(M)
-    data = LocalData(E)
+    traces, good = local_data(E).traces(primes)
     prime_power_values: dict[int, list[int]] = {}
-    for p in primes:
-        reduction = data.at(p)
-        a_p = reduction.a_p
+    for p, a_p, is_good in zip(primes, traces, good):
         pows = [1, a_p]
         pk = p * p
         while pk <= M:
-            if reduction.kind is ReductionKind.GOOD:
+            if is_good:
                 pows.append(a_p * pows[-1] - p * pows[-2])
             else:
                 pows.append(a_p * pows[-1])
@@ -131,7 +134,7 @@ def l_value_at_1(
     """
     if t <= 0:
         raise ValueError("evaluation point t must be positive")
-    data = LocalData(E)
+    data = local_data(E)
     N = data.conductor()
     if root_number is None:
         root_number = root_number_of(data).value

@@ -3,6 +3,16 @@ classification, traces of Frobenius, conductors, and LocalData: the one
 record of a model's local data that root numbers, L-series coefficients and
 the Serre check read.  The reduction at 2 is decided in _reduction only.
 
+Each curve X of the loaded curve table has one record per process, which
+local_data() hands to every caller, together with a table of a_p(X) at the
+good odd primes.  The table grows on demand, one point count per prime,
+each through the record's at(p).  A model E with j(E) = j(X) not in
+{0, 1728} is the quadratic twist X^d, d the squarefree part of
+c6(E) c4(X) / (c4(E) c6(X)); LocalData.traces then takes
+a_p(E) = (d/p) a_p(X) at the odd primes p not dividing Delta(E) Delta(X),
+vectorized over p, and reads p = 2 and the other primes from at(p) on E
+itself, so reduction kinds and errors are those of E.
+
 Point counts follow the convention that the count of a bad reduction
 includes the singular point (and the point at infinity), so that
 
@@ -16,21 +26,25 @@ asserts this table literally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .curve import CurveInvariants, WeierstrassModel, invariants, minimalize_at
+from .curve import CurveInvariants, WeierstrassModel, invariants, load_curve_table, minimalize_at
 from .errors import (
+    CompositeResidueError,
     NonMinimalModelError,
     PrimeTooLargeError,
+    TwistDerivationError,
     UnsupportedPrimeError,
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
-from .numtheory import factor, is_prime, valuation
+from .numtheory import factor, is_prime, primes_up_to, squarefree_part, valuation
 
 POINT_COUNT_BOUND = 10**6
 
@@ -169,9 +183,10 @@ def _reduction(E: WeierstrassModel, inv: CurveInvariants, p: int) -> ReductionDa
 @dataclass(frozen=True)
 class LocalData:
     """Invariants, primes of Delta and ReductionData at each prime of a model,
-    built once per computation and passed down.  at(p) decides p on first
-    use and remembers it; walking delta_primes in ascending order, callers
-    meet the first failing prime's error first."""
+    built once per computation and passed down (see local_data for the
+    curves of the curve table).  at(p) decides p on first use and remembers
+    it; walking delta_primes in ascending order, callers meet the first
+    failing prime's error first."""
 
     model: WeierstrassModel
     _decided: dict[int, ReductionData] = field(
@@ -199,6 +214,37 @@ class LocalData:
             self._decided[p] = data
         return data
 
+    def traces(self, primes: list[int]) -> tuple[list[int], list[bool]]:
+        """a_p at each of the ascending primes, and whether the reduction
+        there is good.  For a twist X^d of a curve X of the curve table,
+        a_p = (d/p) a_p(X) at the odd primes not dividing Delta(E) Delta(X);
+        every other prime is read from at(p), in ascending order."""
+        twist = _table_twist(self)
+        ps = np.array(primes, dtype=np.int64)
+        direct = np.ones(len(ps), dtype=bool)
+        if twist is not None:
+            base, d = twist
+            direct = (
+                (ps == 2)
+                | (_residues(self.inv.delta, ps) == 0)
+                | (_residues(base.record.inv.delta, ps) == 0)
+            )
+        a_p = np.zeros(len(ps), dtype=np.int64)
+        good = np.ones(len(ps), dtype=bool)
+        for i in np.flatnonzero(direct).tolist():
+            data = self.at(primes[i])
+            a_p[i] = data.a_p
+            good[i] = data.kind is ReductionKind.GOOD
+        derived = ps[~direct]
+        if len(derived):
+            chi = _legendre(_residues(d, derived), derived)
+            if not chi.all():
+                raise TwistDerivationError(
+                    f"({d}/p) = 0 at the good prime p = {derived[chi == 0][0]}"
+                )
+            a_p[~direct] = chi * base.traces_up_to(int(derived[-1]))[derived]
+        return a_p.tolist(), good.tolist()
+
     def conductor(self) -> int:
         """See conductor()."""
         N = 1
@@ -215,6 +261,120 @@ class LocalData:
         return N
 
 
+class _TableCurve:
+    """A curve X of the curve table: its one LocalData record of the process,
+    and a_p(X) at good odd primes p, indexed by p (0 elsewhere), each
+    counted once, through record.at(p), as callers ask for larger primes."""
+
+    def __init__(self, model: WeierstrassModel):
+        self.record = LocalData(model)
+        self._a_p = np.zeros(3, dtype=np.int32)
+
+    def traces_up_to(self, bound: int) -> np.ndarray:
+        """a_p(X) at the good odd primes p <= bound, indexed by p."""
+        known = len(self._a_p) - 1
+        if bound > known:
+            grown = np.zeros(bound + 1, dtype=np.int32)
+            grown[: known + 1] = self._a_p
+            delta = self.record.inv.delta
+            for p in primes_up_to(bound):
+                if p > known and delta % p:
+                    grown[p] = self.record.at(p).a_p
+            self._a_p = grown
+        return self._a_p
+
+
+# One entry per curve of the curve table, made on first use and shared by
+# every caller in the process; a_p(X) is a fact about X, so an entry stays
+# valid when the table is reloaded.
+_TABLE_CURVES: dict[WeierstrassModel, _TableCurve] = {}
+
+
+def _table_curves() -> list[_TableCurve]:
+    entries = []
+    for model in load_curve_table().values():
+        entry = _TABLE_CURVES.get(model)
+        if entry is None:
+            entry = _TABLE_CURVES[model] = _TableCurve(model)
+        entries.append(entry)
+    return entries
+
+
+def local_data(E: WeierstrassModel) -> LocalData:
+    """E's LocalData: for a curve of the loaded curve table the record its
+    a_p table counts through, shared by the process; else a new record."""
+    for entry in _table_curves():
+        if entry.record.model == E:
+            return entry.record
+    return LocalData(E)
+
+
+def _table_twist(data: LocalData) -> tuple[_TableCurve, int] | None:
+    """(X, d) for the first table curve X with j(X) = j(E) not in {0, 1728},
+    E being isomorphic to X^d; None when there is none, or when the
+    squarefree part of the invariant ratio cannot be factored."""
+    j = data.inv.j
+    if j == 0 or j == 1728:
+        return None
+    for entry in _table_curves():
+        if entry.record.inv.j == j:
+            try:
+                return entry, _twist_parameter(data.inv, entry.record.inv)
+            except CompositeResidueError:
+                return None
+    return None
+
+
+def _twist_parameter(inv: CurveInvariants, base: CurveInvariants) -> int:
+    """The squarefree d with (c4, c6) = (u^4 d^2 c4', u^6 d^3 c6') for a
+    rational u, (c4', c6') the base curve's; checked exactly."""
+    ratio = Fraction(inv.c6 * base.c4, inv.c4 * base.c6)
+    d = squarefree_part(ratio.numerator * ratio.denominator)
+    u2 = ratio / d
+    if not (
+        _is_square(u2.numerator)
+        and _is_square(u2.denominator)
+        and inv.c4 == base.c4 * ratio**2
+        and inv.c6 == base.c6 * ratio**3
+    ):
+        raise TwistDerivationError(f"the model is not the twist by {d} of the base curve")
+    return d
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def _residues(n: int, primes: np.ndarray) -> np.ndarray:
+    """n mod p at each prime p < 2^31, by Horner's rule on the base-2^31
+    digits of |n|, every product below 2^62."""
+    digits = []
+    m = abs(n)
+    while m:
+        digits.append(m & 0x7FFFFFFF)
+        m >>= 31
+    radix = (1 << 31) % primes
+    r = np.zeros(len(primes), dtype=np.int64)
+    for digit in reversed(digits):
+        r = (r * radix + digit % primes) % primes
+    return (-r) % primes if n < 0 else r
+
+
+def _legendre(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Legendre symbols (a/p) at odd primes p < 2^31, a given mod p, by
+    Euler's criterion a^((p-1)/2) mod p, squaring and multiplying on all p
+    at once."""
+    power = np.ones(len(primes), dtype=np.int64)
+    square = residues
+    e = (primes - 1) // 2
+    while e.any():
+        odd = (e & 1).astype(bool)
+        power = np.where(odd, power * square % primes, power)
+        square = square * square % primes
+        e >>= 1
+    return np.where(power == primes - 1, -1, power)
+
+
 def conductor(E: WeierstrassModel) -> int:
     """Conductor: product of bad primes, squared at additive primes (p >= 5).
 
@@ -224,4 +384,4 @@ def conductor(E: WeierstrassModel) -> int:
     at 2 (multiplicative reduction at 2 is still detected safely because a
     non-minimal model has v2(c4) >= 4).
     """
-    return LocalData(E).conductor()
+    return local_data(E).conductor()

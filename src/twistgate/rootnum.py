@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .curve import WeierstrassModel
 from .errors import HypothesisViolationError, UnsupportedPlaceError, UnsupportedReductionAtTwoError
 from .numtheory import is_prime, is_squarefree, jacobi, valuation
-from .reduction import LocalData, ReductionKind
+from .reduction import LocalData, ReductionKind, local_data
 
 INFINITE_PLACE = "inf"
 
@@ -98,7 +98,7 @@ def _local_factor(data: LocalData, place) -> tuple[int, str]:
 
 def local_root_number(E: WeierstrassModel, place) -> int:
     """Local root number at 'inf' or a prime (model p-minimalized first)."""
-    return _local_factor(LocalData(E), place)[0]
+    return _local_factor(local_data(E), place)[0]
 
 
 def global_root_number(E: WeierstrassModel) -> RootNumber:
@@ -107,7 +107,7 @@ def global_root_number(E: WeierstrassModel) -> RootNumber:
     Primes that become good after p-minimalization contribute +1 and are
     omitted from the ledger.
     """
-    return root_number_of(LocalData(E))
+    return root_number_of(local_data(E))
 
 
 def root_number_of(data: LocalData) -> RootNumber:
@@ -133,7 +133,7 @@ def twist_root_number_formula(E: WeierstrassModel, d: int) -> int:
     hypothesis raises HypothesisViolationError naming the condition.  The
     value equals the global root number of the twisted curve.
     """
-    data = LocalData(E)
+    data = local_data(E)
     for p in data.delta_primes:
         try:
             additive = data.at(p).kind.is_additive

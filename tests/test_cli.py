@@ -57,6 +57,13 @@ class TestCurveInfo:
         result, doc = run_json(capsys, ["curve-info", "--curve", "1,0,0,-4,-1"])
         assert doc["payload"]["delta"] == 3969
 
+    def test_unreadable_curve_table(self, capsys, monkeypatch, tmp_path):
+        # every operation reads the table, to share its curves' local data
+        monkeypatch.setenv("TWISTGATE_CURVES", str(tmp_path / "missing.tsv"))
+        result, doc = run_json(capsys, ["root-number", "--curve", "1,0,0,-4,-1"])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert "missing.tsv" in doc["payload"]["error"]
+
     def test_unknown_label(self, capsys):
         result = run(["curve-info", "--label", "99z9"])
         assert result.status == STATUS_UNSUPPORTED
@@ -73,6 +80,11 @@ class TestReduction:
     def test_p2_is_unsupported_input(self, capsys):
         result = run(["reduction", "--p", "2", "--label", "15a1"])
         assert result.exit_code == 2
+
+    def test_composite_p_is_unsupported_input(self, capsys):
+        result, doc = run_json(capsys, ["reduction", "--p", "4", "--label", "15a1"])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert "prime" in doc["payload"]["error"]
 
 
 class TestRootNumber:
@@ -118,6 +130,11 @@ class TestLValue:
         assert doc["payload"]["conductor"] == 4335
         assert doc["payload"]["terms_used"] == 1500
 
+    def test_zero_terms_is_unsupported_input(self, capsys):
+        result, doc = run_json(capsys, ["lvalue", "--label", "15a1", "--terms", "0"])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert "--terms" in doc["payload"]["error"]
+
     def test_printed_digits_are_true_digits(self, capsys):
         result, doc = run_json(capsys, ["lvalue", "--label", "15a1"])
         exact = l_value_at_1(curve_by_label("15a1")).value
@@ -158,6 +175,11 @@ class TestSearch:
         result, doc = run_json(capsys, ["search", "--p", "5", "--r", "2", "--bound", "100"])
         assert [17, 61] in doc["payload"]["tuples"]
         assert doc["payload"]["count"] == 6
+
+    def test_bound_beyond_the_limit_is_unsupported_input(self, capsys):
+        result, doc = run_json(capsys, ["search", "--p", "5", "--r", "1", "--bound", "20000"])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert "--bound" in doc["payload"]["error"]
 
 
 class TestCheckHypothesis:
