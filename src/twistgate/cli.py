@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -27,7 +28,14 @@ from .curve import (
     quadratic_twist,
     short_form,
 )
-from .descent import enumerate_signed_modules, lemma_sum_check, quad_point_search, twist_map
+from .descent import (
+    MAX_MODULE_SIZE,
+    MAX_SEARCH_HEIGHT,
+    enumerate_signed_modules,
+    lemma_sum_check,
+    quad_point_search,
+    twist_map,
+)
 from .errors import TwistgateError
 from .fieldsearch import (
     MAX_SEARCH_BOUND,
@@ -255,6 +263,7 @@ def _cmd_lvalue(args) -> CommandResult:
         "conductor": est.conductor,
         "root_number": est.root_number,
         "terms_used": est.terms_used,
+        "terms_summed": est.terms_summed,
         "value": nstr(est.value, 30),
         "tail_bound": nstr(est.tail_bound, 10),
         "margin_factor": args.margin,
@@ -330,7 +339,10 @@ def _cmd_search(args) -> CommandResult:
 
 
 def _cmd_check_hypothesis(args) -> CommandResult:
-    ds = [int(s) for s in args.d.split(",") if s.strip()]
+    try:
+        ds = [int(s) for s in args.d.split(",") if s.strip()]
+    except ValueError as exc:
+        raise TwistgateError(f"--d expects comma-separated integers, got {args.d!r}") from exc
     report = check_hypothesis(args.p, ds, margin_factor=args.margin)
     payload = {
         "p": report.p,
@@ -349,6 +361,7 @@ def _cmd_check_hypothesis(args) -> CommandResult:
                 "lvalue": nstr(c.lvalue.value, 25),
                 "tail_bound": nstr(c.lvalue.tail_bound, 8),
                 "terms_used": c.lvalue.terms_used,
+                "terms_summed": c.lvalue.terms_summed,
                 "conductor": c.lvalue.conductor,
                 "verdict": c.lvalue.verdict,
                 "retried": c.retried,
@@ -381,6 +394,14 @@ def _cmd_descent_check(args) -> CommandResult:
     if args.lemma == "sum":
         if args.k is None or args.n is None or args.r is None:
             raise TwistgateError("--lemma sum needs --k, --n and --r")
+        if args.k < 1 or args.n < 1 or args.r < 0:
+            raise TwistgateError(
+                f"--lemma sum needs k, n >= 1 and r >= 0, got k={args.k} n={args.n} r={args.r}"
+            )
+        if args.k * args.n > math.log2(MAX_MODULE_SIZE):
+            raise TwistgateError(
+                f"(Z/2^{args.k})^{args.n} has more than {MAX_MODULE_SIZE} elements"
+            )
         modules = enumerate_signed_modules(args.k, args.n, args.r)
         failures = []
         for module in modules:
@@ -408,6 +429,10 @@ def _cmd_descent_check(args) -> CommandResult:
 
     if args.d is None or args.height is None:
         raise TwistgateError("--lemma tmw needs --d and --height")
+    if not 1 <= args.height <= MAX_SEARCH_HEIGHT:
+        raise TwistgateError(
+            f"--height must be between 1 and {MAX_SEARCH_HEIGHT}, got {args.height}"
+        )
     label = args.label or "15a1"
     model = curve_by_label(label, load_curve_table())
     curve = short_form(model)
@@ -465,13 +490,14 @@ def _cmd_descent_check(args) -> CommandResult:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser tree; run() builds one on first use and keeps it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
     common.add_argument(
         "--margin",
         type=float,
         default=10.0,
-        help="margin factor for L-value verdicts (default 10)",
+        help="margin factor for L-value verdicts, finite and at least 1 (default 10)",
     )
 
     curvesel = argparse.ArgumentParser(add_help=False)
@@ -547,10 +573,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv=None) -> CommandResult:
     """Parse argv, dispatch, print the result; returns the CommandResult."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = args.handler(args)
     except TwistgateError as exc:

@@ -31,6 +31,7 @@ from importlib import resources
 
 from .errors import (
     CurveTableError,
+    InvariantError,
     NotSquarefreeError,
     SingularCurveError,
     UnsupportedPrimeError,
@@ -77,9 +78,8 @@ def invariants(E: WeierstrassModel) -> CurveInvariants:
     delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if delta == 0:
         raise SingularCurveError(f"curve {E} is singular (Delta = 0)")
-    # exact sanity identities
-    assert c4**3 - c6**2 == 1728 * delta
-    assert 4 * b8 == b2 * b6 - b4 * b4
+    if c4**3 - c6**2 != 1728 * delta or 4 * b8 != b2 * b6 - b4 * b4:
+        raise InvariantError(f"invariant identities fail for {E}")
     return CurveInvariants(b2, b4, b6, b8, c4, c6, delta, Fraction(c4**3, delta))
 
 
@@ -155,7 +155,8 @@ def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
         u *= q ** max(-(-eA // 4), -(-eB // 6))
     a4 = At * u**4
     a6 = Bt * u**6
-    assert a4.denominator == 1 and a6.denominator == 1
+    if a4.denominator != 1 or a6.denominator != 1:
+        raise InvariantError(f"scaling by u = {u} left ({a4}, {a6}) non-integral")
     return WeierstrassModel(0, 0, 0, int(a4), int(a6))
 
 
@@ -190,7 +191,8 @@ def minimalize_at(E: WeierstrassModel, p: int) -> WeierstrassModel:
     model = model_from_c4c6(c4 // p ** (4 * k), c6 // p ** (6 * k))
     # dividing by p^4/p^6 with p >= 5 preserves the integrality conditions
     # at 2 and 3, so reconstruction cannot fail for an integral input
-    assert model is not None
+    if model is None:
+        raise InvariantError(f"no integral model of {E} divided by {p}^{k}")
     return model
 
 

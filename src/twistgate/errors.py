@@ -87,3 +87,13 @@ class TermBudgetError(TwistgateError):
 
 class CurveTableError(TwistgateError):
     """Curve table file is malformed or fails validation."""
+
+
+class MarginError(TwistgateError):
+    """An L-value margin factor that is not finite or is below 1: a value
+    beyond such a multiple of the tail bound proves nothing."""
+
+
+class InvariantError(Exception):
+    """An identity that holds by mathematics failed: a fault in the program,
+    never unsupported input, so it is deliberately not a TwistgateError."""

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 from .curve import curve_by_label, quadratic_twist
 from .descent import characters
-from .errors import CurveTableError
+from .errors import CurveTableError, InvariantError
 from .lseries import (
     COEFFICIENT_BUDGET,
     DEFAULT_DPS,
     DEFAULT_MARGIN,
     LValueEstimate,
     VERDICT_NONZERO,
+    check_margin,
     l_value_at_1,
 )
 from .numtheory import factor, is_squarefree, jacobi, squarefree_part
@@ -164,8 +165,8 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
     """Squarefree part of the product of the d_i with sign -1; 1 if trivial.
 
     The output provably satisfies the numeric admissibility conditions
-    again (multiplicativity of the Jacobi symbol); this closure is asserted
-    on every call.
+    again (multiplicativity of the Jacobi symbol); this closure is checked
+    on every call, raising InvariantError.
     """
     signs = tuple(signs)
     if len(signs) != tup.r:
@@ -178,8 +179,8 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
             prod *= d
     d_s = squarefree_part(prod)
     n3p = 3 * tup.p
-    assert d_s >= 1 and d_s % 4 == 1
-    assert math.gcd(d_s, n3p) == 1 and jacobi(d_s, n3p) == 1
+    if not (d_s >= 1 and d_s % 4 == 1 and math.gcd(d_s, n3p) == 1 and jacobi(d_s, n3p) == 1):
+        raise InvariantError(f"character discriminant {d_s} of {tup.ds} is not admissible")
     return d_s
 
 
@@ -266,8 +267,10 @@ def check_hypothesis(
     the Jacobi-symbol formula, exactly), and an L(1) estimate; an
     inconclusive estimate is retried once with four times the terms.
     Character evaluations are independent pure computations aggregated in a
-    fixed order.
+    fixed order.  margin_factor is checked first, admissible tuple or not
+    (MarginError below 1 or not finite).
     """
+    check_margin(margin_factor)
     ds = tuple(int(d) for d in ds)
     adm = is_admissible(p, ds)
     if not adm.ok:
@@ -293,7 +296,7 @@ def check_hypothesis(
         direct = global_root_number(twist)
         formula = twist_root_number_formula(X, d_s)
         if direct.value != formula:
-            raise AssertionError(
+            raise InvariantError(
                 f"twist formula sign {formula} disagrees with local product "
                 f"{direct.value} at d = {d_s}"
             )

@@ -14,14 +14,22 @@ The value is computed from the symmetric-point identity
 
 valid for every t > 0, with w the global root number.  At the default
 t = 1 and w = +1 this is the classical 2 * sum (a_n/n) exp(-2 pi n/sqrt(N)).
-Evaluating at t != 1 makes the forced zero for w = -1 a nontrivial
-cancellation between two different sums, which is what the
-functional-equation cross-check uses.
+At t = 1 and w = -1 the value is exactly s1 - s1 = 0, and it is returned
+as such without computing a coefficient (terms_summed = 0).  Evaluating at
+t != 1 makes that forced zero a nontrivial cancellation between two
+different sums, which is what the functional-equation cross-check uses.
+
+Each sum runs in one fixed-point kernel in Python integers: with
+Q = floor(q 2^B), taken from q at B + 64 bits, q_n <- (q_{n-1} Q) >> B and
+s += a_n q_n // n.  Each step loses under 2 units of 2^-B, so
+|q^n 2^B - q_n| < 2n, and with |a_n|/n <= 2 a sum of M terms is off by
+under 2 M^2 + 3 M units.  B is the bit length of (2 M + 3) 10^dps, which
+makes that at most M 10^-dps per sum.
 
 The truncation tail is bounded by |a_n| <= d(n) sqrt(n) <= 2n (divisor
-bound), giving the geometric majorant 2 (q^(M+1)/(1-q)) per sum; a small
-explicit roundoff allowance is added so the bound stays honest at any
-working precision.
+bound), giving the geometric majorant 2 (q^(M+1)/(1-q)) per sum.  The
+roundoff allowance 32 M 10^-dps added to it covers both kernel sums and
+the rounding of their combination to dps digits.
 
 A nonzero verdict is *evidence* for rank 0 (via the standard analytic-rank
 implication for curves over Q), never a proof; reports carry that label.
@@ -30,12 +38,14 @@ implication for curves over Q), never a proof; reports carry that label.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
 from mpmath import mp
 
 from .curve import WeierstrassModel
-from .errors import TermBudgetError
+from .errors import MarginError, TermBudgetError
 from .numtheory import primes_up_to
 from .reduction import local_data
 from .rootnum import root_number_of
@@ -59,6 +69,7 @@ class LValueEstimate:
     value: object  # mpmath mpf
     tail_bound: object  # mpmath mpf
     terms_used: int
+    terms_summed: int  # coefficients summed; 0 when w = -1 forced the value at t = 1
     conductor: int
     verdict: str
     root_number: int
@@ -76,47 +87,117 @@ def dirichlet_coefficients(E: WeierstrassModel, M: int) -> list[int]:
     additive p (LocalData.traces, which derives the a_p of a twist of a
     table curve at its good odd primes); prime powers by
     a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} (good) or a_p^k (bad);
-    extended multiplicatively.
+    extended multiplicatively.  The sieve and the fill run in numpy int64,
+    which holds every a_n exactly: |a_n| <= d(n) sqrt(n) < 2^62.
     """
     if not isinstance(M, int) or M < 1:
         raise ValueError("M must be a positive integer")
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"M = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
-    coeffs = [0] * (M + 1)
-    coeffs[1] = 1
     if M == 1:
-        return coeffs
+        return [0, 1]
     primes = primes_up_to(M)
     traces, good = local_data(E).traces(primes)
-    prime_power_values: dict[int, list[int]] = {}
-    for p, a_p, is_good in zip(primes, traces, good):
-        pows = [1, a_p]
+    # prime_power[p^k] = a_{p^k}
+    prime_power = np.zeros(M + 1, dtype=np.int64)
+    prime_power[primes] = traces
+    small = primes[: bisect_right(primes, math.isqrt(M))]
+    for p, a_p, is_good in zip(small, traces, good):
+        prev, cur = 1, a_p
         pk = p * p
         while pk <= M:
-            if is_good:
-                pows.append(a_p * pows[-1] - p * pows[-2])
-            else:
-                pows.append(a_p * pows[-1])
+            prev, cur = cur, a_p * cur - (p * prev if is_good else 0)
+            prime_power[pk] = cur
             pk *= p
-        prime_power_values[p] = pows
-    spf = list(range(M + 1))  # smallest prime factor
-    for p in primes:
-        for multiple in range(p * p, M + 1, p):
-            if spf[multiple] == multiple:
-                spf[multiple] = p
-    for n in range(2, M + 1):
-        p = spf[n]
-        m = n
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        coeffs[n] = coeffs[m] * prime_power_values[p][e]
-    return coeffs
+    # smallest prime factor: the primes up to sqrt(M) mark their multiples
+    n = np.arange(M + 1, dtype=np.int64)
+    spf = np.zeros(M + 1, dtype=np.int64)
+    for p in small:
+        multiples = spf[p * p :: p]
+        multiples[multiples == 0] = p
+    unmarked = spf == 0
+    spf[unmarked] = n[unmarked]
+    spf[:2] = 1
+    # n = p_part * rest, p_part the power of spf(n) that divides n exactly
+    p_part = spf.copy()
+    rest = n // spf
+    dividing = 2 + np.flatnonzero(rest[2:] % spf[2:] == 0)
+    while len(dividing):
+        p_part[dividing] *= spf[dividing]
+        rest[dividing] //= spf[dividing]
+        dividing = dividing[rest[dividing] % spf[dividing] == 0]
+    coeffs = prime_power[p_part]
+    coeffs[1] = 1
+    # a_n = a_{p_part} a_rest, and rest has one distinct prime factor fewer
+    # than n: one pass per further distinct prime fills every n <= M
+    composite = np.flatnonzero(rest > 1)
+    factor_at_p, rest = coeffs[composite], rest[composite]
+    for _ in range(_max_distinct_primes(M) - 1):
+        coeffs[composite] = factor_at_p * coeffs[rest]
+    return coeffs.tolist()
+
+
+def _max_distinct_primes(M: int) -> int:
+    """Most distinct prime factors an n <= M can have."""
+    count, product = 0, 1
+    for p in primes_up_to(64):
+        if product * p > M:
+            break
+        count, product = count + 1, product * p
+    return count
 
 
 def default_terms(N: int) -> int:
     return max(1000, math.isqrt(100 * N) + 1)
+
+
+def fraction_bits(M: int, dps: int) -> int:
+    """Fixed-point precision B of the kernel for M terms at dps digits.
+
+    Each kernel sum is off by fewer than 2 M^2 + 3 M units of 2^-B (see
+    _scaled_sum), and 2^B > (2 M + 3) 10^dps makes that at most
+    M 10^-dps."""
+    return ((2 * M + 3) * 10**dps).bit_length()
+
+
+def _q_values(N: int, t: float):
+    """q1 = exp(-2 pi t / sqrt(N)) and q2 = exp(-2 pi / (t sqrt(N))), at the
+    working precision."""
+    sqrt_n = mp.sqrt(N)
+    tt = mp.mpf(t)
+    return mp.exp(-2 * mp.pi * tt / sqrt_n), mp.exp(-2 * mp.pi / (tt * sqrt_n))
+
+
+def _scaled(x, B: int) -> int:
+    """floor(x 2^B) for a positive mpf x."""
+    return int(mp.floor(mp.ldexp(x, B)))
+
+
+def _scaled_sum(coeffs: list[int], Q: int, B: int) -> int:
+    """sum_{n=1}^{M} a_n q^n / n in units of 2^-B, M = len(coeffs) - 1,
+    from Q = floor(q 2^B) with q < 1, in Python integers.
+
+    q_n = floor(q_{n-1} Q / 2^B) falls short of, or exceeds, q^n 2^B by
+    fewer than 2n units: each step adds under 1 for the floor of Q (taken
+    from q at B + 64 bits) and under 1 for its own floor.  With
+    |a_n| / n <= 2, the term floor(a_n q_n / n) is off by under 4n + 1, so
+    the sum is off by under 2 M^2 + 3 M units.
+    """
+    s = 0
+    qn = 1 << B
+    for n in range(1, len(coeffs)):
+        qn = qn * Q >> B
+        a = coeffs[n]
+        if a:
+            s += a * qn // n
+    return s
+
+
+def check_margin(margin_factor: float) -> None:
+    """Raise MarginError unless 1 <= margin_factor < inf: |value| beyond
+    m times the tail bound proves L(E,1) != 0 only for m >= 1."""
+    if not 1 <= margin_factor < math.inf:  # nan fails both comparisons
+        raise MarginError(f"margin factor must be finite and at least 1, got {margin_factor}")
 
 
 def l_value_at_1(
@@ -130,10 +211,14 @@ def l_value_at_1(
     """Evaluate L(E,1) by the truncated symmetric-point series.
 
     terms defaults to max(1000, 10 sqrt(N)).  The verdict is
-    NonzeroEvidence iff |value| > margin_factor * tail_bound.
+    NonzeroEvidence iff |value| > margin_factor * tail_bound, and
+    margin_factor must be finite and at least 1 (MarginError).  At t = 1
+    with root number -1 the value is exactly s1 - s1 = 0, returned without
+    computing a coefficient (terms_summed = 0).
     """
     if t <= 0:
         raise ValueError("evaluation point t must be positive")
+    check_margin(margin_factor)
     data = local_data(E)
     N = data.conductor()
     if root_number is None:
@@ -143,30 +228,22 @@ def l_value_at_1(
         raise TermBudgetError(f"terms = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
     if M < 1:
         raise ValueError("terms must be positive")
-    coeffs = dirichlet_coefficients(E, M)
     with mp.workdps(dps):
-        sqrt_n = mp.sqrt(N)
-        tt = mp.mpf(t)
-        q1 = mp.exp(-2 * mp.pi * tt / sqrt_n)
-        q2 = mp.exp(-2 * mp.pi / (tt * sqrt_n))
-        symmetric = tt == 1
-        s1 = mp.mpf(0)
-        s2 = mp.mpf(0)
-        q1n = mp.mpf(1)
-        q2n = mp.mpf(1)
-        for n in range(1, M + 1):
-            q1n *= q1
-            if coeffs[n]:
-                s1 += mp.mpf(coeffs[n]) / n * q1n
-            if not symmetric:
-                q2n *= q2
-                if coeffs[n]:
-                    s2 += mp.mpf(coeffs[n]) / n * q2n
-        if symmetric:
-            s2 = s1
-        value = s1 + root_number * s2
+        if t == 1 and root_number == -1:
+            value, summed = mp.mpf(0), 0
+        else:
+            coeffs = dirichlet_coefficients(E, M)
+            B = fraction_bits(M, dps)
+            with mp.workprec(B + 64):
+                Q1, Q2 = (_scaled(q, B) for q in _q_values(N, t))
+            s1 = _scaled_sum(coeffs, Q1, B)
+            s2 = s1 if t == 1 else _scaled_sum(coeffs, Q2, B)
+            value, summed = mp.ldexp(mp.mpf(s1 + root_number * s2), -B), M
+        q1, q2 = _q_values(N, t)
         # |a_n|/n <= d(n)/sqrt(n) <= 2, so each truncated sum is bounded by
-        # the geometric tail; plus a roundoff allowance for the M additions.
+        # the geometric tail; plus a roundoff allowance that covers both
+        # kernel sums (M 10^-dps each) and the rounding of their
+        # combination to dps digits.
         tail = 2 * (q1 ** (M + 1) / (1 - q1) + q2 ** (M + 1) / (1 - q2))
         tail += 32 * M * mp.mpf(10) ** (-dps)
         verdict = (
@@ -176,6 +253,7 @@ def l_value_at_1(
             value=+value,
             tail_bound=+tail,
             terms_used=M,
+            terms_summed=summed,
             conductor=N,
             verdict=verdict,
             root_number=root_number,

@@ -135,6 +135,21 @@ class TestLValue:
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
         assert "--terms" in doc["payload"]["error"]
 
+    @pytest.mark.parametrize("margin", ["-1", "0", "0.5", "nan"])
+    def test_margin_below_one_is_unsupported_input(self, capsys, margin):
+        # 15a1 twisted by 13 has root number -1: L(E,1) = 0
+        result, doc = run_json(
+            capsys, ["lvalue", "--label", "15a1", "--twist", "13", "--margin", margin]
+        )
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert "margin" in doc["payload"]["error"]
+
+    def test_forced_zero_sums_no_terms(self, capsys):
+        result, doc = run_json(capsys, ["lvalue", "--label", "15a1", "--twist", "13"])
+        payload = doc["payload"]
+        assert (payload["root_number"], payload["verdict"]) == (-1, "Inconclusive")
+        assert (payload["terms_used"], payload["terms_summed"]) == (1000, 0)
+
     def test_printed_digits_are_true_digits(self, capsys):
         result, doc = run_json(capsys, ["lvalue", "--label", "15a1"])
         exact = l_value_at_1(curve_by_label("15a1")).value
@@ -190,6 +205,19 @@ class TestCheckHypothesis:
         assert doc["payload"]["overall"] == "Verified*"
         assert len(doc["payload"]["characters"]) == 2
 
+    @pytest.mark.parametrize("d", ["17", "13"])
+    def test_margin_below_one_is_unsupported_input(self, capsys, d):
+        # 13 is not admissible: the margin is rejected before that is found
+        result, doc = run_json(
+            capsys, ["check-hypothesis", "--p", "5", "--d", d, "--margin", "-1"]
+        )
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+
+    def test_non_integer_d_is_unsupported_input(self, capsys):
+        result, doc = run_json(capsys, ["check-hypothesis", "--p", "5", "--d", "abc"])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert "--d" in doc["payload"]["error"]
+
     def test_not_admissible_exits_1(self, capsys):
         result = run(["check-hypothesis", "--p", "5", "--d", "13"])
         assert result.status == STATUS_CHECK_FAILED
@@ -213,6 +241,19 @@ class TestDescentCheck:
         assert doc["payload"]["points_found"] >= 4
         assert doc["payload"]["all_passed"] is True
 
+    def test_negative_height_is_unsupported_input(self, capsys):
+        result, doc = run_json(
+            capsys, ["descent-check", "--lemma", "tmw", "--d", "17", "--height", "-1"]
+        )
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert "--height" in doc["payload"]["error"]
+
+    def test_zero_rank_module_is_unsupported_input(self, capsys):
+        result, doc = run_json(
+            capsys, ["descent-check", "--lemma", "sum", "--k", "2", "--n", "0", "--r", "1"]
+        )
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+
     def test_missing_flags(self, capsys):
         result = run(["descent-check", "--lemma", "sum"])
         assert result.exit_code == 2
@@ -229,3 +270,16 @@ class TestUsage:
 
     def test_parser_builds(self):
         build_parser()
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # a usage error in between must leave the shared parser as it was
+        argv = ["root-number", "--label", "15a1", "--twist", "13"]
+        first = run_json(capsys, argv)[1]
+        with pytest.raises(SystemExit) as excinfo:
+            run(["root-number", "--twist", "13"])  # no curve selected
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert run_json(capsys, argv)[1] == first
+        lvalue = ["lvalue", "--label", "15a1"]
+        assert run_json(capsys, lvalue + ["--margin", "20"])[1]["payload"]["margin_factor"] == 20
+        assert run_json(capsys, lvalue)[1]["payload"]["margin_factor"] == 10

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from twistgate import fieldsearch
+from twistgate.errors import InvariantError, TwistgateError
 from twistgate.fieldsearch import (
     OVERALL_NOT_ADMISSIBLE,
     OVERALL_VERIFIED,
@@ -207,6 +209,15 @@ class TestCheckHypothesis:
         assert report.overall == OVERALL_VERIFIED
         for c in report.per_character:
             assert c.root_number.value == 1
+
+    def test_formula_disagreement_is_a_fault_not_unsupported_input(self, monkeypatch):
+        formula = fieldsearch.twist_root_number_formula
+        monkeypatch.setattr(
+            fieldsearch, "twist_root_number_formula", lambda X, d: -formula(X, d)
+        )
+        with pytest.raises(InvariantError) as excinfo:
+            check_hypothesis(5, [17])
+        assert not isinstance(excinfo.value, TwistgateError)
 
     def test_character_count_is_power_of_two(self):
         report = check_hypothesis(5, [17, 61], terms=1000)

@@ -1,0 +1,233 @@
+"""The fixed-point L(E,1) kernel against the mpf summation it replaced.
+
+The oracle is the mpf loop itself, kept here at dps + 20 digits: each sum
+the kernel computes must agree with it within the kernel's stated
+roundoff, 2 M^2 + 3 M units of 2^-B, and that bound must fit inside the
+M 10^-dps per sum that the tail allowance reserves, for every M the
+coefficient budget admits.  The numpy coefficient fill is checked against
+the list fill it replaced, and the w = -1 short-circuit against the
+estimate the summing path would have returned.
+"""
+
+import dataclasses
+import math
+from functools import cache
+
+import pytest
+from mpmath import mp
+
+from twistgate import lseries
+from twistgate.curve import WeierstrassModel, curve_by_label, quadratic_twist
+from twistgate.errors import MarginError
+from twistgate.lseries import (
+    COEFFICIENT_BUDGET,
+    DEFAULT_DPS,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_NONZERO,
+    default_terms,
+    dirichlet_coefficients,
+    fraction_bits,
+    l_value_at_1,
+)
+from twistgate.numtheory import primes_up_to
+from twistgate.reduction import local_data
+from twistgate.rootnum import root_number_of
+
+ORACLE_DIGITS = DEFAULT_DPS + 20
+
+
+def kernel_curves():
+    """name -> (model, terms): both table curves and a curve of no table j
+    at their default lengths, and the 15a1 twist of the longest sum the
+    hypothesis sweep runs."""
+    e15, e21 = curve_by_label("15a1"), curve_by_label("21a1")
+    return {
+        "15a1": (e15, None),
+        "21a1": (e21, None),
+        "15a1^1037": (quadratic_twist(e15, 1037), 40163),
+        "0,-1,1,-29,-30": (WeierstrassModel(0, -1, 1, -29, -30), None),
+    }
+
+
+@cache
+def curve_terms(name):
+    E, terms = kernel_curves()[name]
+    N = local_data(E).conductor()
+    M = default_terms(N) if terms is None else terms
+    return E, N, M, tuple(dirichlet_coefficients(E, M))
+
+
+def q_values(N, t):
+    """q1 = exp(-2 pi t / sqrt(N)) and q2 = exp(-2 pi / (t sqrt(N)))."""
+    root, tt = mp.sqrt(N), mp.mpf(t)
+    return mp.exp(-2 * mp.pi * tt / root), mp.exp(-2 * mp.pi / (tt * root))
+
+
+def mpf_sum(coeffs, q):
+    """sum_n a_n q^n / n by the mpf loop, at the working precision."""
+    s, qn = mp.mpf(0), mp.mpf(1)
+    for n in range(1, len(coeffs)):
+        qn *= q
+        if coeffs[n]:
+            s += mp.mpf(coeffs[n]) / n * qn
+    return s
+
+
+@cache
+def oracle_sums(name, t):
+    _, N, _, coeffs = curve_terms(name)
+    with mp.workdps(ORACLE_DIGITS):
+        q1, q2 = q_values(N, t)
+        s1 = mpf_sum(coeffs, q1)
+        return s1, s1 if t == 1 else mpf_sum(coeffs, q2)
+
+
+def summing_estimate(E, t):
+    """l_value_at_1 as it was before the kernel: mpf loop, no short-circuit."""
+    data = local_data(E)
+    N = data.conductor()
+    w = root_number_of(data).value
+    M = default_terms(N)
+    coeffs = dirichlet_coefficients(E, M)
+    with mp.workdps(DEFAULT_DPS):
+        q1, q2 = q_values(N, t)
+        s1 = mpf_sum(coeffs, q1)
+        s2 = s1 if t == 1 else mpf_sum(coeffs, q2)
+        value = s1 + w * s2
+        tail = 2 * (q1 ** (M + 1) / (1 - q1) + q2 ** (M + 1) / (1 - q2))
+        tail += 32 * M * mp.mpf(10) ** (-DEFAULT_DPS)
+        verdict = (
+            VERDICT_NONZERO if abs(value) > lseries.DEFAULT_MARGIN * tail else VERDICT_INCONCLUSIVE
+        )
+        return lseries.LValueEstimate(
+            value=+value,
+            tail_bound=+tail,
+            terms_used=M,
+            terms_summed=M,
+            conductor=N,
+            verdict=verdict,
+            root_number=w,
+            eval_point=float(t),
+        )
+
+
+def kernel_bound_holds(M, dps):
+    """(2 M^2 + 3 M) 2^-B <= M 10^-dps, in integers."""
+    return (2 * M * M + 3 * M) * 10**dps <= M << fraction_bits(M, dps)
+
+
+class TestKernelAgainstMpfOracle:
+    @pytest.mark.parametrize("t", [1, 1.2])
+    @pytest.mark.parametrize("name", list(kernel_curves()))
+    def test_each_sum_within_its_roundoff(self, name, t):
+        _, N, M, coeffs = curve_terms(name)
+        B = fraction_bits(M, DEFAULT_DPS)
+        with mp.workprec(B + 64):
+            qs = q_values(N, t)
+            scaled = [lseries._scaled(q, B) for q in qs]
+        for Q, want in zip(scaled, oracle_sums(name, t)):
+            got = lseries._scaled_sum(list(coeffs), Q, B)
+            with mp.workdps(ORACLE_DIGITS):
+                assert abs(got - mp.ldexp(want, B)) < 2 * M * M + 3 * M, (name, t)
+
+    @pytest.mark.parametrize("t", [1, 1.2])
+    @pytest.mark.parametrize("name", list(kernel_curves()))
+    def test_value_within_the_allowance(self, name, t):
+        E, _, M, _ = curve_terms(name)
+        est = l_value_at_1(E, terms=M, t=t)
+        s1, s2 = oracle_sums(name, t)
+        with mp.workdps(ORACLE_DIGITS):
+            want = s1 + est.root_number * s2
+            # M 10^-dps per kernel sum, and rounding the sum to dps digits
+            bound = (2 * M + abs(want)) * mp.mpf(10) ** -DEFAULT_DPS
+            assert abs(est.value - want) <= bound, (name, t)
+            assert bound < 32 * M * mp.mpf(10) ** -DEFAULT_DPS
+
+
+class TestRoundoffBound:
+    @pytest.mark.parametrize("dps", [15, 30, 50, 100])
+    def test_every_length_in_the_budget(self, dps):
+        # exhaustive, so it covers the endpoints, the powers of 2 (where B
+        # steps) and 10^6 along with every other length the budget admits
+        assert COEFFICIENT_BUDGET == 10**6
+        failing = [M for M in range(1, COEFFICIENT_BUDGET + 1) if not kernel_bound_holds(M, dps)]
+        assert failing == []
+
+
+class TestShortCircuit:
+    def test_forced_zero_skips_the_sums(self, e15, monkeypatch):
+        twist = quadratic_twist(e15, 13)
+        want = summing_estimate(twist, 1)
+        assert want.root_number == -1 and want.value == 0
+
+        def no_coefficients(E, M):
+            raise AssertionError("short-circuit computed coefficients")
+
+        monkeypatch.setattr(lseries, "dirichlet_coefficients", no_coefficients)
+        got = l_value_at_1(twist)
+        assert got.terms_summed == 0
+        assert dataclasses.replace(got, terms_summed=want.terms_summed) == want
+
+    def test_other_evaluation_point_still_sums(self, e15):
+        twist = quadratic_twist(e15, 13)
+        want = summing_estimate(twist, 1.2)
+        got = l_value_at_1(twist, t=1.2)
+        assert got.terms_summed == got.terms_used == want.terms_used
+        assert got.tail_bound == want.tail_bound
+        assert (got.verdict, got.conductor, got.root_number) == (
+            want.verdict, want.conductor, want.root_number
+        )
+        with mp.workdps(DEFAULT_DPS):
+            assert abs(got.value - want.value) <= 32 * got.terms_used * mp.mpf(10) ** -DEFAULT_DPS
+
+
+def list_coefficients(E, M):
+    """The multiplicative fill in Python lists that the numpy fill replaced."""
+    coeffs = [0] * (M + 1)
+    coeffs[1] = 1
+    if M == 1:
+        return coeffs
+    primes = primes_up_to(M)
+    traces, good = local_data(E).traces(primes)
+    prime_power_values = {}
+    for p, a_p, is_good in zip(primes, traces, good):
+        pows = [1, a_p]
+        pk = p * p
+        while pk <= M:
+            pows.append(a_p * pows[-1] - (p * pows[-2] if is_good else 0))
+            pk *= p
+        prime_power_values[p] = pows
+    spf = list(range(M + 1))
+    for p in primes:
+        for multiple in range(p * p, M + 1, p):
+            if spf[multiple] == multiple:
+                spf[multiple] = p
+    for n in range(2, M + 1):
+        p, m, e = spf[n], n, 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        coeffs[n] = coeffs[m] * prime_power_values[p][e]
+    return coeffs
+
+
+@pytest.mark.parametrize("M", [1, 2, 81, 2000, 40163])
+def test_numpy_fill_matches_list_fill(M):
+    curves = [curve_terms("15a1^1037")[0]]
+    if M <= 2000:
+        curves += [curve_by_label("21a1"), WeierstrassModel(0, -1, 1, -29, -30)]
+    for E in curves:
+        assert dirichlet_coefficients(E, M) == list_coefficients(E, M), (str(E), M)
+
+
+class TestMargin:
+    @pytest.mark.parametrize("margin", [-1, 0, 0.5, math.nan, math.inf])
+    def test_below_one_or_not_finite_is_rejected(self, e15, margin):
+        with pytest.raises(MarginError):
+            l_value_at_1(quadratic_twist(e15, 13), margin_factor=margin)
+
+    def test_one_is_the_least_margin(self, e15):
+        assert l_value_at_1(e15, margin_factor=1).verdict == VERDICT_NONZERO
+        assert l_value_at_1(quadratic_twist(e15, 13), margin_factor=1).verdict == (
+            VERDICT_INCONCLUSIVE
+        )

@@ -4,7 +4,8 @@ Delta(X^d) Delta(X); 2 and the other primes are decided on the model.
 
 The oracle is a point count on the twisted model itself.  The same oracle
 runs again under ``python -O``, together with two injected faults, to show
-that the derivation's exact checks are raises, not asserts.
+that the derivation's exact checks are raises, not asserts, and a third
+fault in the character closure of the hypothesis pipeline.
 """
 
 import subprocess
@@ -13,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from twistgate import reduction
+from twistgate import fieldsearch, reduction
 from twistgate.curve import WeierstrassModel, curve_by_label, invariants, quadratic_twist
-from twistgate.errors import TwistDerivationError
-from twistgate.fieldsearch import check_hypothesis
+from twistgate.errors import InvariantError, TwistDerivationError
+from twistgate.fieldsearch import AdmissibleTuple, character_discriminant, check_hypothesis
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
 from twistgate.numtheory import jacobi, primes_up_to
 from twistgate.reduction import LocalData, count_points
@@ -81,6 +82,20 @@ def injected_faults_caught():
     return caught
 
 
+def closure_fault_caught():
+    """The name of the character-closure check, if it raises InvariantError
+    for a discriminant of 3 mod 4."""
+    squarefree_part = fieldsearch.squarefree_part
+    fieldsearch.squarefree_part = lambda n: 3 * squarefree_part(n)
+    try:
+        character_discriminant(AdmissibleTuple(5, (17,)), (-1,))
+    except InvariantError:
+        return "character-closure"
+    finally:
+        fieldsearch.squarefree_part = squarefree_part
+    return "none"
+
+
 def test_derived_coefficients_match_point_counts_on_the_twist():
     assert len(oracle_models()) == 12
     assert oracle_mismatches() == []
@@ -102,7 +117,8 @@ def test_derivation_checks_survive_optimized_mode():
     script = (
         "import sys; sys.path[:0] = sys.argv[1:3]\n"
         "import test_twist_table as t\n"
-        "print(__debug__, len(t.oracle_mismatches(500)), *t.injected_faults_caught())\n"
+        "print(__debug__, len(t.oracle_mismatches(500)), *t.injected_faults_caught(),\n"
+        "      t.closure_fault_caught())\n"
     )
     here = Path(__file__).resolve().parent
     out = subprocess.run(
@@ -112,7 +128,9 @@ def test_derivation_checks_survive_optimized_mode():
         check=True,
         timeout=300,
     )
-    assert out.stdout.split() == ["False", "0", "twist-parameter", "legendre-zero"]
+    assert out.stdout.split() == [
+        "False", "0", "twist-parameter", "legendre-zero", "character-closure"
+    ]
 
 
 def test_vectorized_legendre_symbols_match_jacobi():
