@@ -1,8 +1,11 @@
 """Command-line surface: every library operation behind a subcommand, with
 human-readable text by default and a single JSON document under --json.
 
-Exit codes: 0 the computation succeeded (and any verification passed),
-1 a check ran to completion and failed, 2 unsupported input or usage error.
+Exit codes, one per status: 0 ok (and any verification passed); 1
+check-failed, a check ran to completion and failed; 2 unsupported-input, a
+TwistgateError or a usage error; 3 internal-error, an InvariantError, a
+fault in the program.  An error payload carries "error", the message, and
+"error_type", the exception's class name.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ from .curve import (
     short_form,
 )
 from .descent import (
-    MAX_MODULE_SIZE,
     MAX_SEARCH_HEIGHT,
     enumerate_signed_modules,
     lemma_sum_check,
     quad_point_search,
     twist_map,
 )
-from .errors import TwistgateError
+from .errors import InvariantError, TwistgateError
 from .fieldsearch import (
     MAX_SEARCH_BOUND,
     OVERALL_VERIFIED,
@@ -46,14 +48,15 @@ from .fieldsearch import (
 from .galois import serre_check
 from .lseries import EVIDENCE_NOTE, l_value_at_1
 from .numtheory import factor, is_prime, is_squarefree, jacobi
-from .reduction import classify, conductor
+from .reduction import classify, conductor, local_data
 from .rootnum import global_root_number, twist_root_number_formula
 
 STATUS_OK = "ok"
 STATUS_CHECK_FAILED = "check-failed"
 STATUS_UNSUPPORTED = "unsupported-input"
+STATUS_INTERNAL = "internal-error"
 
-EXIT_CODE = {STATUS_OK: 0, STATUS_CHECK_FAILED: 1, STATUS_UNSUPPORTED: 2}
+EXIT_CODE = {STATUS_OK: 0, STATUS_CHECK_FAILED: 1, STATUS_UNSUPPORTED: 2, STATUS_INTERNAL: 3}
 
 
 @dataclass
@@ -194,9 +197,10 @@ def _cmd_root_number(args) -> CommandResult:
             text.append(f"    place {place}: {_sign_str(sign)}  [{case}]")
         return CommandResult(STATUS_OK, payload, text)
     d = args.twist
-    formula = twist_root_number_formula(model, d)
-    N = conductor(model)
-    base = global_root_number(model)
+    data = local_data(model)
+    formula = twist_root_number_formula(data, d)
+    N = conductor(data)
+    base = global_root_number(data)
     twisted = quadratic_twist(model, d)
     direct = global_root_number(twisted)
     agree = direct.value == formula
@@ -222,14 +226,15 @@ def _cmd_root_number(args) -> CommandResult:
 
 def _cmd_twist_root_check(args) -> CommandResult:
     model, name = _resolve_curve(args)
-    N = conductor(model)
+    data = local_data(model)
+    N = conductor(data)
     instances = 0
     mismatches = []
     for d in range(1, args.dmax + 1):
         if d % 4 != 1 or math.gcd(d, N) != 1 or not is_squarefree(d):
             continue
         instances += 1
-        formula = twist_root_number_formula(model, d)
+        formula = twist_root_number_formula(data, d)
         direct = global_root_number(quadratic_twist(model, d)).value
         if formula != direct:
             mismatches.append({"d": d, "formula": formula, "direct": direct})
@@ -397,10 +402,6 @@ def _cmd_descent_check(args) -> CommandResult:
         if args.k < 1 or args.n < 1 or args.r < 0:
             raise TwistgateError(
                 f"--lemma sum needs k, n >= 1 and r >= 0, got k={args.k} n={args.n} r={args.r}"
-            )
-        if args.k * args.n > math.log2(MAX_MODULE_SIZE):
-            raise TwistgateError(
-                f"(Z/2^{args.k})^{args.n} has more than {MAX_MODULE_SIZE} elements"
             )
         modules = enumerate_signed_modules(args.k, args.n, args.r)
         failures = []
@@ -583,9 +584,11 @@ def run(argv=None) -> CommandResult:
     args = _parser().parse_args(argv)
     try:
         result = args.handler(args)
-    except TwistgateError as exc:
-        result = CommandResult(STATUS_UNSUPPORTED, {"error": str(exc)}, [])
-        print(f"error: {exc}", file=sys.stderr)
+    except (TwistgateError, InvariantError) as exc:
+        status = STATUS_UNSUPPORTED if isinstance(exc, TwistgateError) else STATUS_INTERNAL
+        payload = {"error": str(exc), "error_type": type(exc).__name__}
+        result = CommandResult(status, payload, [])
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     if args.json:
         document = {
             "status": result.status,

@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (
+    LemmaSumSizeError,
     NonCommutingActionError,
     NonInvolutiveActionError,
     NotOnCurveError,
@@ -33,6 +34,9 @@ from .numtheory import is_squarefree
 
 MAX_SEARCH_HEIGHT = 10**4
 MAX_MODULE_SIZE = 2**16
+# Most products lemma_sum_check may make over enumerate_signed_modules(k, n, r):
+# |pool|^r modules of 2^(k n) elements, 4^r products each; seconds in CPython.
+MAX_LEMMA_SUM_WORK = 2**19
 
 
 def _as_fraction(v) -> Fraction:
@@ -206,24 +210,6 @@ def quad_point_search(
     return points
 
 
-def rational_point_search(
-    curve: tuple[Fraction, Fraction], num_bound: int, den_bound: int
-) -> list[tuple[Fraction, Fraction]]:
-    """Rational points (x, y), y >= 0, with x = m/n, |m| <= num_bound, n <= den_bound."""
-    A = _as_fraction(curve[0])
-    B = _as_fraction(curve[1])
-    out = []
-    for den in range(1, den_bound + 1):
-        for num in range(-num_bound, num_bound + 1):
-            if gcd(num, den) != 1:
-                continue
-            x = Fraction(num, den)
-            y = _rational_sqrt(x * x * x + A * x + B)
-            if y is not None:
-                out.append((x, y))
-    return out
-
-
 def twist_curve(curve: tuple[Fraction, Fraction], d: int) -> tuple[Fraction, Fraction]:
     A = _as_fraction(curve[0])
     B = _as_fraction(curve[1])
@@ -358,9 +344,20 @@ def enumerate_signed_modules(k: int, n: int, r: int) -> list[SignedModule]:
 
     Non-commuting combinations are skipped (every pool matrix is already
     involutive); repeated generators are allowed, they just act through a
-    quotient of (Z/2)^r.
+    quotient of (Z/2)^r.  LemmaSumSizeError, before enumerating, when a
+    bound (MAX_MODULE_SIZE, MAX_LEMMA_SUM_WORK) would be exceeded.
     """
+    if k * n > MAX_MODULE_SIZE.bit_length() - 1:
+        raise LemmaSumSizeError(f"(Z/2^{k})^{n} has more than {MAX_MODULE_SIZE} elements")
     pool = involutive_generator_pool(k, n)
+    # each generator multiplies the work by 4 |pool| >= 4, so testing r
+    # first rejects a large r before the power is taken
+    work_bits = MAX_LEMMA_SUM_WORK.bit_length()
+    if r >= work_bits // 2 or 2 ** (k * n) * (4 * len(pool)) ** r > MAX_LEMMA_SUM_WORK:
+        raise LemmaSumSizeError(
+            f"{len(pool)}^{r} modules x 2^{k * n} elements x 4^{r} products "
+            f"exceed {MAX_LEMMA_SUM_WORK}"
+        )
     modules = []
     for gens in itertools.product(pool, repeat=r):
         try:

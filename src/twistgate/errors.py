@@ -81,6 +81,10 @@ class TwistDerivationError(TwistgateError):
     where a_p was to be derived."""
 
 
+class LemmaSumSizeError(TwistgateError):
+    """A 2^r decomposition family above MAX_MODULE_SIZE or MAX_LEMMA_SUM_WORK."""
+
+
 class TermBudgetError(TwistgateError):
     """Requested series length exceeds the coefficient budget."""
 

@@ -23,7 +23,6 @@ from .descent import characters
 from .errors import CurveTableError, InvariantError
 from .lseries import (
     COEFFICIENT_BUDGET,
-    DEFAULT_DPS,
     DEFAULT_MARGIN,
     LValueEstimate,
     VERDICT_NONZERO,
@@ -31,7 +30,7 @@ from .lseries import (
     l_value_at_1,
 )
 from .numtheory import factor, is_squarefree, jacobi, squarefree_part
-from .reduction import conductor
+from .reduction import conductor, local_data
 from .rootnum import RootNumber, global_root_number, twist_root_number_formula
 
 SUPPORTED_P = (5, 7)
@@ -115,18 +114,6 @@ def _reduce(mask: int, basis: list[int]) -> int:
     for row in basis:
         mask = min(mask, mask ^ row)
     return mask
-
-
-def exponent_vectors_independent(ds) -> bool:
-    """Second implementation of the subset test: GF(2) rank of exponent vectors."""
-    prime_bits: dict[int, int] = {}
-    basis: list[int] = []
-    for d in ds:
-        mask = _reduce(_odd_exponent_mask(d, prime_bits), basis)
-        if mask == 0:
-            return False
-        basis.append(mask)
-    return True
 
 
 def is_admissible(p: int, ds) -> AdmissibilityCheck:
@@ -258,16 +245,16 @@ def check_hypothesis(
     ds,
     margin_factor: float = DEFAULT_MARGIN,
     terms: int | None = None,
-    dps: int = DEFAULT_DPS,
 ) -> HypothesisReport:
     """Run the full per-character pipeline for the tuple (d_1, ..., d_r).
 
     For each of the 2^r characters: the twist discriminant, the twisted
     curve, its global root number as a local product (cross-checked against
     the Jacobi-symbol formula, exactly), and an L(1) estimate; an
-    inconclusive estimate is retried once with four times the terms.
-    Character evaluations are independent pure computations aggregated in a
-    fixed order.  margin_factor is checked first, admissible tuple or not
+    inconclusive estimate is retried once with four times the terms.  One
+    LocalData record of each twist serves its root number, its estimate
+    and the retry.  Character evaluations are independent pure
+    computations aggregated in a fixed order.  margin_factor is checked first, admissible tuple or not
     (MarginError below 1 or not finite).
     """
     check_margin(margin_factor)
@@ -285,14 +272,13 @@ def check_hypothesis(
         )
     tup = AdmissibleTuple(p, ds)
     X = curve_by_label(CURVE_FOR_P[p])
-    if conductor(X) != 3 * p:
-        raise CurveTableError(
-            f"table curve {CURVE_FOR_P[p]} has conductor {conductor(X)}, expected {3 * p}"
-        )
+    N = conductor(X)
+    if N != 3 * p:
+        raise CurveTableError(f"table curve {CURVE_FOR_P[p]} has conductor {N}, expected {3 * p}")
     per: list[CharacterResult] = []
     for signs in characters(tup.r):
         d_s = character_discriminant(tup, signs)
-        twist = quadratic_twist(X, d_s)
+        twist = local_data(quadratic_twist(X, d_s))
         direct = global_root_number(twist)
         formula = twist_root_number_formula(X, d_s)
         if direct.value != formula:
@@ -300,13 +286,7 @@ def check_hypothesis(
                 f"twist formula sign {formula} disagrees with local product "
                 f"{direct.value} at d = {d_s}"
             )
-        estimate = l_value_at_1(
-            twist,
-            terms=terms,
-            margin_factor=margin_factor,
-            dps=dps,
-            root_number=direct.value,
-        )
+        estimate = l_value_at_1(twist, terms=terms, margin_factor=margin_factor)
         retried = False
         if estimate.verdict != VERDICT_NONZERO:
             retried = True
@@ -314,8 +294,6 @@ def check_hypothesis(
                 twist,
                 terms=min(4 * estimate.terms_used, COEFFICIENT_BUDGET),
                 margin_factor=margin_factor,
-                dps=dps,
-                root_number=direct.value,
             )
         per.append(CharacterResult(signs, d_s, direct, formula, estimate, retried))
     roots_ok = all(c.root_number.value == 1 for c in per)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import WeierstrassModel, invariants
+from .curve import WeierstrassModel
 from .errors import BadAuxPrimeError, UnsupportedPrimeError, UnsupportedReductionAtTwoError
 from .numtheory import factor, is_prime, primes_up_to
-from .reduction import ReductionKind, local_data
+from .reduction import LocalData, ReductionKind, local_data
 
 PASS_STATEMENT = (
     "criterion hypotheses verified; surjectivity follows by Serre's Proposition 21"
@@ -49,7 +49,7 @@ class SurjectivityReport:
         return PASS_STATEMENT if self.overall else "criterion hypotheses NOT verified"
 
 
-def default_aux_prime(E: WeierstrassModel) -> int:
+def default_aux_prime(E: WeierstrassModel | LocalData) -> int:
     """Smallest odd prime of good reduction."""
     data = local_data(E)
     for q in primes_up_to(1000)[1:]:
@@ -58,25 +58,29 @@ def default_aux_prime(E: WeierstrassModel) -> int:
     raise BadAuxPrimeError("no odd good prime below 1000")
 
 
-def serre_check(E: WeierstrassModel, ell: int, aux: int | None = None) -> SurjectivityReport:
-    """Run both indivisibility checks; overall passes only if all do.
+def serre_check(
+    E: WeierstrassModel | LocalData, ell: int, aux: int | None = None
+) -> SurjectivityReport:
+    """Run both indivisibility checks on E or its record; overall passes
+    only if all do.
 
     aux defaults to the smallest odd good prime (7 for the conductor-15
     curve, 5 for the conductor-21 one).
     """
     if not isinstance(ell, int) or ell < 3 or ell % 2 == 0 or not is_prime(ell):
         raise UnsupportedPrimeError(f"criterion requires an odd prime ell >= 3, got {ell}")
+    data = local_data(E)
     if aux is None:
-        aux = default_aux_prime(E)
+        aux = default_aux_prime(data)
     if not is_prime(aux):
         raise BadAuxPrimeError(f"auxiliary prime {aux} is not prime")
     try:
-        aux_data = local_data(E).at(aux)
+        aux_data = data.at(aux)
     except UnsupportedReductionAtTwoError:
         aux_data = None
     if aux_data is None or aux_data.kind is not ReductionKind.GOOD:
         raise BadAuxPrimeError(f"{aux} is a bad prime of the curve")
-    j = invariants(E).j
+    j = data.inv.j
     j_checks = []
     if j != 0:
         for q, e in factor(j.denominator).factors:

@@ -2,10 +2,12 @@
 convergent evaluation of L(E,1) with a rigorous tail majorant.
 
 Every a_p, a_2 included, and the conductor and root number come from the
-model's LocalData record (reduction.py).  For a quadratic twist X^d of a
-curve X of the curve table, the a_p at odd primes not dividing
-Delta(E) Delta(X) are (d/p) a_p(X), read from X's per-process a_p table;
-the other primes are decided on the model itself.
+model's LocalData record (reduction.py); both public functions take a
+model or its record, and l_value_at_1 hands its record on to
+dirichlet_coefficients.  For a quadratic twist X^d of a curve X of the
+curve table, the a_p at odd primes not dividing Delta(E) Delta(X) are
+(d/p) a_p(X), read from X's per-process a_p table; the other primes are
+decided on the model itself.
 
 The value is computed from the symmetric-point identity
 
@@ -19,11 +21,11 @@ as such without computing a coefficient (terms_summed = 0).  Evaluating at
 t != 1 makes that forced zero a nontrivial cancellation between two
 different sums, which is what the functional-equation cross-check uses.
 
-Each sum runs in one fixed-point kernel in Python integers: with
-Q = floor(q 2^B), taken from q at B + 64 bits, q_n <- (q_{n-1} Q) >> B and
-s += a_n q_n // n.  Each step loses under 2 units of 2^-B, so
-|q^n 2^B - q_n| < 2n, and with |a_n|/n <= 2 a sum of M terms is off by
-under 2 M^2 + 3 M units.  B is the bit length of (2 M + 3) 10^dps, which
+Each sum runs in one fixed-point kernel in Python integers, at
+dps = DEFAULT_DPS digits: with Q = floor(q 2^B), taken from q at B + 64
+bits, q_n <- (q_{n-1} Q) >> B and s += a_n q_n // n.  Each step loses
+under 2 units of 2^-B, so |q^n 2^B - q_n| < 2n, and with |a_n|/n <= 2 a
+sum of M terms is off by under 2 M^2 + 3 M units.  B is the bit length of (2 M + 3) 10^dps, which
 makes that at most M 10^-dps per sum.
 
 The truncation tail is bounded by |a_n| <= d(n) sqrt(n) <= 2n (divisor
@@ -47,8 +49,8 @@ from mpmath import mp
 from .curve import WeierstrassModel
 from .errors import MarginError, TermBudgetError
 from .numtheory import primes_up_to
-from .reduction import local_data
-from .rootnum import root_number_of
+from .reduction import LocalData, conductor, local_data
+from .rootnum import global_root_number
 
 COEFFICIENT_BUDGET = 10**6
 DEFAULT_DPS = 50
@@ -80,7 +82,7 @@ class LValueEstimate:
             raise ValueError("tail bound must be nonnegative")
 
 
-def dirichlet_coefficients(E: WeierstrassModel, M: int) -> list[int]:
+def dirichlet_coefficients(E: WeierstrassModel | LocalData, M: int) -> list[int]:
     """Coefficients a_1..a_M of L(E,s); returned as a list with a_n at index n.
 
     a_p = p + 1 - #X(F_p) at good p, +1 / -1 / 0 at split / nonsplit /
@@ -201,14 +203,13 @@ def check_margin(margin_factor: float) -> None:
 
 
 def l_value_at_1(
-    E: WeierstrassModel,
+    E: WeierstrassModel | LocalData,
     terms: int | None = None,
     t: float = 1.0,
     margin_factor: float = DEFAULT_MARGIN,
-    dps: int = DEFAULT_DPS,
-    root_number: int | None = None,
 ) -> LValueEstimate:
-    """Evaluate L(E,1) by the truncated symmetric-point series.
+    """Evaluate L(E,1) by the truncated symmetric-point series, at
+    DEFAULT_DPS digits, from E or its LocalData record.
 
     terms defaults to max(1000, 10 sqrt(N)).  The verdict is
     NonzeroEvidence iff |value| > margin_factor * tail_bound, and
@@ -220,20 +221,19 @@ def l_value_at_1(
         raise ValueError("evaluation point t must be positive")
     check_margin(margin_factor)
     data = local_data(E)
-    N = data.conductor()
-    if root_number is None:
-        root_number = root_number_of(data).value
+    N = conductor(data)
+    root_number = global_root_number(data).value
     M = default_terms(N) if terms is None else int(terms)
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"terms = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
     if M < 1:
         raise ValueError("terms must be positive")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         if t == 1 and root_number == -1:
             value, summed = mp.mpf(0), 0
         else:
-            coeffs = dirichlet_coefficients(E, M)
-            B = fraction_bits(M, dps)
+            coeffs = dirichlet_coefficients(data, M)
+            B = fraction_bits(M, DEFAULT_DPS)
             with mp.workprec(B + 64):
                 Q1, Q2 = (_scaled(q, B) for q in _q_values(N, t))
             s1 = _scaled_sum(coeffs, Q1, B)
@@ -245,7 +245,7 @@ def l_value_at_1(
         # kernel sums (M 10^-dps each) and the rounding of their
         # combination to dps digits.
         tail = 2 * (q1 ** (M + 1) / (1 - q1) + q2 ** (M + 1) / (1 - q2))
-        tail += 32 * M * mp.mpf(10) ** (-dps)
+        tail += 32 * M * mp.mpf(10) ** (-DEFAULT_DPS)
         verdict = (
             VERDICT_NONZERO if abs(value) > margin_factor * tail else VERDICT_INCONCLUSIVE
         )

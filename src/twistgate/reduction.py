@@ -3,6 +3,10 @@ classification, traces of Frobenius, conductors, and LocalData: the one
 record of a model's local data that root numbers, L-series coefficients and
 the Serre check read.  The reduction at 2 is decided in _reduction only.
 
+A record is built once per curve per operation, by the code that made the
+curve, and passed down: local_data(E) returns E when E is a record, so each
+function that only reads local data takes a model or its record.
+
 Each curve X of the loaded curve table has one record per process, which
 local_data() hands to every caller, together with a table of a_p(X) at the
 good odd primes.  The table grows on demand, one point count per prime,
@@ -183,10 +187,10 @@ def _reduction(E: WeierstrassModel, inv: CurveInvariants, p: int) -> ReductionDa
 @dataclass(frozen=True)
 class LocalData:
     """Invariants, primes of Delta and ReductionData at each prime of a model,
-    built once per computation and passed down (see local_data for the
-    curves of the curve table).  at(p) decides p on first use and remembers
-    it; walking delta_primes in ascending order, callers meet the first
-    failing prime's error first."""
+    built once per curve per operation and passed down (see local_data for
+    the curves of the curve table).  at(p) decides p on first use and
+    remembers it; walking delta_primes in ascending order, callers meet the
+    first failing prime's error first."""
 
     model: WeierstrassModel
     _decided: dict[int, ReductionData] = field(
@@ -245,21 +249,6 @@ class LocalData:
             a_p[~direct] = chi * base.traces_up_to(int(derived[-1]))[derived]
         return a_p.tolist(), good.tolist()
 
-    def conductor(self) -> int:
-        """See conductor()."""
-        N = 1
-        for p in self.delta_primes:
-            kind = self.at(p).kind
-            if kind.is_multiplicative:
-                N *= p
-            elif kind.is_additive:
-                if p == 3:
-                    raise UnsupportedReductionError(
-                        "additive reduction at 3: conductor exponent unsupported"
-                    )
-                N *= p * p
-        return N
-
 
 class _TableCurve:
     """A curve X of the curve table: its one LocalData record of the process,
@@ -300,9 +289,12 @@ def _table_curves() -> list[_TableCurve]:
     return entries
 
 
-def local_data(E: WeierstrassModel) -> LocalData:
-    """E's LocalData: for a curve of the loaded curve table the record its
-    a_p table counts through, shared by the process; else a new record."""
+def local_data(E: WeierstrassModel | LocalData) -> LocalData:
+    """E's LocalData: E itself when it is a record; for a curve of the
+    loaded curve table the record its a_p table counts through, shared by
+    the process; else a new record."""
+    if isinstance(E, LocalData):
+        return E
     for entry in _table_curves():
         if entry.record.model == E:
             return entry.record
@@ -375,7 +367,7 @@ def _legendre(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return np.where(power == primes - 1, -1, power)
 
 
-def conductor(E: WeierstrassModel) -> int:
+def conductor(E: WeierstrassModel | LocalData) -> int:
     """Conductor: product of bad primes, squared at additive primes (p >= 5).
 
     Requires good or multiplicative reduction at 2 and 3; the exponent-2
@@ -384,4 +376,16 @@ def conductor(E: WeierstrassModel) -> int:
     at 2 (multiplicative reduction at 2 is still detected safely because a
     non-minimal model has v2(c4) >= 4).
     """
-    return local_data(E).conductor()
+    data = local_data(E)
+    N = 1
+    for p in data.delta_primes:
+        kind = data.at(p).kind
+        if kind.is_multiplicative:
+            N *= p
+        elif kind.is_additive:
+            if p == 3:
+                raise UnsupportedReductionError(
+                    "additive reduction at 3: conductor exponent unsupported"
+                )
+            N *= p * p
+    return N

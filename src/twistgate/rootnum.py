@@ -10,9 +10,10 @@ Local signs follow the Dokchitser-Dokchitser case table over Q_p / R:
         reduction, p >= 5.
 
 The kind at each prime comes from the model's LocalData record
-(reduction.py), which also decides the reduction at 2.  Uncovered places
-(additive or non-minimal reduction at 2, additive potentially good at 3)
-raise UnsupportedPlaceError rather than guessing.
+(reduction.py), which also decides the reduction at 2; every function here
+takes a model or its record.  Uncovered places (additive or non-minimal
+reduction at 2, additive potentially good at 3) raise UnsupportedPlaceError
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .curve import WeierstrassModel
 from .errors import HypothesisViolationError, UnsupportedPlaceError, UnsupportedReductionAtTwoError
 from .numtheory import is_prime, is_squarefree, jacobi, valuation
-from .reduction import LocalData, ReductionKind, local_data
+from .reduction import LocalData, ReductionKind, conductor, local_data
 
 INFINITE_PLACE = "inf"
 
@@ -96,22 +97,18 @@ def _local_factor(data: LocalData, place) -> tuple[int, str]:
     return sign, CASE_ADD_POT_GOOD
 
 
-def local_root_number(E: WeierstrassModel, place) -> int:
+def local_root_number(E: WeierstrassModel | LocalData, place) -> int:
     """Local root number at 'inf' or a prime (model p-minimalized first)."""
     return _local_factor(local_data(E), place)[0]
 
 
-def global_root_number(E: WeierstrassModel) -> RootNumber:
+def global_root_number(E: WeierstrassModel | LocalData) -> RootNumber:
     """Product of local root numbers over the infinite place and bad primes.
 
     Primes that become good after p-minimalization contribute +1 and are
     omitted from the ledger.
     """
-    return root_number_of(local_data(E))
-
-
-def root_number_of(data: LocalData) -> RootNumber:
-    """global_root_number from a local-data record."""
+    data = local_data(E)
     ledger: list[tuple[object, int, str]] = [(INFINITE_PLACE, -1, CASE_ARCHIMEDEAN)]
     value = -1
     for p in data.delta_primes:
@@ -126,7 +123,7 @@ def root_number_of(data: LocalData) -> RootNumber:
     return RootNumber(value, tuple(ledger))
 
 
-def twist_root_number_formula(E: WeierstrassModel, d: int) -> int:
+def twist_root_number_formula(E: WeierstrassModel | LocalData, d: int) -> int:
     """jacobi(d, N) * w(E) for semistable E of odd conductor N.
 
     Valid for squarefree positive d = 1 mod 4 prime to N; any failed
@@ -141,7 +138,7 @@ def twist_root_number_formula(E: WeierstrassModel, d: int) -> int:
             raise HypothesisViolationError(f"E is not semistable: {exc}") from exc
         if additive:
             raise HypothesisViolationError(f"E is not semistable: additive reduction at {p}")
-    N = data.conductor()
+    N = conductor(data)
     if N % 2 == 0:
         raise HypothesisViolationError(f"conductor {N} is even")
     if not isinstance(d, int) or d <= 0:
@@ -152,4 +149,4 @@ def twist_root_number_formula(E: WeierstrassModel, d: int) -> int:
         raise HypothesisViolationError(f"twist parameter {d} is not 1 mod 4")
     if math.gcd(d, N) != 1:
         raise HypothesisViolationError(f"twist parameter {d} shares a factor with N = {N}")
-    return jacobi(d, N) * root_number_of(data).value
+    return jacobi(d, N) * global_root_number(data).value

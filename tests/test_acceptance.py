@@ -224,7 +224,8 @@ def test_criterion_10_functional_equation_cross_check():
         rn = global_root_number(twist)
         assert rn.value == -1
         # evaluate off the symmetric point so the zero is a real cancellation
-        est = l_value_at_1(twist, t=1.2, root_number=rn.value)
+        est = l_value_at_1(twist, t=1.2)
+        assert est.root_number == rn.value
         assert abs(est.value) <= 3 * est.tail_bound, d
         checked.append(d)
     elapsed = time.time() - start

@@ -1,11 +1,13 @@
 import json
+import time
 
 import pytest
 from mpmath import mp, mpf
 
-from twistgate import curve_by_label, l_value_at_1
+from twistgate import curve_by_label, fieldsearch, l_value_at_1
 from twistgate.cli import (
     STATUS_CHECK_FAILED,
+    STATUS_INTERNAL,
     STATUS_OK,
     STATUS_UNSUPPORTED,
     build_parser,
@@ -69,6 +71,11 @@ class TestCurveInfo:
         assert result.status == STATUS_UNSUPPORTED
         assert result.exit_code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_error_payload_names_the_error_type(self, capsys):
+        result, doc = run_json(capsys, ["curve-info", "--label", "99z9"])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "CurveTableError"
 
 
 class TestReduction:
@@ -257,6 +264,42 @@ class TestDescentCheck:
     def test_missing_flags(self, capsys):
         result = run(["descent-check", "--lemma", "sum"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("r", ["3", "8"])
+    def test_too_much_work_is_unsupported_input_at_once(self, capsys, r):
+        start = time.perf_counter()
+        result, doc = run_json(
+            capsys, ["descent-check", "--lemma", "sum", "--k", "3", "--n", "2", "--r", r]
+        )
+        assert time.perf_counter() - start < 3.0
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "LemmaSumSizeError"
+
+    def test_module_above_the_size_bound_is_unsupported_input(self, capsys):
+        result, doc = run_json(
+            capsys, ["descent-check", "--lemma", "sum", "--k", "17", "--n", "1", "--r", "0"]
+        )
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert "65536 elements" in doc["payload"]["error"]
+
+
+class TestInternalError:
+    def test_invariant_error_is_an_internal_error(self, capsys, monkeypatch):
+        # the fault test_fieldsearch injects: the formula disagrees with the
+        # local product
+        formula = fieldsearch.twist_root_number_formula
+        monkeypatch.setattr(
+            fieldsearch, "twist_root_number_formula", lambda X, d: -formula(X, d)
+        )
+        result = run(["check-hypothesis", "--p", "5", "--d", "17", "--json"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)  # exactly one document
+        assert (result.status, result.exit_code) == (STATUS_INTERNAL, 3)
+        assert doc["status"] == "internal-error"
+        assert doc["payload"]["error_type"] == "InvariantError"
+        assert "disagrees" in doc["payload"]["error"]
+        assert "Traceback" not in captured.err
+        assert main(["check-hypothesis", "--p", "5", "--d", "17"]) == 3
 
 
 class TestUsage:

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
 from twistgate.curve import short_form
 from twistgate.descent import (
+    MAX_LEMMA_SUM_WORK,
+    MAX_MODULE_SIZE,
     DecompositionCertificate,
     QuadElt,
     QuadPoint,
@@ -14,17 +17,38 @@ from twistgate.descent import (
     involutive_generator_pool,
     lemma_sum_check,
     quad_point_search,
-    rational_point_search,
     twist_curve,
     twist_map,
 )
 from twistgate.errors import (
+    LemmaSumSizeError,
     NonCommutingActionError,
     NonInvolutiveActionError,
     NotOnCurveError,
     NotSquarefreeError,
+    TwistgateError,
 )
 from twistgate.numtheory import squarefree_part
+
+
+def rational_point_search(curve, num_bound, den_bound):
+    """Rational points (x, y), y >= 0, of y^2 = x^3 + A x + B with x = m/n in
+    lowest terms, |m| <= num_bound, 1 <= n <= den_bound: the oracle for the
+    invariant and anti-invariant points quad_point_search finds."""
+    A, B = (Fraction(c) for c in curve)
+    out = []
+    for den in range(1, den_bound + 1):
+        for num in range(-num_bound, num_bound + 1):
+            if gcd(num, den) != 1:
+                continue
+            x = Fraction(num, den)
+            fx = x * x * x + A * x + B
+            if fx < 0:
+                continue
+            rn, rd = isqrt(fx.numerator), isqrt(fx.denominator)
+            if rn * rn == fx.numerator and rd * rd == fx.denominator:
+                out.append((x, Fraction(rn, rd)))
+    return out
 
 
 def random_elt(rng, d):
@@ -251,6 +275,23 @@ class TestSignedModule:
         assert modules
         for module in modules:
             assert lemma_sum_check(module).passed
+
+    def test_work_bound_is_checked_before_enumerating(self):
+        # (3, 2, 2) is the largest family the acceptance harness checks:
+        # 17^2 modules x 64 elements x 16 products
+        assert 17**2 * 64 * 16 <= MAX_LEMMA_SUM_WORK < 17**3 * 64 * 64
+        assert len(enumerate_signed_modules(3, 2, 2)) == 265
+        for r in (3, 8, 10**9):
+            with pytest.raises(LemmaSumSizeError):
+                enumerate_signed_modules(3, 2, r)
+        assert issubclass(LemmaSumSizeError, TwistgateError)
+
+    def test_module_size_bound(self):
+        assert [m.size for m in enumerate_signed_modules(16, 1, 0)] == [MAX_MODULE_SIZE]
+        with pytest.raises(LemmaSumSizeError):
+            enumerate_signed_modules(17, 1, 0)
+        with pytest.raises(LemmaSumSizeError):
+            enumerate_signed_modules(10**9, 10**9, 1)
 
     def test_characters_order(self):
         assert characters(2)[0] == (1, 1)

@@ -12,7 +12,6 @@ from twistgate.fieldsearch import (
     character_discriminant,
     characters,
     check_hypothesis,
-    exponent_vectors_independent,
     is_admissible,
     search,
     square_subset,
@@ -43,6 +42,29 @@ def oracle_single(d, p):
         and math.gcd(d, 3 * p) == 1
         and oracle_legendre(d, 3) * oracle_legendre(d, p) == 1
     )
+
+
+def exponent_vectors_independent(ds):
+    """The subset test as a GF(2) rank: each positive d as the bit mask of
+    the primes dividing it to an odd power (by trial division), eliminated
+    against the rows found so far, keyed by their leading bit."""
+    rows = {}
+    for d in ds:
+        mask, q = 0, 2
+        while d > 1:
+            while d % q == 0:
+                d //= q
+                mask ^= 1 << q
+            q += 1
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in rows:
+                rows[top] = mask
+                break
+            mask ^= rows[top]
+        else:
+            return False
+    return True
 
 
 def oracle_search(p, r, bound):

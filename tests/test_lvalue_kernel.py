@@ -30,8 +30,8 @@ from twistgate.lseries import (
     l_value_at_1,
 )
 from twistgate.numtheory import primes_up_to
-from twistgate.reduction import local_data
-from twistgate.rootnum import root_number_of
+from twistgate.reduction import conductor, local_data
+from twistgate.rootnum import global_root_number
 
 ORACLE_DIGITS = DEFAULT_DPS + 20
 
@@ -52,7 +52,7 @@ def kernel_curves():
 @cache
 def curve_terms(name):
     E, terms = kernel_curves()[name]
-    N = local_data(E).conductor()
+    N = conductor(E)
     M = default_terms(N) if terms is None else terms
     return E, N, M, tuple(dirichlet_coefficients(E, M))
 
@@ -85,8 +85,8 @@ def oracle_sums(name, t):
 def summing_estimate(E, t):
     """l_value_at_1 as it was before the kernel: mpf loop, no short-circuit."""
     data = local_data(E)
-    N = data.conductor()
-    w = root_number_of(data).value
+    N = conductor(data)
+    w = global_root_number(data).value
     M = default_terms(N)
     coeffs = dirichlet_coefficients(E, M)
     with mp.workdps(DEFAULT_DPS):
