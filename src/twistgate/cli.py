@@ -38,7 +38,7 @@ from .descent import (
     quad_point_search,
     twist_map,
 )
-from .errors import InvariantError, TwistgateError
+from .errors import InvariantError, TwistgateError, WorkBoundError
 from .fieldsearch import (
     MAX_SEARCH_BOUND,
     OVERALL_VERIFIED,
@@ -57,6 +57,9 @@ STATUS_UNSUPPORTED = "unsupported-input"
 STATUS_INTERNAL = "internal-error"
 
 EXIT_CODE = {STATUS_OK: 0, STATUS_CHECK_FAILED: 1, STATUS_UNSUPPORTED: 2, STATUS_INTERNAL: 3}
+
+# Largest twist-root-check --dmax; the benchmarked sweeps reach 2000.
+MAX_TWIST_DMAX = 10**4
 
 
 @dataclass
@@ -225,6 +228,8 @@ def _cmd_root_number(args) -> CommandResult:
 
 
 def _cmd_twist_root_check(args) -> CommandResult:
+    if args.dmax > MAX_TWIST_DMAX:
+        raise WorkBoundError(f"--dmax must be at most {MAX_TWIST_DMAX}, got {args.dmax}")
     model, name = _resolve_curve(args)
     data = local_data(model)
     N = conductor(data)

@@ -85,6 +85,11 @@ class LemmaSumSizeError(TwistgateError):
     """A 2^r decomposition family above MAX_MODULE_SIZE or MAX_LEMMA_SUM_WORK."""
 
 
+class WorkBoundError(TwistgateError):
+    """A tuple search above MAX_SEARCH_WORK, or a twist sweep above
+    MAX_TWIST_DMAX, refused before it starts."""
+
+
 class TermBudgetError(TwistgateError):
     """Requested series length exceeds the coefficient budget."""
 

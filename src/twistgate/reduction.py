@@ -5,7 +5,8 @@ the Serre check read.  The reduction at 2 is decided in _reduction only.
 
 A record is built once per curve per operation, by the code that made the
 curve, and passed down: local_data(E) returns E when E is a record, so each
-function that only reads local data takes a model or its record.
+function that only reads local data takes a model or its record, and so do
+count_points and classify, which then read the record's invariants.
 
 Each curve X of the loaded curve table has one record per process, which
 local_data() hands to every caller, together with a table of a_p(X) at the
@@ -24,8 +25,15 @@ includes the singular point (and the point at infinity), so that
                         1   split multiplicative
                        -1   nonsplit multiplicative
 
-and equals a_p with |a_p| <= 2 sqrt(p) at good primes.  Every classification
-asserts this table literally.
+and equals a_p with |a_p| <= 2 sqrt(p) at good primes.  Every ReductionData
+asserts this table literally.  Points are counted only at good primes and
+at p = 2.  At an odd bad prime p the table is derived on the p-minimal
+model instead: the singular point is a node iff p does not divide c4, and
+the node's tangents are rational (split reduction) iff -c6 is a square
+mod p, so a_p = (-c6/p) (Cremona, Algorithms for Modular Elliptic Curves,
+3.2; Silverman, Advanced Topics, IV.9); else it is a cusp and a_p = 0.  The
+tests keep the point count as the oracle of this derivation, p = 3
+included.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from .errors import (
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
-from .numtheory import factor, is_prime, primes_up_to, squarefree_part, valuation
+from .numtheory import factor, is_prime, jacobi, primes_up_to, squarefree_part, valuation
 
 POINT_COUNT_BOUND = 10**6
 
@@ -118,8 +126,9 @@ def count_points_naive(E: WeierstrassModel, p: int) -> int:
     return n
 
 
-def count_points(E: WeierstrassModel, p: int) -> int:
-    """#X(F_p) of the reduced equation, singular point included.
+def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
+    """#X(F_p) of the reduced equation, singular point included; E is a
+    model or its record, whose invariants are then read, not recomputed.
 
     For odd p, completing the square turns the count into
     p + 1 + sum_x chi((4 x^3 + b2 x^2 + 2 b4 x + b6) mod p) with chi the
@@ -128,9 +137,10 @@ def count_points(E: WeierstrassModel, p: int) -> int:
     _check_prime(p)
     if p > POINT_COUNT_BOUND:
         raise PrimeTooLargeError(f"p = {p} exceeds the enumeration bound")
+    model = E.model if isinstance(E, LocalData) else E
     if p == 2:
-        return count_points_naive(E, 2)
-    inv = invariants(E)
+        return count_points_naive(model, 2)
+    inv = invariants(E) if model is E else E.inv
     x = np.arange(p, dtype=np.int64)
     g = (4 * x + inv.b2 % p) % p
     g = (g * x + (2 * inv.b4) % p) % p
@@ -143,20 +153,25 @@ def count_points(E: WeierstrassModel, p: int) -> int:
     return p + 1 + residues - nonresidues
 
 
-def classify(E: WeierstrassModel, p: int) -> ReductionData:
-    """Reduction type of E at an odd prime.
+def classify(E: WeierstrassModel | LocalData, p: int) -> ReductionData:
+    """Reduction type of E, a model or its record, at an odd prime.
 
-    The model is p-minimalized first for p >= 5.  At p = 3 a visibly
+    The model is p-minimalized first for p >= 5; a record's invariants are
+    read when the model is already minimal there.  At p = 3 a visibly
     non-minimal model (v3(Delta) >= 12 and v3(c4) >= 4) is rejected since we
-    cannot minimalize there.  Split and nonsplit multiplicative reduction
-    are told apart by the point count alone.
+    cannot minimalize there.
     """
     _check_prime(p)
     if p == 2:
         raise UnsupportedPrimeError("classification at p = 2 is not supported")
+    record = E if isinstance(E, LocalData) else None
+    model = E if record is None else record.model
     if p >= 5:
-        E = minimalize_at(E, p)
-    inv = invariants(E)
+        model = minimalize_at(model, p)
+    if record is not None and model is record.model:
+        E, inv = record, record.inv
+    else:
+        E, inv = model, invariants(model)
     v_delta = valuation(inv.delta, p)
     if p == 3 and v_delta >= 12 and (inv.c4 == 0 or valuation(inv.c4, 3) >= 4):
         raise NonMinimalModelError(
@@ -165,13 +180,20 @@ def classify(E: WeierstrassModel, p: int) -> ReductionData:
     return _reduction(E, inv, p)
 
 
-def _reduction(E: WeierstrassModel, inv: CurveInvariants, p: int) -> ReductionData:
-    """Reduction data at p of a model minimal at p, inv its invariants.  At 2,
-    odd Delta is good, odd c4 multiplicative (and minimal), else it raises."""
+def _reduction(E: WeierstrassModel | LocalData, inv: CurveInvariants, p: int) -> ReductionData:
+    """Reduction data at p of a model minimal at p (or its record), inv its
+    invariants.  Points are counted at good primes and at 2, where odd Delta
+    is good, odd c4 multiplicative (and minimal), and anything else raises.
+    At an odd bad prime a node (p not dividing c4) has a_p = (-c6/p) and a
+    cusp a_p = 0."""
     if p == 2 and inv.delta % 2 == 0 and inv.c4 % 2 == 0:
         raise UnsupportedReductionAtTwoError("additive (or non-minimal) reduction at 2")
-    points = count_points(E, p)
-    a_p = p + 1 - points
+    if p == 2 or inv.delta % p:
+        points = count_points(E, p)
+        a_p = p + 1 - points
+    else:
+        a_p = jacobi(-inv.c6, p) if inv.c4 % p else 0
+        points = p + 1 - a_p
     if inv.delta % p:
         kind = ReductionKind.GOOD
     elif inv.c4 % p:
@@ -212,9 +234,9 @@ class LocalData:
         data = self._decided.get(p)
         if data is None:
             if p == 2 or self.inv.delta % p:
-                data = _reduction(self.model, self.inv, p)
+                data = _reduction(self, self.inv, p)
             else:
-                data = classify(self.model, p)
+                data = classify(self, p)
             self._decided[p] = data
         return data
 

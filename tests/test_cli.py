@@ -1,4 +1,6 @@
+import contextlib
 import json
+import signal
 import time
 
 import pytest
@@ -24,6 +26,23 @@ RESULT_SCHEMA = {
         "payload": {"type": "object"},
     },
 }
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in this (the main) thread after whole seconds, so
+    that a call that hangs fails its test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_json(capsys, argv):
@@ -202,6 +221,25 @@ class TestSearch:
         result, doc = run_json(capsys, ["search", "--p", "5", "--r", "1", "--bound", "20000"])
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
         assert "--bound" in doc["payload"]["error"]
+
+
+class TestWorkBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["twist-root-check", "--label", "15a1", "--dmax", "1000000"],
+            # 622 candidates below 10 000 give C(622, 3), about 4 * 10^7, triples
+            ["search", "--p", "5", "--r", "3", "--bound", "10000"],
+        ],
+        ids=["twist-root-check", "search"],
+    )
+    def test_a_former_hang_is_unsupported_input_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        with time_limit(20):
+            result, doc = run_json(capsys, argv)
+        assert time.perf_counter() - start < 3.0
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "WorkBoundError"
 
 
 class TestCheckHypothesis:

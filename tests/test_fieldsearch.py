@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from twistgate import fieldsearch
-from twistgate.errors import InvariantError, TwistgateError
+from twistgate.errors import InvariantError, TwistgateError, WorkBoundError
 from twistgate.fieldsearch import (
+    MAX_SEARCH_WORK,
     OVERALL_NOT_ADMISSIBLE,
     OVERALL_VERIFIED,
     AdmissibleTuple,
@@ -204,6 +205,16 @@ class TestSearch:
             search(5, 1, 10**5)
         with pytest.raises(ValueError):
             search(5, 0, 10)
+
+    def test_work_bound(self):
+        # the largest benchmarked search: 36 candidates, 1 + 36 + C(36, 2)
+        # subsets of at most 2
+        assert 1 + 36 + math.comb(36, 2) <= MAX_SEARCH_WORK
+        assert len(search(7, 2, 600)) > 0
+        # 622 candidates: C(622, 3) triples, and every subset when r exceeds them
+        for r in (3, 10**9):
+            with pytest.raises(WorkBoundError):
+                search(5, r, 10**4)
 
 
 class TestCheckHypothesis:

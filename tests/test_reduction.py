@@ -1,19 +1,24 @@
+import collections
+import json
 import random
 
 import pytest
 
-from twistgate.curve import WeierstrassModel, quadratic_twist
+from twistgate.cli import run
+from twistgate.curve import WeierstrassModel, minimalize_at, quadratic_twist
 from twistgate.errors import (
     HypothesisViolationError,
     NonMinimalModelError,
     PrimeTooLargeError,
+    SingularCurveError,
     UnsupportedPlaceError,
     UnsupportedPrimeError,
+    UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
 from twistgate.galois import serre_check
 from twistgate.lseries import l_value_at_1
-from twistgate.numtheory import factor, primes_up_to, squarefree_part
+from twistgate.numtheory import factor, jacobi, primes_up_to, squarefree_part
 from twistgate.reduction import (
     ReductionData,
     ReductionKind,
@@ -195,17 +200,118 @@ class TestLocalData:
                     assert data.at(p) == classify(model, p), (model, p)
 
 
+# a1, a3 in {0, 1}, a2 in {-1, 0, 1} and |a4|, |a6| <= 12
+GRID = [
+    WeierstrassModel(a1, a2, a3, a4, a6)
+    for a1 in (0, 1)
+    for a2 in (-1, 0, 1)
+    for a3 in (0, 1)
+    for a4 in range(-12, 13)
+    for a6 in range(-12, 13)
+]
+
+KIND_OF_DEFECT = {1: ReductionKind.MULT_SPLIT, -1: ReductionKind.MULT_NONSPLIT}
+
+
+class TestOddBadPrimes:
+    """At an odd bad prime a record derives a_p from c4 and c6 and counts no
+    points; the count on the p-minimal model is the oracle."""
+
+    def test_derived_reduction_matches_the_count_on_a_grid(self):
+        seen = collections.Counter()
+        for model in GRID:
+            data = LocalData(model)
+            try:
+                delta = data.inv.delta
+            except SingularCurveError:
+                continue
+            for p in primes_up_to(23)[1:]:
+                if delta % p:
+                    continue
+                try:
+                    got = data.at(p)
+                except NonMinimalModelError:
+                    assert p == 3, model
+                    continue
+                minimal = model if p == 3 else minimalize_at(model, p)
+                defect = p + 1 - count_points(minimal, p)
+                assert got.a_p == defect, (model, p)
+                if defect:
+                    assert got.kind is KIND_OF_DEFECT[defect], (model, p)
+                else:
+                    assert got.kind.is_additive, (model, p)
+                seen[p == 3, "additive" if got.kind.is_additive else got.kind] += 1
+        kinds = (ReductionKind.MULT_SPLIT, ReductionKind.MULT_NONSPLIT, "additive")
+        assert [(at3, kind) for at3 in (True, False) for kind in kinds if not seen[at3, kind]] == []
+
+    def test_no_point_is_counted_at_an_odd_bad_prime(self, monkeypatch, e15, e21):
+        import twistgate.reduction as reduction
+
+        counted = []
+        real = reduction.count_points
+        monkeypatch.setattr(
+            reduction, "count_points", lambda E, p: counted.append(p) or real(E, p)
+        )
+        for model in (e15, e21, quadratic_twist(e15, 17), quadratic_twist(e21, -11)):
+            data = LocalData(model)
+            for p in data.delta_primes:
+                data.at(p)
+        assert counted == []
+
+
+class TestPrimeBeyondTheCountBound:
+    """y^2 + y = x^3 - 40x - 300 has the prime discriminant -34 719 227,
+    beyond the point-count bound: its reduction there is derived, not
+    counted."""
+
+    E = WeierstrassModel(0, 0, 1, -40, -300)
+    P = 34719227
+
+    def test_the_node_has_rational_tangents(self):
+        # (2y + 1)^2 = f(x) = 4x^3 - 160x - 1199 has the double root
+        # x0 = -3597/320 mod p, where its tangents are Y^2 = 12 x0 (x - x0)^2
+        p = self.P
+        x0 = -3597 * pow(320, -1, p) % p
+        assert (4 * x0**3 - 160 * x0 - 1199) % p == 0
+        assert (12 * x0 * x0 - 160) % p == 0
+        assert jacobi(12 * x0, p) == 1
+        assert LocalData(self.E).at(p) == ReductionData(p, ReductionKind.MULT_SPLIT, p, 1)
+        with pytest.raises(PrimeTooLargeError):
+            count_points(self.E, p)
+
+    def test_conductor_and_root_number(self):
+        assert LocalData(self.E).delta_primes == (self.P,)
+        assert conductor(self.E) == self.P
+        assert global_root_number(self.E).value == 1
+
+    def test_cli_document(self, capsys):
+        result = run(["root-number", "--curve", "0,0,1,-40,-300", "--json"])
+        document = json.loads(capsys.readouterr().out)
+        assert (result.exit_code, document["status"]) == (0, "ok")
+        assert document["payload"]["value"] == 1
+        assert document["payload"]["local_factors"][-1] == {
+            "place": str(self.P),
+            "sign": -1,
+            "case": "split-mult",
+        }
+
+
 class TestErrorPrecedence:
-    """y^2 = x^3 + x + 195 is additive at 2, and Delta = -2^4 * 1026679 has a
-    prime factor beyond the point-count bound: the prime 2, which comes
-    first, must decide every error."""
+    """y^2 = x^3 + x + 195 is additive at 2, with Delta = -2^4 * 1026679: the
+    prime 2, which comes first, must decide every error.  Scaled by u = 3
+    the model is also visibly non-minimal at 3, a later prime that alone
+    would fail differently."""
 
     E = WeierstrassModel(0, 0, 0, 1, 195)
+    E3 = scale_model(E, 3)
 
     def test_the_large_prime_alone_would_fail_differently(self):
-        assert factor(abs(LocalData(self.E).inv.delta)).primes() == (2, 1026679)
-        with pytest.raises(PrimeTooLargeError):
-            classify(self.E, 1026679)
+        assert self.E3 == WeierstrassModel(0, 0, 0, 81, 142155)
+        assert factor(abs(LocalData(self.E3).inv.delta)).primes() == (2, 3, 1026679)
+        with pytest.raises(NonMinimalModelError):
+            classify(self.E3, 3)
+        with pytest.raises(UnsupportedReductionAtTwoError):
+            conductor(self.E3)
 
     def test_conductor(self):
         with pytest.raises(UnsupportedReductionError):
