@@ -11,16 +11,13 @@ fault in the program.  An error payload carries "error", the message, and
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 
-from mpmath import mpf, nstr
+from mpmath import nstr
 
 from . import __version__
 from .curve import (
@@ -71,24 +68,6 @@ class CommandResult:
     @property
     def exit_code(self) -> int:
         return EXIT_CODE[self.status]
-
-
-def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, mpf):
-        return nstr(obj, 25)
-    if isinstance(obj, Enum):
-        return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def _factored(n: int) -> str:
@@ -499,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     """A new parser tree; run() builds one on first use and keeps it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument(
+
+    margin = argparse.ArgumentParser(add_help=False)
+    margin.add_argument(
         "--margin",
         type=float,
         default=10.0,
@@ -540,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, required=True)
     p.set_defaults(handler=_cmd_twist_root_check)
 
-    p = sub.add_parser("lvalue", parents=[common, curvesel],
+    p = sub.add_parser("lvalue", parents=[common, margin, curvesel],
                        help="L(E,1) estimate with rigorous tail bound")
     p.add_argument("--terms", type=int, help="series length (default max(1000, 10 sqrt(N)))")
     p.add_argument("--twist", type=int, help="twist the curve first")
@@ -559,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("check-hypothesis", parents=[common],
+    p = sub.add_parser("check-hypothesis", parents=[common, margin],
                        help="full per-character root-number and L-value pipeline")
     p.add_argument("--p", type=int, choices=(5, 7), required=True)
     p.add_argument("--d", required=True, help="comma-separated d_1,...,d_r")
@@ -598,7 +579,7 @@ def run(argv=None) -> CommandResult:
         document = {
             "status": result.status,
             "command": args.command,
-            "payload": _jsonify(result.payload),
+            "payload": result.payload,
         }
         print(json.dumps(document, indent=2))
     else:

@@ -36,7 +36,7 @@ from .errors import (
     SingularCurveError,
     UnsupportedPrimeError,
 )
-from .numtheory import factor, is_prime, is_squarefree
+from .numtheory import factor, is_prime, is_squarefree, valuation
 
 
 @dataclass(frozen=True)
@@ -150,23 +150,14 @@ def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
     Bt = B * d**3
     u = 1
     for q, e in factor(math.lcm(At.denominator, Bt.denominator)).factors:
-        eA = _den_valuation(At, q)
-        eB = _den_valuation(Bt, q)
+        eA = valuation(At.denominator, q)
+        eB = valuation(Bt.denominator, q)
         u *= q ** max(-(-eA // 4), -(-eB // 6))
     a4 = At * u**4
     a6 = Bt * u**6
     if a4.denominator != 1 or a6.denominator != 1:
         raise InvariantError(f"scaling by u = {u} left ({a4}, {a6}) non-integral")
     return WeierstrassModel(0, 0, 0, int(a4), int(a6))
-
-
-def _den_valuation(x: Fraction, q: int) -> int:
-    v = 0
-    n = x.denominator
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
 
 
 def minimalize_at(E: WeierstrassModel, p: int) -> WeierstrassModel:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import (
     LemmaSumSizeError,
@@ -380,28 +380,24 @@ def lemma_sum_check(module: SignedModule) -> LemmaSumResult:
     mod = module.modulus
     r = module.r
     group = module.group_elements()
-    chars = characters(r)
+    # s(sigma) for each character s, in the order of group
+    values = [
+        (signs, [prod(s for bit, s in zip(bits, signs) if bit) for bits, _ in group])
+        for signs in characters(r)
+    ]
     certificates = []
     failures = []
     for m in module.elements():
         images = {bits: _mat_vec(mat, m, mod) for bits, mat in group}
         components = []
         total = tuple(0 for _ in range(module.n))
-        for signs in chars:
+        for signs, s_values in values:
             v = tuple(0 for _ in range(module.n))
-            for bits, _ in group:
-                coeff = 1
-                for bit, s in zip(bits, signs):
-                    if bit:
-                        coeff *= s
+            for (bits, _), coeff in zip(group, s_values):
                 img = images[bits]
                 v = tuple((vi + coeff * xi) % mod for vi, xi in zip(v, img))
             # v must lie in the s-eigenspace: sigma(v) = s_sigma v for all sigma
-            for bits, mat in group:
-                s_sigma = 1
-                for bit, s in zip(bits, signs):
-                    if bit:
-                        s_sigma *= s
+            for (_, mat), s_sigma in zip(group, s_values):
                 expected = tuple((s_sigma * vi) % mod for vi in v)
                 if _mat_vec(mat, v, mod) != expected:
                     failures.append(f"m={m}: component for {signs} escapes its eigenspace")

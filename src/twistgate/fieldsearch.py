@@ -50,12 +50,6 @@ VERIFIED_NOTE = (
     "the rank-0 conclusion is conditional on the analytic-rank implication"
 )
 
-UNRAMIFIED_NOTE = (
-    "d_i odd and 1 mod 4 keeps 2 unramified; coprimality to 3p keeps 3 and p "
-    "unramified, so the multiquadratic field is unramified at every prime dividing 6p"
-)
-
-
 @dataclass(frozen=True)
 class AdmissibilityCheck:
     ok: bool

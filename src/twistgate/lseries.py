@@ -47,7 +47,7 @@ import numpy as np
 from mpmath import mp
 
 from .curve import WeierstrassModel
-from .errors import MarginError, TermBudgetError
+from .errors import InvariantError, MarginError, TermBudgetError
 from .numtheory import primes_up_to
 from .reduction import LocalData, conductor, local_data
 from .rootnum import global_root_number
@@ -79,7 +79,7 @@ class LValueEstimate:
 
     def __post_init__(self):
         if self.tail_bound < 0:
-            raise ValueError("tail bound must be nonnegative")
+            raise InvariantError("tail bound must be nonnegative")
 
 
 def dirichlet_coefficients(E: WeierstrassModel | LocalData, M: int) -> list[int]:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CompositeResidueError, EvenModulusError, ZeroInputError
+from .errors import CompositeResidueError, EvenModulusError, InvariantError, ZeroInputError
 
 TRIAL_DIVISION_BOUND = 10**6
 COFACTOR_BOUND = 10**12
@@ -71,20 +71,20 @@ class Factorization:
 
     def __post_init__(self):
         if self.value < 1:
-            raise ValueError("factorization value must be positive")
+            raise InvariantError("factorization value must be positive")
         prod = 1
         last = 1
         for p, e in self.factors:
             if e < 1:
-                raise ValueError("exponents must be >= 1")
+                raise InvariantError("exponents must be >= 1")
             if p <= last:
-                raise ValueError("primes must be strictly increasing")
+                raise InvariantError("primes must be strictly increasing")
             if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise InvariantError(f"{p} is not prime")
             prod *= p**e
             last = p
         if prod != self.value:
-            raise ValueError("factor product does not match value")
+            raise InvariantError("factor product does not match value")
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

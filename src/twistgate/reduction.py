@@ -8,15 +8,17 @@ curve, and passed down: local_data(E) returns E when E is a record, so each
 function that only reads local data takes a model or its record, and so do
 count_points and classify, which then read the record's invariants.
 
-Each curve X of the loaded curve table has one record per process, which
-local_data() hands to every caller, together with a table of a_p(X) at the
-good odd primes.  The table grows on demand, one point count per prime,
-each through the record's at(p).  A model E with j(E) = j(X) not in
-{0, 1728} is the quadratic twist X^d, d the squarefree part of
+Every record keeps a table of a_p at its good odd primes, which grows on
+demand in LocalData.traces_up_to, one point count per prime, each checked
+by ReductionData; at(p) keeps only the primes it is asked for, 2 and the
+primes of Delta in LocalData.traces.  Each curve X of the loaded curve
+table has one record per process, which local_data() hands to every
+caller, so X's table lasts for the process.  A model E with j(E) = j(X)
+not in {0, 1728} is the quadratic twist X^d, d the squarefree part of
 c6(E) c4(X) / (c4(E) c6(X)); LocalData.traces then takes
-a_p(E) = (d/p) a_p(X) at the odd primes p not dividing Delta(E) Delta(X),
-vectorized over p, and reads p = 2 and the other primes from at(p) on E
-itself, so reduction kinds and errors are those of E.
+a_p(E) = (d/p) a_p(X) from X's table at the odd primes p not dividing
+Delta(E) Delta(X), vectorized over p, and reads p = 2 and the other primes
+from at(p) on E itself, so reduction kinds and errors are those of E.
 
 Point counts follow the convention that the count of a bad reduction
 includes the singular point (and the point at infinity), so that
@@ -49,6 +51,7 @@ import numpy as np
 from .curve import CurveInvariants, WeierstrassModel, invariants, load_curve_table, minimalize_at
 from .errors import (
     CompositeResidueError,
+    InvariantError,
     NonMinimalModelError,
     PrimeTooLargeError,
     TwistDerivationError,
@@ -87,19 +90,19 @@ class ReductionData:
     def __post_init__(self):
         defect = self.p + 1 - self.points
         if defect != self.a_p:
-            raise ValueError("a_p must equal p + 1 - points")
+            raise InvariantError("a_p must equal p + 1 - points")
         if self.kind is ReductionKind.GOOD:
             if self.a_p * self.a_p > 4 * self.p:
-                raise ValueError(f"Hasse bound violated at p = {self.p}")
+                raise InvariantError(f"Hasse bound violated at p = {self.p}")
         elif self.kind is ReductionKind.MULT_SPLIT:
             if defect != 1:
-                raise ValueError("split multiplicative requires p + 1 - points = 1")
+                raise InvariantError("split multiplicative requires p + 1 - points = 1")
         elif self.kind is ReductionKind.MULT_NONSPLIT:
             if defect != -1:
-                raise ValueError("nonsplit multiplicative requires p + 1 - points = -1")
+                raise InvariantError("nonsplit multiplicative requires p + 1 - points = -1")
         else:
             if defect != 0:
-                raise ValueError("additive reduction requires p + 1 - points = 0")
+                raise InvariantError("additive reduction requires p + 1 - points = 0")
 
 
 def _check_prime(p: int):
@@ -212,11 +215,15 @@ class LocalData:
     built once per curve per operation and passed down (see local_data for
     the curves of the curve table).  at(p) decides p on first use and
     remembers it; walking delta_primes in ascending order, callers meet the
-    first failing prime's error first."""
+    first failing prime's error first.  a_p at the good odd primes, which
+    only traces reads, is kept in the table of traces_up_to instead."""
 
     model: WeierstrassModel
     _decided: dict[int, ReductionData] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    _a_p: np.ndarray = field(
+        default_factory=lambda: np.zeros(3, dtype=np.int32), init=False, repr=False, compare=False
     )
 
     @cached_property
@@ -240,21 +247,31 @@ class LocalData:
             self._decided[p] = data
         return data
 
+    def traces_up_to(self, bound: int) -> np.ndarray:
+        """a_p at the good odd primes p <= bound, indexed by p (0 elsewhere),
+        each counted once, as callers ask for larger primes."""
+        known = len(self._a_p) - 1
+        if bound > known:
+            grown = np.zeros(bound + 1, dtype=np.int32)
+            grown[: known + 1] = self._a_p
+            delta = self.inv.delta
+            for p in primes_up_to(bound):
+                if p > known and delta % p:
+                    grown[p] = _reduction(self, self.inv, p).a_p
+            # the record is frozen; the table is a memo, like _decided
+            object.__setattr__(self, "_a_p", grown)
+        return self._a_p
+
     def traces(self, primes: list[int]) -> tuple[list[int], list[bool]]:
         """a_p at each of the ascending primes, and whether the reduction
-        there is good.  For a twist X^d of a curve X of the curve table,
-        a_p = (d/p) a_p(X) at the odd primes not dividing Delta(E) Delta(X);
-        every other prime is read from at(p), in ascending order."""
+        there is good.  2 and the primes of Delta(E) are read from at(p), in
+        ascending order; the others from traces_up_to, or, for a twist X^d
+        of a curve X of the curve table, as (d/p) a_p(X) from X's table,
+        the primes of Delta(X) then also read from at(p)."""
         twist = _table_twist(self)
+        table, d = (self, 1) if twist is None else twist
         ps = np.array(primes, dtype=np.int64)
-        direct = np.ones(len(ps), dtype=bool)
-        if twist is not None:
-            base, d = twist
-            direct = (
-                (ps == 2)
-                | (_residues(self.inv.delta, ps) == 0)
-                | (_residues(base.record.inv.delta, ps) == 0)
-            )
+        direct = (ps == 2) | (_residues(self.inv.delta * table.inv.delta, ps) == 0)
         a_p = np.zeros(len(ps), dtype=np.int64)
         good = np.ones(len(ps), dtype=bool)
         for i in np.flatnonzero(direct).tolist():
@@ -262,78 +279,55 @@ class LocalData:
             a_p[i] = data.a_p
             good[i] = data.kind is ReductionKind.GOOD
         derived = ps[~direct]
+        chi = 1 if d == 1 else _legendre(_residues(d, derived), derived)
+        if not np.all(chi):
+            raise TwistDerivationError(
+                f"({d}/p) = 0 at the good prime p = {derived[chi == 0][0]}"
+            )
         if len(derived):
-            chi = _legendre(_residues(d, derived), derived)
-            if not chi.all():
-                raise TwistDerivationError(
-                    f"({d}/p) = 0 at the good prime p = {derived[chi == 0][0]}"
-                )
-            a_p[~direct] = chi * base.traces_up_to(int(derived[-1]))[derived]
+            a_p[~direct] = chi * table.traces_up_to(int(derived[-1]))[derived]
         return a_p.tolist(), good.tolist()
 
 
-class _TableCurve:
-    """A curve X of the curve table: its one LocalData record of the process,
-    and a_p(X) at good odd primes p, indexed by p (0 elsewhere), each
-    counted once, through record.at(p), as callers ask for larger primes."""
-
-    def __init__(self, model: WeierstrassModel):
-        self.record = LocalData(model)
-        self._a_p = np.zeros(3, dtype=np.int32)
-
-    def traces_up_to(self, bound: int) -> np.ndarray:
-        """a_p(X) at the good odd primes p <= bound, indexed by p."""
-        known = len(self._a_p) - 1
-        if bound > known:
-            grown = np.zeros(bound + 1, dtype=np.int32)
-            grown[: known + 1] = self._a_p
-            delta = self.record.inv.delta
-            for p in primes_up_to(bound):
-                if p > known and delta % p:
-                    grown[p] = self.record.at(p).a_p
-            self._a_p = grown
-        return self._a_p
-
-
-# One entry per curve of the curve table, made on first use and shared by
-# every caller in the process; a_p(X) is a fact about X, so an entry stays
+# One record per curve of the curve table, made on first use and shared by
+# every caller in the process; a_p(X) is a fact about X, so a record stays
 # valid when the table is reloaded.
-_TABLE_CURVES: dict[WeierstrassModel, _TableCurve] = {}
+_TABLE_CURVES: dict[WeierstrassModel, LocalData] = {}
 
 
-def _table_curves() -> list[_TableCurve]:
-    entries = []
+def _table_curves() -> list[LocalData]:
+    records = []
     for model in load_curve_table().values():
-        entry = _TABLE_CURVES.get(model)
-        if entry is None:
-            entry = _TABLE_CURVES[model] = _TableCurve(model)
-        entries.append(entry)
-    return entries
+        record = _TABLE_CURVES.get(model)
+        if record is None:
+            record = _TABLE_CURVES[model] = LocalData(model)
+        records.append(record)
+    return records
 
 
 def local_data(E: WeierstrassModel | LocalData) -> LocalData:
     """E's LocalData: E itself when it is a record; for a curve of the
-    loaded curve table the record its a_p table counts through, shared by
-    the process; else a new record."""
+    loaded curve table its record shared by the process, which keeps its
+    a_p table; else a new record."""
     if isinstance(E, LocalData):
         return E
-    for entry in _table_curves():
-        if entry.record.model == E:
-            return entry.record
+    for record in _table_curves():
+        if record.model == E:
+            return record
     return LocalData(E)
 
 
-def _table_twist(data: LocalData) -> tuple[_TableCurve, int] | None:
-    """(X, d) for the first table curve X with j(X) = j(E) not in {0, 1728},
-    E being isomorphic to X^d; None when there is none, or when the
-    squarefree part of the invariant ratio cannot be factored."""
+def _table_twist(data: LocalData) -> tuple[LocalData, int] | None:
+    """(X, d) for the record of the first table curve X with j(X) = j(E)
+    not in {0, 1728}, E being isomorphic to X^d; None when there is none,
+    or when the squarefree part of the invariant ratio cannot be factored."""
     j = data.inv.j
     if j == 0 or j == 1728:
         return None
-    for entry in _table_curves():
-        if entry.record.inv.j == j:
+    for record in _table_curves():
+        if record.inv.j == j:
             try:
-                return entry, _twist_parameter(data.inv, entry.record.inv)
+                return record, _twist_parameter(data.inv, record.inv)
             except CompositeResidueError:
                 return None
     return None

@@ -22,7 +22,12 @@ import math
 from dataclasses import dataclass
 
 from .curve import WeierstrassModel
-from .errors import HypothesisViolationError, UnsupportedPlaceError, UnsupportedReductionAtTwoError
+from .errors import (
+    HypothesisViolationError,
+    InvariantError,
+    UnsupportedPlaceError,
+    UnsupportedReductionAtTwoError,
+)
 from .numtheory import is_prime, is_squarefree, jacobi, valuation
 from .reduction import LocalData, ReductionKind, conductor, local_data
 
@@ -50,7 +55,7 @@ class RootNumber:
 
     def __post_init__(self):
         if self.value not in (1, -1):
-            raise ValueError("root number must be +1 or -1")
+            raise InvariantError("root number must be +1 or -1")
         prod = 1
         places = []
         saw_inf = False
@@ -60,13 +65,13 @@ class RootNumber:
             if place == INFINITE_PLACE:
                 saw_inf = True
                 if sign != -1 or case != CASE_ARCHIMEDEAN:
-                    raise ValueError("infinite place must carry sign -1")
+                    raise InvariantError("infinite place must carry sign -1")
         if not saw_inf:
-            raise ValueError("ledger must include the infinite place")
+            raise InvariantError("ledger must include the infinite place")
         if len(set(places)) != len(places):
-            raise ValueError("ledger lists a place twice")
+            raise InvariantError("ledger lists a place twice")
         if prod != self.value:
-            raise ValueError("value must equal the product of local signs")
+            raise InvariantError("value must equal the product of local signs")
 
 
 def _local_factor(data: LocalData, place) -> tuple[int, str]:

@@ -6,7 +6,7 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from twistgate import curve_by_label, fieldsearch, l_value_at_1
+from twistgate import curve_by_label, fieldsearch, l_value_at_1, reduction
 from twistgate.cli import (
     STATUS_CHECK_FAILED,
     STATUS_INTERNAL,
@@ -338,6 +338,21 @@ class TestInternalError:
         assert "disagrees" in doc["payload"]["error"]
         assert "Traceback" not in captured.err
         assert main(["check-hypothesis", "--p", "5", "--d", "17"]) == 3
+
+    def test_a_failed_record_self_check_is_an_internal_error(self, capsys, monkeypatch):
+        # 40 points too many at p = 7 breaks the Hasse bound of ReductionData
+        count_points = reduction.count_points
+        monkeypatch.setattr(
+            reduction, "count_points", lambda E, p: count_points(E, p) + 40 * (p == 7)
+        )
+        result = run(["reduction", "--label", "15a1", "--p", "7", "--json"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)  # exactly one document
+        assert (result.status, result.exit_code) == (STATUS_INTERNAL, 3)
+        assert doc["status"] == "internal-error"
+        assert doc["payload"]["error_type"] == "InvariantError"
+        assert "Hasse bound violated" in doc["payload"]["error"]
+        assert "Traceback" not in captured.err
 
 
 class TestUsage:

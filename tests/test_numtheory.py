@@ -7,6 +7,7 @@ import pytest
 from twistgate.errors import (
     CompositeResidueError,
     EvenModulusError,
+    InvariantError,
     ZeroInputError,
 )
 from twistgate.numtheory import (
@@ -60,7 +61,7 @@ class TestFactor:
             factor(-6)
 
     def test_validation_catches_bad_product(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             Factorization(12, ((2, 1), (3, 1)))
 
     def test_random_roundtrip(self):

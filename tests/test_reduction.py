@@ -8,6 +8,7 @@ from twistgate.cli import run
 from twistgate.curve import WeierstrassModel, minimalize_at, quadratic_twist
 from twistgate.errors import (
     HypothesisViolationError,
+    InvariantError,
     NonMinimalModelError,
     PrimeTooLargeError,
     SingularCurveError,
@@ -144,9 +145,9 @@ class TestClassify:
                     assert data.a_p * data.a_p <= 4 * p
 
     def test_reduction_data_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             ReductionData(5, ReductionKind.MULT_SPLIT, 7, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             ReductionData(5, ReductionKind.GOOD, 11, -5)
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from twistgate.curve import WeierstrassModel, quadratic_twist
-from twistgate.errors import HypothesisViolationError, UnsupportedPlaceError
+from twistgate.errors import HypothesisViolationError, InvariantError, UnsupportedPlaceError
 from twistgate.numtheory import jacobi, primes_up_to, squarefree_part
 from twistgate.rootnum import (
     CASE_ADD_POT_GOOD,
@@ -132,9 +132,9 @@ class TestGlobalRootNumber:
         assert tags[5] == CASE_ADD_POT_MULT
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             RootNumber(1, ((INFINITE_PLACE, -1, CASE_ARCHIMEDEAN),))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             RootNumber(1, ((3, 1, CASE_NONSPLIT),))
 
 

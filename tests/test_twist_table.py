@@ -154,8 +154,8 @@ def test_cold_and_warm_runs_agree_in_either_order(monkeypatch):
 
 def _table_state():
     return {
-        model: (entry._a_p.tolist(), dict(entry.record._decided))
-        for model, entry in reduction._TABLE_CURVES.items()
+        model: (record._a_p.tolist(), dict(record._decided))
+        for model, record in reduction._TABLE_CURVES.items()
     }
 
 
@@ -180,3 +180,18 @@ def test_curve_of_no_table_j_leaves_the_tables_untouched():
     before = _table_state()
     l_value_at_1(E)
     assert _table_state() == before
+
+
+def test_fresh_record_keeps_good_primes_in_its_table_only(monkeypatch):
+    E = WeierstrassModel(0, -1, 1, -29, -30)
+    data = LocalData(E)
+    first = dirichlet_coefficients(data, 2000)
+    bad = [p for p in data.delta_primes if p <= 2000]
+    assert sorted(data._decided) == sorted({2, *bad})
+    counted = []
+    real = reduction.count_points
+    monkeypatch.setattr(
+        reduction, "count_points", lambda E, p: counted.append(p) or real(E, p)
+    )
+    assert dirichlet_coefficients(data, 1000) == first[:1001]
+    assert counted == []
