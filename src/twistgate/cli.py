@@ -24,7 +24,6 @@ from .curve import (
     WeierstrassModel,
     curve_by_label,
     invariants,
-    load_curve_table,
     quadratic_twist,
     short_form,
 )
@@ -43,7 +42,7 @@ from .fieldsearch import (
     search,
 )
 from .galois import serre_check
-from .lseries import EVIDENCE_NOTE, l_value_at_1
+from .lseries import DEFAULT_MARGIN, EVIDENCE_NOTE, l_value_at_1
 from .numtheory import factor, is_prime, is_squarefree, jacobi
 from .reduction import classify, conductor, local_data
 from .rootnum import global_root_number, twist_root_number_formula
@@ -92,7 +91,7 @@ def _parse_curve_arg(text: str) -> WeierstrassModel:
 
 def _resolve_curve(args) -> tuple[WeierstrassModel, str]:
     if getattr(args, "label", None):
-        return curve_by_label(args.label, load_curve_table()), args.label.lower()
+        return curve_by_label(args.label), args.label.lower()
     if getattr(args, "curve", None):
         model = _parse_curve_arg(args.curve)
         return model, str(model)
@@ -243,10 +242,11 @@ def _cmd_lvalue(args) -> CommandResult:
     if args.terms is not None and args.terms < 1:
         raise TwistgateError(f"--terms must be positive, got {args.terms}")
     model, name = _resolve_curve(args)
+    data = local_data(model)
     if args.twist is not None:
-        model = quadratic_twist(model, args.twist)
+        data = data.twist(args.twist)
         name = f"{name} twisted by {args.twist}"
-    est = l_value_at_1(model, terms=args.terms, margin_factor=args.margin)
+    est = l_value_at_1(data, terms=args.terms, margin_factor=args.margin)
     payload = {
         "curve": name,
         "conductor": est.conductor,
@@ -419,7 +419,7 @@ def _cmd_descent_check(args) -> CommandResult:
             f"--height must be between 1 and {MAX_SEARCH_HEIGHT}, got {args.height}"
         )
     label = args.label or "15a1"
-    model = curve_by_label(label, load_curve_table())
+    model = curve_by_label(label)
     curve = short_form(model)
     points = quad_point_search(curve, args.d, args.height)
     rows = []
@@ -483,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     margin.add_argument(
         "--margin",
         type=float,
-        default=10.0,
-        help="margin factor for L-value verdicts, finite and at least 1 (default 10)",
+        default=DEFAULT_MARGIN,
+        help="margin factor for L-value verdicts, finite and at least 1 (default %(default)g)",
     )
 
     curvesel = argparse.ArgumentParser(add_help=False)

@@ -243,10 +243,8 @@ def load_curve_table(path: str | None = None) -> dict[str, WeierstrassModel]:
     return table
 
 
-def curve_by_label(label: str, table: dict[str, WeierstrassModel] | None = None) -> WeierstrassModel:
-    if table is None:
-        table = load_curve_table()
-    model = table.get(label.strip().lower())
+def curve_by_label(label: str) -> WeierstrassModel:
+    model = load_curve_table().get(label.strip().lower())
     if model is None:
         raise CurveTableError(f"unknown curve label {label!r}")
     return model

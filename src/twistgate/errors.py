@@ -76,9 +76,10 @@ class NonInvolutiveActionError(TwistgateError):
 
 
 class TwistDerivationError(TwistgateError):
-    """Deriving a twist's a_p from its table curve failed an exact check: the
-    twist parameter d was not recovered exactly, or (d/p) = 0 at a prime
-    where a_p was to be derived."""
+    """Deriving the a_p of a record made by X.twist(d) from X's a_p table
+    failed its exact check: (d/p) = 0 at a prime where a_p was to be
+    derived.  The odd primes of the twist's own d divide its discriminant
+    and are never derived, so this marks a record linked to a wrong d."""
 
 
 class LemmaSumSizeError(TwistgateError):

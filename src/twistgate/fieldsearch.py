@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .curve import curve_by_label, quadratic_twist
+from .curve import curve_by_label
 from .descent import characters
 from .errors import CurveTableError, InvariantError, WorkBoundError
 from .lseries import (
@@ -256,13 +256,17 @@ def check_hypothesis(
     curve, its global root number as a local product (cross-checked against
     the Jacobi-symbol formula, exactly), and an L(1) estimate; an
     inconclusive estimate is retried once with four times the terms.  One
-    LocalData record of each twist serves its root number, its estimate
-    and the retry.  Character evaluations are independent pure
-    computations aggregated in a fixed order.  margin_factor is checked first, admissible tuple or not
-    (MarginError below 1 or not finite).
+    LocalData record of each twist, made by the base curve's record,
+    serves its root number, its estimate and the retry.  Character
+    evaluations are independent pure computations aggregated in a fixed
+    order.
+
+    margin_factor is checked first, admissible tuple or not (MarginError
+    below 1 or not finite).  The d_i are taken as given: a value that is
+    not a positive int fails admissibility.
     """
     check_margin(margin_factor)
-    ds = tuple(int(d) for d in ds)
+    ds = tuple(ds)
     adm = is_admissible(p, ds)
     if not adm.ok:
         return HypothesisReport(
@@ -275,14 +279,14 @@ def check_hypothesis(
             f"admissibility failed: {adm.failed_condition} ({adm.detail})",
         )
     tup = AdmissibleTuple(p, ds)
-    X = curve_by_label(CURVE_FOR_P[p])
+    X = local_data(curve_by_label(CURVE_FOR_P[p]))
     N = conductor(X)
     if N != 3 * p:
         raise CurveTableError(f"table curve {CURVE_FOR_P[p]} has conductor {N}, expected {3 * p}")
     per: list[CharacterResult] = []
     for signs in characters(tup.r):
         d_s = character_discriminant(tup, signs)
-        twist = local_data(quadratic_twist(X, d_s))
+        twist = X.twist(d_s)
         direct = global_root_number(twist)
         formula = twist_root_number_formula(X, d_s)
         if direct.value != formula:

@@ -4,10 +4,11 @@ convergent evaluation of L(E,1) with a rigorous tail majorant.
 Every a_p, a_2 included, and the conductor and root number come from the
 model's LocalData record (reduction.py); both public functions take a
 model or its record, and l_value_at_1 hands its record on to
-dirichlet_coefficients.  For a quadratic twist X^d of a curve X of the
-curve table, the a_p at odd primes not dividing Delta(E) Delta(X) are
-(d/p) a_p(X), read from X's per-process a_p table; the other primes are
-decided on the model itself.
+dirichlet_coefficients.  For a record made by X.twist(d), the a_p at the
+odd primes not dividing Delta(X^d) Delta(X) are (d/p) a_p(X), read from
+X's a_p table, which lasts for the process when X is a curve of the curve
+table; the other primes are decided on the twist itself.  A bare model
+counts its own points, whether or not it is a twist of another curve.
 
 The value is computed from the symmetric-point identity
 
@@ -86,8 +87,8 @@ def dirichlet_coefficients(E: WeierstrassModel | LocalData, M: int) -> list[int]
     """Coefficients a_1..a_M of L(E,s); returned as a list with a_n at index n.
 
     a_p = p + 1 - #X(F_p) at good p, +1 / -1 / 0 at split / nonsplit /
-    additive p (LocalData.traces, which derives the a_p of a twist of a
-    table curve at its good odd primes); prime powers by
+    additive p (LocalData.traces, which derives the a_p of a record made
+    by X.twist(d) from X's at their common good odd primes); prime powers by
     a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} (good) or a_p^k (bad);
     extended multiplicatively.  The sieve and the fill run in numpy int64,
     which holds every a_n exactly: |a_n| <= d(n) sqrt(n) < 2^62.

@@ -13,12 +13,12 @@ demand in LocalData.traces_up_to, one point count per prime, each checked
 by ReductionData; at(p) keeps only the primes it is asked for, 2 and the
 primes of Delta in LocalData.traces.  Each curve X of the loaded curve
 table has one record per process, which local_data() hands to every
-caller, so X's table lasts for the process.  A model E with j(E) = j(X)
-not in {0, 1728} is the quadratic twist X^d, d the squarefree part of
-c6(E) c4(X) / (c4(E) c6(X)); LocalData.traces then takes
-a_p(E) = (d/p) a_p(X) from X's table at the odd primes p not dividing
-Delta(E) Delta(X), vectorized over p, and reads p = 2 and the other primes
-from at(p) on E itself, so reduction kinds and errors are those of E.
+caller, so X's table lasts for the process.  X.twist(d) is the record of
+the quadratic twist X^d, linked to X as its base: LocalData.traces then
+takes a_p(X^d) = (d/p) a_p(X) from X's table at the odd primes p not
+dividing Delta(X^d) Delta(X), vectorized over p, and reads p = 2 and the
+other primes from at(p) on X^d itself, so reduction kinds and errors are
+those of X^d.  A model that is not built by twist() counts its own points.
 
 Point counts follow the convention that the count of a bad reduction
 includes the singular point (and the point at infinity), so that
@@ -40,17 +40,21 @@ included.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .curve import CurveInvariants, WeierstrassModel, invariants, load_curve_table, minimalize_at
+from .curve import (
+    CurveInvariants,
+    WeierstrassModel,
+    invariants,
+    load_curve_table,
+    minimalize_at,
+    quadratic_twist,
+)
 from .errors import (
-    CompositeResidueError,
     InvariantError,
     NonMinimalModelError,
     PrimeTooLargeError,
@@ -59,7 +63,7 @@ from .errors import (
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
-from .numtheory import factor, is_prime, jacobi, primes_up_to, squarefree_part, valuation
+from .numtheory import factor, is_prime, jacobi, primes_up_to, valuation
 
 POINT_COUNT_BOUND = 10**6
 
@@ -216,7 +220,8 @@ class LocalData:
     the curves of the curve table).  at(p) decides p on first use and
     remembers it; walking delta_primes in ascending order, callers meet the
     first failing prime's error first.  a_p at the good odd primes, which
-    only traces reads, is kept in the table of traces_up_to instead."""
+    only traces reads, is kept in the table of traces_up_to instead.  A
+    record made by X.twist(d) keeps (X, d) as its base, set there only."""
 
     model: WeierstrassModel
     _decided: dict[int, ReductionData] = field(
@@ -224,6 +229,9 @@ class LocalData:
     )
     _a_p: np.ndarray = field(
         default_factory=lambda: np.zeros(3, dtype=np.int32), init=False, repr=False, compare=False
+    )
+    _base: tuple[LocalData, int] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     @cached_property
@@ -262,14 +270,24 @@ class LocalData:
             object.__setattr__(self, "_a_p", grown)
         return self._a_p
 
+    def twist(self, d: int) -> LocalData:
+        """The record of quadratic_twist(model, d), with this record as its
+        base; this record itself when the twist's model is its model."""
+        model = quadratic_twist(self.model, d)
+        if model == self.model:
+            return self
+        record = LocalData(model)
+        # the record is frozen; the base is set here and nowhere else
+        object.__setattr__(record, "_base", (self, d))
+        return record
+
     def traces(self, primes: list[int]) -> tuple[list[int], list[bool]]:
         """a_p at each of the ascending primes, and whether the reduction
         there is good.  2 and the primes of Delta(E) are read from at(p), in
-        ascending order; the others from traces_up_to, or, for a twist X^d
-        of a curve X of the curve table, as (d/p) a_p(X) from X's table,
-        the primes of Delta(X) then also read from at(p)."""
-        twist = _table_twist(self)
-        table, d = (self, 1) if twist is None else twist
+        ascending order; the others from traces_up_to, or, for a record made
+        by X.twist(d), as (d/p) a_p(X) from X's table, the primes of
+        Delta(X) then also read from at(p)."""
+        table, d = (self, 1) if self._base is None else self._base
         ps = np.array(primes, dtype=np.int64)
         direct = (ps == 2) | (_residues(self.inv.delta * table.inv.delta, ps) == 0)
         a_p = np.zeros(len(ps), dtype=np.int64)
@@ -295,62 +313,18 @@ class LocalData:
 _TABLE_CURVES: dict[WeierstrassModel, LocalData] = {}
 
 
-def _table_curves() -> list[LocalData]:
-    records = []
-    for model in load_curve_table().values():
-        record = _TABLE_CURVES.get(model)
-        if record is None:
-            record = _TABLE_CURVES[model] = LocalData(model)
-        records.append(record)
-    return records
-
-
 def local_data(E: WeierstrassModel | LocalData) -> LocalData:
     """E's LocalData: E itself when it is a record; for a curve of the
     loaded curve table its record shared by the process, which keeps its
     a_p table; else a new record."""
     if isinstance(E, LocalData):
         return E
-    for record in _table_curves():
-        if record.model == E:
-            return record
-    return LocalData(E)
-
-
-def _table_twist(data: LocalData) -> tuple[LocalData, int] | None:
-    """(X, d) for the record of the first table curve X with j(X) = j(E)
-    not in {0, 1728}, E being isomorphic to X^d; None when there is none,
-    or when the squarefree part of the invariant ratio cannot be factored."""
-    j = data.inv.j
-    if j == 0 or j == 1728:
-        return None
-    for record in _table_curves():
-        if record.inv.j == j:
-            try:
-                return record, _twist_parameter(data.inv, record.inv)
-            except CompositeResidueError:
-                return None
-    return None
-
-
-def _twist_parameter(inv: CurveInvariants, base: CurveInvariants) -> int:
-    """The squarefree d with (c4, c6) = (u^4 d^2 c4', u^6 d^3 c6') for a
-    rational u, (c4', c6') the base curve's; checked exactly."""
-    ratio = Fraction(inv.c6 * base.c4, inv.c4 * base.c6)
-    d = squarefree_part(ratio.numerator * ratio.denominator)
-    u2 = ratio / d
-    if not (
-        _is_square(u2.numerator)
-        and _is_square(u2.denominator)
-        and inv.c4 == base.c4 * ratio**2
-        and inv.c6 == base.c6 * ratio**3
-    ):
-        raise TwistDerivationError(f"the model is not the twist by {d} of the base curve")
-    return d
-
-
-def _is_square(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
+    if E not in load_curve_table().values():
+        return LocalData(E)
+    record = _TABLE_CURVES.get(E)
+    if record is None:
+        record = _TABLE_CURVES[E] = LocalData(E)
+    return record
 
 
 def _residues(n: int, primes: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from twistgate import curve_by_label, fieldsearch, l_value_at_1, reduction
+from twistgate import curve_by_label, fieldsearch, l_value_at_1, quadratic_twist, reduction
 from twistgate.cli import (
     STATUS_CHECK_FAILED,
     STATUS_INTERNAL,
@@ -155,6 +155,16 @@ class TestLValue:
         )
         assert doc["payload"]["conductor"] == 4335
         assert doc["payload"]["terms_used"] == 1500
+
+    def test_twist_option_and_twisted_coefficients_agree(self, capsys):
+        # the first reads 15a1's a_p table, the second counts its own points
+        twist = quadratic_twist(curve_by_label("15a1"), 17)
+        coefficients = ",".join(map(str, twist.ainvs()))
+        _, derived = run_json(capsys, ["lvalue", "--label", "15a1", "--twist", "17"])
+        _, counted = run_json(capsys, ["lvalue", "--curve", coefficients])
+        assert derived["payload"].pop("curve") == "15a1 twisted by 17"
+        assert counted["payload"].pop("curve") == str(twist)
+        assert derived == counted
 
     def test_zero_terms_is_unsupported_input(self, capsys):
         result, doc = run_json(capsys, ["lvalue", "--label", "15a1", "--terms", "0"])

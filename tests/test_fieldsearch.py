@@ -236,6 +236,14 @@ class TestCheckHypothesis:
         assert report.per_character == ()
         assert report.admissibility.failed_condition == "jacobi"
 
+    @pytest.mark.parametrize("d", [17.9, "17"])
+    def test_non_int_is_not_coerced(self, d):
+        # int(17.9) and int("17") would be the admissible 17
+        report = check_hypothesis(5, [d])
+        assert report.overall == OVERALL_NOT_ADMISSIBLE
+        assert report.admissibility.failed_condition == "positive"
+        assert report.ds == (d,)
+
     def test_p7_single(self):
         # 5 is admissible for p = 7: (5/21) = (5/3)(5/7) = (-1)(-1) = 1
         report = check_hypothesis(7, [5])

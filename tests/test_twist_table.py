@@ -1,10 +1,10 @@
-"""Twists of the curve-table curves take a_p from their base curve's
-per-process table: a_p(X^d) = (d/p) a_p(X) at the odd primes p not dividing
-Delta(X^d) Delta(X); 2 and the other primes are decided on the model.
+"""A twist record made by X.twist(d) takes a_p from its base record's
+table: a_p(X^d) = (d/p) a_p(X) at the odd primes p not dividing
+Delta(X^d) Delta(X); 2 and the other primes are decided on the twist.
 
 The oracle is a point count on the twisted model itself.  The same oracle
-runs again under ``python -O``, together with two injected faults, to show
-that the derivation's exact checks are raises, not asserts, and a third
+runs again under ``python -O``, together with an injected fault, to show
+that the derivation's exact check is a raise, not an assert, and a second
 fault in the character closure of the hypothesis pipeline.
 """
 
@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from twistgate import fieldsearch, reduction
 from twistgate.curve import WeierstrassModel, curve_by_label, invariants, quadratic_twist
@@ -20,7 +21,7 @@ from twistgate.errors import InvariantError, TwistDerivationError
 from twistgate.fieldsearch import AdmissibleTuple, character_discriminant, check_hypothesis
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
 from twistgate.numtheory import jacobi, primes_up_to
-from twistgate.reduction import LocalData, count_points
+from twistgate.reduction import LocalData, count_points, local_data
 
 # d = 1 mod 4 keeps every twist minimal at 2 and 3 (d = -1 or 2 would be
 # additive at 2, which raises).
@@ -32,23 +33,25 @@ def scale_model(E, u):
 
 
 def oracle_models():
-    """Both table curves twisted by ORACLE_D, and one twist each scaled by
-    u = 5, so that the model is not minimal at 5."""
+    """The records of both table curves twisted by ORACLE_D, and one twist
+    each of the curve scaled by u, a base record that is not minimal at u
+    (15a1 is good at 11, 21a1 at 5)."""
     models = []
-    for label, d in (("15a1", 13), ("21a1", -11)):
-        X = curve_by_label(label)
-        models += [quadratic_twist(X, t) for t in ORACLE_D]
-        models.append(scale_model(quadratic_twist(X, d), 5))
+    for label, d, u in (("15a1", 13, 11), ("21a1", -11, 5)):
+        X = local_data(curve_by_label(label))
+        models += [X.twist(t) for t in ORACLE_D]
+        models.append(LocalData(scale_model(X.model, u)).twist(d))
     return models
 
 
 def oracle_mismatches(M=2000):
-    """(model, p) wherever dirichlet_coefficients(E, M) differs from
-    p + 1 - #E(F_p) counted on E at odd p not dividing Delta(E), or from
-    LocalData(E).at(p) at the other primes."""
+    """(model, p) wherever the coefficients of an oracle record differ from
+    p + 1 - #E(F_p) counted on its model E at odd p not dividing Delta(E),
+    or from LocalData(E).at(p) at the other primes."""
     bad = []
-    for E in oracle_models():
-        a = dirichlet_coefficients(E, M)
+    for record in oracle_models():
+        a = dirichlet_coefficients(record, M)
+        E = record.model
         data = LocalData(E)
         for p in primes_up_to(M):
             if p != 2 and data.inv.delta % p:
@@ -60,26 +63,18 @@ def oracle_mismatches(M=2000):
     return bad
 
 
-def injected_faults_caught():
-    """Names of the two exact checks that raise TwistDerivationError when
-    fed a wrong answer."""
-    caught = []
-    e15, e21 = curve_by_label("15a1"), curve_by_label("21a1")
-    try:
-        reduction._twist_parameter(invariants(e15), invariants(e21))
-    except TwistDerivationError:
-        caught.append("twist-parameter")
+def legendre_fault_caught():
+    """The name of the derivation's exact check, if it raises
+    TwistDerivationError for a twist record linked to a wrong d."""
+    twist = local_data(curve_by_label("15a1")).twist(13)
+    base, d = twist._base
     # 13 * 7 in place of 13: (91/7) = 0 at the good prime 7
-    twist = quadratic_twist(e15, 13)
-    recover = reduction._twist_parameter
-    reduction._twist_parameter = lambda inv, base: 7 * recover(inv, base)
+    object.__setattr__(twist, "_base", (base, 7 * d))
     try:
         dirichlet_coefficients(twist, 100)
     except TwistDerivationError:
-        caught.append("legendre-zero")
-    finally:
-        reduction._twist_parameter = recover
-    return caught
+        return "legendre-zero"
+    return "none"
 
 
 def closure_fault_caught():
@@ -97,27 +92,45 @@ def closure_fault_caught():
 
 
 def test_derived_coefficients_match_point_counts_on_the_twist():
-    assert len(oracle_models()) == 12
+    records = oracle_models()
+    assert len(records) == 12
+    # all but the two twists by 1, which are the table records themselves
+    assert sum(r._base is not None for r in records) == 10
     assert oracle_mismatches() == []
 
 
-def test_table_curve_not_minimal_at_a_prime(monkeypatch, tmp_path):
+def test_twist_of_a_base_not_minimal_at_a_prime():
     # 15a1 scaled by 11 is bad at 11, where 15a1 is good with a_11 = -4:
-    # a_11 must be read from the model, not from the table
-    e15 = curve_by_label("15a1")
-    want = dirichlet_coefficients(e15, 300)
-    assert want[11] == -4
-    path = tmp_path / "curves.tsv"
-    path.write_text("s15\t" + "\t".join(map(str, scale_model(e15, 11).ainvs())) + "\n")
-    monkeypatch.setenv("TWISTGATE_CURVES", str(path))
-    assert dirichlet_coefficients(e15, 300) == want
+    # a_11 of its twist must be read from the twist, not from the table
+    e15 = local_data(curve_by_label("15a1"))
+    base = LocalData(scale_model(e15.model, 11))
+    assert 11 in base.delta_primes
+    twist = base.twist(13)
+    a = dirichlet_coefficients(twist, 300)
+    assert base._a_p[11] == 0
+    assert a[11] == jacobi(13, 11) * -4
+    assert a == dirichlet_coefficients(e15.twist(13), 300)
+
+
+def test_twist_links_to_its_base():
+    X = local_data(curve_by_label("21a1"))
+    assert X.twist(1) is X
+    twist = X.twist(-11)
+    assert twist._base == (X, -11)
+    assert twist.model == quadratic_twist(X.model, -11)
+    assert twist.twist(1) is twist
+    assert twist.twist(13)._base == (twist, 13)
+    # the link is made by twist() only
+    assert X._base is None and LocalData(twist.model)._base is None
+    with pytest.raises(TypeError):
+        LocalData(twist.model, _base=(X, -11))
 
 
 def test_derivation_checks_survive_optimized_mode():
     script = (
         "import sys; sys.path[:0] = sys.argv[1:3]\n"
         "import test_twist_table as t\n"
-        "print(__debug__, len(t.oracle_mismatches(500)), *t.injected_faults_caught(),\n"
+        "print(__debug__, len(t.oracle_mismatches(500)), t.legendre_fault_caught(),\n"
         "      t.closure_fault_caught())\n"
     )
     here = Path(__file__).resolve().parent
@@ -128,9 +141,7 @@ def test_derivation_checks_survive_optimized_mode():
         check=True,
         timeout=300,
     )
-    assert out.stdout.split() == [
-        "False", "0", "twist-parameter", "legendre-zero", "character-closure"
-    ]
+    assert out.stdout.split() == ["False", "0", "legendre-zero", "character-closure"]
 
 
 def test_vectorized_legendre_symbols_match_jacobi():
@@ -160,14 +171,14 @@ def _table_state():
 
 
 def test_twist_counts_points_only_at_2(monkeypatch):
-    twist = quadratic_twist(curve_by_label("21a1"), 1037)
-    dirichlet_coefficients(twist, 3000)  # the table now reaches 3000
+    X = local_data(curve_by_label("21a1"))
+    dirichlet_coefficients(X.twist(1037), 3000)  # the table now reaches 3000
     counted = []
     real = reduction.count_points
     monkeypatch.setattr(
         reduction, "count_points", lambda E, p: counted.append(p) or real(E, p)
     )
-    dirichlet_coefficients(twist, 3000)
+    dirichlet_coefficients(X.twist(1037), 3000)
     assert sorted(set(counted)) == [2]
 
 
