@@ -5,8 +5,8 @@ Every a_p, a_2 included, and the conductor and root number come from the
 model's LocalData record (reduction.py); both public functions take a
 model or its record, and l_value_at_1 hands its record on to
 dirichlet_coefficients.  For a record made by X.twist(d), the a_p at the
-odd primes not dividing Delta(X^d) Delta(X) are (d/p) a_p(X), read from
-X's a_p table, which lasts for the process when X is a curve of the curve
+odd primes not dividing Delta(X^d) are (d/p) a_p(X), read from X's a_p
+table, which lasts for the process when X is a curve of the curve
 table; the other primes are decided on the twist itself.  A bare model
 counts its own points, whether or not it is a twist of another curve.
 

@@ -9,16 +9,18 @@ function that only reads local data takes a model or its record, and so do
 count_points and classify, which then read the record's invariants.
 
 Every record keeps a table of a_p at its good odd primes, which grows on
-demand in LocalData.traces_up_to, one point count per prime, each checked
-by ReductionData; at(p) keeps only the primes it is asked for, 2 and the
-primes of Delta in LocalData.traces.  Each curve X of the loaded curve
-table has one record per process, which local_data() hands to every
+demand in LocalData.traces_up_to: from BSGS_FROM on by Shanks-Mestre
+baby-step giant-step (_trace_bsgs, O(p^(1/4)) group operations), below it
+and wherever that cannot decide by a point count (O(p)), each result
+checked by ReductionData; at(p) keeps only the primes it is asked for, 2
+and the primes of Delta in LocalData.traces.  Each curve X of the loaded
+curve table has one record per process, which local_data() hands to every
 caller, so X's table lasts for the process.  X.twist(d) is the record of
 the quadratic twist X^d, linked to X as its base: LocalData.traces then
 takes a_p(X^d) = (d/p) a_p(X) from X's table at the odd primes p not
-dividing Delta(X^d) Delta(X), vectorized over p, and reads p = 2 and the
-other primes from at(p) on X^d itself, so reduction kinds and errors are
-those of X^d.  A model that is not built by twist() counts its own points.
+dividing Delta(X^d), vectorized over p, and reads p = 2 and the other
+primes from at(p) on X^d itself, so reduction kinds and errors are those
+of X^d.  A model that is not built by twist() counts its own points.
 
 Point counts follow the convention that the count of a bad reduction
 includes the singular point (and the point at infinity), so that
@@ -40,6 +42,7 @@ included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -66,6 +69,13 @@ from .errors import (
 from .numtheory import factor, is_prime, jacobi, primes_up_to, valuation
 
 POINT_COUNT_BOUND = 10**6
+# LocalData.traces_up_to decides good primes from BSGS_FROM on by _trace_bsgs:
+# measured per prime, it is level with the point count at p ~ 150-230 and
+# faster above, and above 229 Mestre's theorem leaves E or its twist a point
+# that decides a_p.  The count decides where BSGS_POINTS points did not
+# (never seen above 229).
+BSGS_FROM = 230
+BSGS_POINTS = 16
 
 
 class ReductionKind(str, Enum):
@@ -213,6 +223,106 @@ def _reduction(E: WeierstrassModel | LocalData, inv: CurveInvariants, p: int) ->
     return ReductionData(p, kind, points, a_p)
 
 
+def _ec_add(P, Q, a: int, p: int):
+    """P + Q on y^2 = x^3 + a x + b over F_p, affine, None the point at
+    infinity (b is implied by the points)."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n: int, P, a: int, p: int):
+    """n P for n >= 0, by doubling and adding."""
+    R = None
+    for bit in bin(n)[2:]:
+        R = _ec_add(R, R, a, p)
+        if bit == "1":
+            R = _ec_add(R, P, a, p)
+    return R
+
+
+def _hasse_orders(P, a: int, p: int, H: int) -> set[int]:
+    """Every N with |p + 1 - N| <= H and N P = O, by baby steps jP for
+    0 <= j <= m and giant steps R_c = (p + 1 - c) P at centres c spaced
+    2m + 1 apart across [-H, H]: R_c = +-jP exactly when (p + 1 - c -+ j) P
+    = O, so each s = c +- j whose y matches is an s with (p + 1 - s) P = O.
+
+    Every such s is found: O is a baby step (j = 0), so a giant step that
+    lands on O matches, and a baby step with y = 0 equals its own negative,
+    so it yields both c + j and c - j."""
+    m = math.isqrt(H) + 1
+    baby: dict = {None: [(0, 0)]}
+    Q = None
+    for j in range(1, m + 1):
+        Q = _ec_add(Q, P, a, p)
+        x, y = (None, 0) if Q is None else Q
+        baby.setdefault(x, []).append((j, y))
+    stride = _ec_add(Q, _ec_add(Q, P, a, p), a, p)
+    back = None if stride is None else (stride[0], -stride[1] % p)
+    # the first centre is moved down so that R_c is a multiple of the stride
+    c = m - H
+    c -= (c - p - 1) % (2 * m + 1)
+    R = _ec_mul((p + 1 - c) // (2 * m + 1), stride, a, p)
+    found = set()
+    while c - m <= H:
+        x, y = (None, 0) if R is None else R
+        for j, yj in baby.get(x, ()):
+            if yj == y:
+                found.add(c + j)
+            if yj == -y % p:
+                found.add(c - j)
+        R = _ec_add(R, back, a, p)
+        c += 2 * m + 1
+    return {p + 1 - s for s in found if -H <= s <= H}
+
+
+def _trace_bsgs(inv: CurveInvariants, p: int) -> ReductionData | None:
+    """Reduction data at a good prime p >= 5 by Shanks-Mestre baby-step
+    giant-step (Cohen, A Course in Computational Algebraic Number Theory,
+    7.4.3), in O(p^(1/4)) group operations; None when BSGS_POINTS points
+    leave more than one candidate.
+
+    E is y^2 = f(x) = x^3 + A x + B with A = -27 c4, B = -54 c6.  For
+    x0 = 0, 1, ... with t = f(x0) != 0, P = (t x0, t^2) lies on
+    E_t: y^2 = x^3 + A t^2 x + B t^3, which is E when t is a square mod p
+    and its quadratic twist, with 2p + 2 - #E points, when not; no square
+    root is needed.  #E lies in each point's set of Hasse-interval orders
+    (_hasse_orders, mapped back through the twist), so when their
+    intersection is one number it is #E, proven.  Mestre's theorem makes
+    it one number for p > 229 once the points generate enough."""
+    A = -27 * inv.c4 % p
+    B = -54 * inv.c6 % p
+    H = math.isqrt(4 * p)
+    candidates = None
+    x0 = -1
+    for _ in range(BSGS_POINTS):
+        t = 0
+        while not t:
+            x0 += 1
+            t = (x0 * x0 * x0 + A * x0 + B) % p
+        orders = _hasse_orders((t * x0 % p, t * t % p), A * t * t % p, p, H)
+        if pow(t, (p - 1) // 2, p) != 1:
+            orders = {2 * p + 2 - n for n in orders}
+        candidates = orders if candidates is None else candidates & orders
+        if len(candidates) == 1:
+            (points,) = candidates
+            return ReductionData(p, ReductionKind.GOOD, points, p + 1 - points)
+        if not candidates:
+            raise InvariantError(f"no group order in the Hasse interval at p = {p}")
+    return None
+
+
 @dataclass(frozen=True)
 class LocalData:
     """Invariants, primes of Delta and ReductionData at each prime of a model,
@@ -257,7 +367,9 @@ class LocalData:
 
     def traces_up_to(self, bound: int) -> np.ndarray:
         """a_p at the good odd primes p <= bound, indexed by p (0 elsewhere),
-        each counted once, as callers ask for larger primes."""
+        each decided once, as callers ask for larger primes: by _trace_bsgs
+        from BSGS_FROM on, else (and where it cannot decide) by a point
+        count."""
         known = len(self._a_p) - 1
         if bound > known:
             grown = np.zeros(bound + 1, dtype=np.int32)
@@ -265,7 +377,10 @@ class LocalData:
             delta = self.inv.delta
             for p in primes_up_to(bound):
                 if p > known and delta % p:
-                    grown[p] = _reduction(self, self.inv, p).a_p
+                    data = _trace_bsgs(self.inv, p) if p >= BSGS_FROM else None
+                    if data is None:
+                        data = _reduction(self, self.inv, p)
+                    grown[p] = data.a_p
             # the record is frozen; the table is a memo, like _decided
             object.__setattr__(self, "_a_p", grown)
         return self._a_p
@@ -285,11 +400,13 @@ class LocalData:
         """a_p at each of the ascending primes, and whether the reduction
         there is good.  2 and the primes of Delta(E) are read from at(p), in
         ascending order; the others from traces_up_to, or, for a record made
-        by X.twist(d), as (d/p) a_p(X) from X's table, the primes of
-        Delta(X) then also read from at(p)."""
+        by X.twist(d), as (d/p) a_p(X) from X's table."""
         table, d = (self, 1) if self._base is None else self._base
         ps = np.array(primes, dtype=np.int64)
-        direct = (ps == 2) | (_residues(self.inv.delta * table.inv.delta, ps) == 0)
+        # The primes of Delta(X) are among these: quadratic_twist scales
+        # (c4, c6) by (u^4 d^2, u^6 d^3) with u an integer, so
+        # Delta(X^d) = d^6 u^12 Delta(X).
+        direct = (ps == 2) | (_residues(self.inv.delta, ps) == 0)
         a_p = np.zeros(len(ps), dtype=np.int64)
         good = np.ones(len(ps), dtype=bool)
         for i in np.flatnonzero(direct).tolist():

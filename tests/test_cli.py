@@ -166,6 +166,16 @@ class TestLValue:
         assert counted["payload"].pop("curve") == str(twist)
         assert derived == counted
 
+    def test_a_fresh_series_of_338003_terms_ends_in_seconds(self, capsys):
+        # its a_p table reaches 338 003: one point count per good prime took
+        # minutes there, one baby-step giant-step takes seconds
+        argv = ["lvalue", "--curve=-11,1,-9,2,-11", "--twist=-11"]
+        with time_limit(30):
+            result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (0, STATUS_OK)
+        assert doc["payload"]["terms_used"] == 338_003
+        assert doc["payload"]["value"] == "5.6636275927823942785587512351"
+
     def test_zero_terms_is_unsupported_input(self, capsys):
         result, doc = run_json(capsys, ["lvalue", "--label", "15a1", "--terms", "0"])
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
@@ -272,6 +282,20 @@ class TestCheckHypothesis:
         result, doc = run_json(capsys, ["check-hypothesis", "--p", "5", "--d", "abc"])
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
         assert "--d" in doc["payload"]["error"]
+
+    def test_an_r3_field_at_p7_ends_in_seconds(self, capsys):
+        # Q(sqrt 5, sqrt 17, sqrt 37): the d = 3145 character's L-value is
+        # retried at 4 x 144 123 terms, reading 21a1's a_p table to 576 492,
+        # and stays inconclusive
+        argv = ["check-hypothesis", "--p", "7", "--d", "5,17,37"]
+        with time_limit(30):
+            result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (1, STATUS_CHECK_FAILED)
+        assert doc["payload"]["overall"] == "InconclusiveLValue"
+        characters = doc["payload"]["characters"]
+        assert len(characters) == 8
+        retried = [(c["discriminant"], c["terms_used"]) for c in characters if c["retried"]]
+        assert retried == [(3145, 576_492)]
 
     def test_not_admissible_exits_1(self, capsys):
         result = run(["check-hypothesis", "--p", "5", "--d", "13"])

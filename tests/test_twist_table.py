@@ -1,6 +1,6 @@
 """A twist record made by X.twist(d) takes a_p from its base record's
 table: a_p(X^d) = (d/p) a_p(X) at the odd primes p not dividing
-Delta(X^d) Delta(X); 2 and the other primes are decided on the twist.
+Delta(X^d); 2 and the other primes are decided on the twist.
 
 The oracle is a point count on the twisted model itself.  The same oracle
 runs again under ``python -O``, together with an injected fault, to show
@@ -124,6 +124,14 @@ def test_twist_links_to_its_base():
     assert X._base is None and LocalData(twist.model)._base is None
     with pytest.raises(TypeError):
         LocalData(twist.model, _base=(X, -11))
+
+
+def test_base_discriminant_divides_the_twist_discriminant():
+    # why LocalData.traces reads from at(p) only the primes of Delta(X^d)
+    for label in ("15a1", "21a1"):
+        X = local_data(curve_by_label(label))
+        for d in ORACLE_D:
+            assert X.twist(d).inv.delta % X.inv.delta == 0
 
 
 def test_derivation_checks_survive_optimized_mode():
