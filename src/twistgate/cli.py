@@ -24,7 +24,6 @@ from .curve import (
     WeierstrassModel,
     curve_by_label,
     invariants,
-    quadratic_twist,
     short_form,
 )
 from .descent import (
@@ -139,11 +138,11 @@ def _cmd_curve_info(args) -> CommandResult:
 def _cmd_reduction(args) -> CommandResult:
     if not is_prime(args.p):
         raise TwistgateError(f"--p must be a prime, got {args.p}")
-    model, name = _resolve_curve(args)
+    E, name = _resolve_curve(args)
     if args.twist is not None:
-        model = quadratic_twist(model, args.twist)
+        E = local_data(E).twist(args.twist)
         name = f"{name} twisted by {args.twist}"
-    data = classify(model, args.p)
+    data = classify(E, args.p)
     payload = {
         "curve": name,
         "p": data.p,
@@ -182,8 +181,7 @@ def _cmd_root_number(args) -> CommandResult:
     formula = twist_root_number_formula(data, d)
     N = conductor(data)
     base = global_root_number(data)
-    twisted = quadratic_twist(model, d)
-    direct = global_root_number(twisted)
+    direct = global_root_number(data.twist(d))
     agree = direct.value == formula
     payload = {
         "curve": name,
@@ -218,7 +216,7 @@ def _cmd_twist_root_check(args) -> CommandResult:
             continue
         instances += 1
         formula = twist_root_number_formula(data, d)
-        direct = global_root_number(quadratic_twist(model, d)).value
+        direct = global_root_number(data.twist(d)).value
         if formula != direct:
             mismatches.append({"d": d, "formula": formula, "direct": direct})
     payload = {

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -46,6 +46,7 @@ class WeierstrassModel:
     a3: int
     a4: int
     a6: int
+    _inv: CurveInvariants | None = field(default=None, init=False, repr=False, compare=False)
 
     def ainvs(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -67,7 +68,10 @@ class CurveInvariants:
 
 
 def invariants(E: WeierstrassModel) -> CurveInvariants:
-    """Compute the standard invariants; raises SingularCurveError if Delta = 0."""
+    """The standard invariants, computed once per model; raises
+    SingularCurveError if Delta = 0."""
+    if E._inv is not None:
+        return E._inv
     a1, a2, a3, a4, a6 = E.ainvs()
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -80,7 +84,10 @@ def invariants(E: WeierstrassModel) -> CurveInvariants:
         raise SingularCurveError(f"curve {E} is singular (Delta = 0)")
     if c4**3 - c6**2 != 1728 * delta or 4 * b8 != b2 * b6 - b4 * b4:
         raise InvariantError(f"invariant identities fail for {E}")
-    return CurveInvariants(b2, b4, b6, b8, c4, c6, delta, Fraction(c4**3, delta))
+    inv = CurveInvariants(b2, b4, b6, b8, c4, c6, delta, Fraction(c4**3, delta))
+    # the model is frozen; the invariants are a memo, set here only
+    object.__setattr__(E, "_inv", inv)
+    return inv
 
 
 def short_form(E: WeierstrassModel) -> tuple[Fraction, Fraction]:

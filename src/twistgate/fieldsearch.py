@@ -14,7 +14,6 @@ estimate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .lseries import (
     check_margin,
     l_value_at_1,
 )
-from .numtheory import factor, is_squarefree, jacobi, squarefree_part
+from .numtheory import Factorization, factor, is_squarefree, jacobi, squarefree_part
 from .reduction import conductor, local_data
 from .rootnum import RootNumber, global_root_number, twist_root_number_formula
 
@@ -80,29 +79,14 @@ def _fail(condition: str, index: int | None, detail: str | None = None) -> Admis
     return AdmissibilityCheck(False, condition, index, detail)
 
 
-def square_subset(ds) -> tuple[int, ...] | None:
-    """Indices of a nonempty subset whose product is a perfect square, or None."""
-    ds = list(ds)
-    for size in range(1, len(ds) + 1):
-        for combo in itertools.combinations(range(len(ds)), size):
-            prod = 1
-            for i in combo:
-                prod *= ds[i]
-            root = math.isqrt(prod)
-            if root * root == prod:
-                return combo
-    return None
-
-
-def _odd_exponent_mask(d: int, prime_bits: dict[int, int]) -> int:
-    """GF(2) vector of d modulo squares: one bit per prime (and -1) dividing d
-    to an odd power, bit positions assigned in prime_bits as primes appear."""
+def _odd_exponent_mask(d: Factorization, prime_bits: dict[int, int]) -> int:
+    """GF(2) vector of the factored positive d modulo squares: one bit per
+    prime dividing d to an odd power, bit positions assigned in prime_bits
+    as primes appear."""
     mask = 0
-    for q, e in factor(abs(d)).factors:
+    for q, e in d.factors:
         if e % 2:
             mask ^= 1 << prime_bits.setdefault(q, len(prime_bits))
-    if d < 0:
-        mask ^= 1 << prime_bits.setdefault(-1, len(prime_bits))
     return mask
 
 
@@ -114,17 +98,24 @@ def _reduce(mask: int, basis: list[int]) -> int:
 
 
 def is_admissible(p: int, ds) -> AdmissibilityCheck:
-    """Check the tuple conditions in order, naming the first failure."""
+    """Check the tuple conditions in order, naming the first failure.
+
+    Independence modulo squares is decided by the GF(2) echelon of search,
+    each row carrying below its prime bits one bit per d_i it combines, so a
+    d_i that reduces to no prime bits names a subset with a square product.
+    """
     if p not in SUPPORTED_P:
         raise ValueError(f"p must be one of {SUPPORTED_P}, got {p}")
     ds = list(ds)
     if not ds:
         return _fail("empty", None)
     n3p = 3 * p
+    factored = []
     for i, d in enumerate(ds):
         if not isinstance(d, int) or d <= 0:
             return _fail("positive", i, f"d_{i+1} = {d}")
-        if not is_squarefree(d):
+        factored.append(factor(d))
+        if any(e > 1 for _, e in factored[-1].factors):
             return _fail("squarefree", i, f"d_{i+1} = {d}")
     for i, d in enumerate(ds):
         if d % 4 != 1:
@@ -135,13 +126,15 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
     for i, d in enumerate(ds):
         if jacobi(d, n3p) != 1:
             return _fail("jacobi", i, f"({d}/{n3p}) = {jacobi(d, n3p)}")
-    combo = square_subset(ds)
-    if combo is not None:
-        return _fail(
-            "subset-square",
-            None,
-            "product of d_%s is a perfect square" % ",".join(str(i + 1) for i in combo),
-        )
+    n = len(ds)
+    prime_bits: dict[int, int] = {}
+    basis: list[int] = []
+    for i, d in enumerate(factored):
+        reduced = _reduce(_odd_exponent_mask(d, prime_bits) << n | 1 << i, basis)
+        if reduced >> n == 0:
+            named = ",".join(str(j + 1) for j in range(n) if reduced >> j & 1)
+            return _fail("subset-square", None, f"product of d_{named} is a perfect square")
+        basis.append(reduced)
     return AdmissibilityCheck(True)
 
 
@@ -162,8 +155,7 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
         if s == -1:
             prod *= d
     d_s = squarefree_part(prod)
-    n3p = 3 * tup.p
-    if not (d_s >= 1 and d_s % 4 == 1 and math.gcd(d_s, n3p) == 1 and jacobi(d_s, n3p) == 1):
+    if not (d_s >= 1 and _single_ok(d_s, 3 * tup.p)):
         raise InvariantError(f"character discriminant {d_s} of {tup.ds} is not admissible")
     return d_s
 
@@ -182,8 +174,8 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
 
     Candidates are pruned by GF(2) independence of their prime-exponent
     vectors while recursing, and every produced tuple passes the full
-    is_admissible recheck (including the literal perfect-square subset
-    scan).  WorkBoundError, before recursing, when the subsets of at most r
+    is_admissible recheck, whose independence test is the same echelon.
+    WorkBoundError, before recursing, when the subsets of at most r
     candidates number more than MAX_SEARCH_WORK.
     """
     if p not in SUPPORTED_P:
@@ -201,7 +193,7 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
             f"above {MAX_SEARCH_WORK}"
         )
     prime_bits: dict[int, int] = {}
-    masks = [_odd_exponent_mask(d, prime_bits) for d in singles]
+    masks = [_odd_exponent_mask(factor(d), prime_bits) for d in singles]
     results: list[AdmissibleTuple] = []
 
     def extend(start: int, chosen: list[int], basis: list[int]):

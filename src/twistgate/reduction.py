@@ -6,7 +6,8 @@ the Serre check read.  The reduction at 2 is decided in _reduction only.
 A record is built once per curve per operation, by the code that made the
 curve, and passed down: local_data(E) returns E when E is a record, so each
 function that only reads local data takes a model or its record, and so do
-count_points and classify, which then read the record's invariants.
+count_points and classify.  Every function reads a curve's invariants as
+invariants(model), which computes them once per model.
 
 Every record keeps a table of a_p at its good odd primes, which grows on
 demand in LocalData.traces_up_to: from BSGS_FROM on by Shanks-Mestre
@@ -145,7 +146,7 @@ def count_points_naive(E: WeierstrassModel, p: int) -> int:
 
 def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
     """#X(F_p) of the reduced equation, singular point included; E is a
-    model or its record, whose invariants are then read, not recomputed.
+    model or its record.
 
     For odd p, completing the square turns the count into
     p + 1 + sum_x chi((4 x^3 + b2 x^2 + 2 b4 x + b6) mod p) with chi the
@@ -157,7 +158,7 @@ def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
     model = E.model if isinstance(E, LocalData) else E
     if p == 2:
         return count_points_naive(model, 2)
-    inv = invariants(E) if model is E else E.inv
+    inv = invariants(model)
     x = np.arange(p, dtype=np.int64)
     g = (4 * x + inv.b2 % p) % p
     g = (g * x + (2 * inv.b4) % p) % p
@@ -173,40 +174,35 @@ def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
 def classify(E: WeierstrassModel | LocalData, p: int) -> ReductionData:
     """Reduction type of E, a model or its record, at an odd prime.
 
-    The model is p-minimalized first for p >= 5; a record's invariants are
-    read when the model is already minimal there.  At p = 3 a visibly
+    The model is p-minimalized first for p >= 5.  At p = 3 a visibly
     non-minimal model (v3(Delta) >= 12 and v3(c4) >= 4) is rejected since we
     cannot minimalize there.
     """
     _check_prime(p)
     if p == 2:
         raise UnsupportedPrimeError("classification at p = 2 is not supported")
-    record = E if isinstance(E, LocalData) else None
-    model = E if record is None else record.model
+    model = E.model if isinstance(E, LocalData) else E
     if p >= 5:
         model = minimalize_at(model, p)
-    if record is not None and model is record.model:
-        E, inv = record, record.inv
-    else:
-        E, inv = model, invariants(model)
+    inv = invariants(model)
     v_delta = valuation(inv.delta, p)
     if p == 3 and v_delta >= 12 and (inv.c4 == 0 or valuation(inv.c4, 3) >= 4):
         raise NonMinimalModelError(
             "model may be non-minimal at 3 (v3(Delta) >= 12 and v3(c4) >= 4)"
         )
-    return _reduction(E, inv, p)
+    return _reduction(model, p)
 
 
-def _reduction(E: WeierstrassModel | LocalData, inv: CurveInvariants, p: int) -> ReductionData:
-    """Reduction data at p of a model minimal at p (or its record), inv its
-    invariants.  Points are counted at good primes and at 2, where odd Delta
-    is good, odd c4 multiplicative (and minimal), and anything else raises.
-    At an odd bad prime a node (p not dividing c4) has a_p = (-c6/p) and a
-    cusp a_p = 0."""
+def _reduction(model: WeierstrassModel, p: int) -> ReductionData:
+    """Reduction data at p of a model minimal at p.  Points are counted at
+    good primes and at 2, where odd Delta is good, odd c4 multiplicative
+    (and minimal), and anything else raises.  At an odd bad prime a node (p
+    not dividing c4) has a_p = (-c6/p) and a cusp a_p = 0."""
+    inv = invariants(model)
     if p == 2 and inv.delta % 2 == 0 and inv.c4 % 2 == 0:
         raise UnsupportedReductionAtTwoError("additive (or non-minimal) reduction at 2")
     if p == 2 or inv.delta % p:
-        points = count_points(E, p)
+        points = count_points(model, p)
         a_p = p + 1 - points
     else:
         a_p = jacobi(-inv.c6, p) if inv.c4 % p else 0
@@ -297,15 +293,17 @@ def _trace_bsgs(inv: CurveInvariants, p: int) -> ReductionData | None:
     x0 = 0, 1, ... with t = f(x0) != 0, P = (t x0, t^2) lies on
     E_t: y^2 = x^3 + A t^2 x + B t^3, which is E when t is a square mod p
     and its quadratic twist, with 2p + 2 - #E points, when not; no square
-    root is needed.  #E lies in each point's set of Hasse-interval orders
-    (_hasse_orders, mapped back through the twist), so when their
-    intersection is one number it is #E, proven.  Mestre's theorem makes
-    it one number for p > 229 once the points generate enough."""
+    root is needed.  When A = 0 (j = 0) x0 starts at 1, since x0 = 0 gives
+    (0, B^2), a point of order 3 on E_t that never decides.  #E lies in
+    each point's set of Hasse-interval orders (_hasse_orders, mapped back
+    through the twist), so when their intersection is one number it is #E,
+    proven.  Mestre's theorem makes it one number for p > 229 once the
+    points generate enough."""
     A = -27 * inv.c4 % p
     B = -54 * inv.c6 % p
     H = math.isqrt(4 * p)
     candidates = None
-    x0 = -1
+    x0 = 0 if A == 0 else -1
     for _ in range(BSGS_POINTS):
         t = 0
         while not t:
@@ -344,7 +342,7 @@ class LocalData:
         default=None, init=False, repr=False, compare=False
     )
 
-    @cached_property
+    @property
     def inv(self) -> CurveInvariants:
         return invariants(self.model)
 
@@ -359,7 +357,7 @@ class LocalData:
         data = self._decided.get(p)
         if data is None:
             if p == 2 or self.inv.delta % p:
-                data = _reduction(self, self.inv, p)
+                data = _reduction(self.model, p)
             else:
                 data = classify(self, p)
             self._decided[p] = data
@@ -374,12 +372,12 @@ class LocalData:
         if bound > known:
             grown = np.zeros(bound + 1, dtype=np.int32)
             grown[: known + 1] = self._a_p
-            delta = self.inv.delta
+            inv = self.inv
             for p in primes_up_to(bound):
-                if p > known and delta % p:
-                    data = _trace_bsgs(self.inv, p) if p >= BSGS_FROM else None
+                if p > known and inv.delta % p:
+                    data = _trace_bsgs(inv, p) if p >= BSGS_FROM else None
                     if data is None:
-                        data = _reduction(self, self.inv, p)
+                        data = _reduction(self.model, p)
                     grown[p] = data.a_p
             # the record is frozen; the table is a memo, like _decided
             object.__setattr__(self, "_a_p", grown)

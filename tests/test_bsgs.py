@@ -96,3 +96,18 @@ def test_orders_that_miss_every_candidate_are_an_internal_error(monkeypatch):
     monkeypatch.setattr(reduction, "_hasse_orders", lambda P, a, p, H: set())
     with pytest.raises(InvariantError):
         _trace_bsgs(LocalData(curve_by_label("15a1")).inv, 1009)
+
+
+def test_j_zero_starts_past_the_point_of_order_three(monkeypatch):
+    # on y^2 = x^3 + B, x0 = 0 gives a point of order 3, which never decides
+    calls = []
+    real = reduction._hasse_orders
+    monkeypatch.setattr(
+        reduction, "_hasse_orders", lambda P, a, p, H: calls.append(p) or real(P, a, p, H)
+    )
+    record = LocalData(ORACLE_CURVES["y^2 = x^3 + 1"])
+    good = [p for p in primes_up_to(20_000) if p >= BSGS_FROM and record.inv.delta % p]
+    assert len(good) == 2212
+    for p in good:
+        assert _trace_bsgs(record.inv, p) is not None, p
+    assert len(calls) < 1.5 * len(good)

@@ -134,6 +134,27 @@ class TestRootNumber:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("d", [-11, -1, 2, 3, 13, 17])
+@pytest.mark.parametrize("label", ["15a1", "21a1"])
+def test_twist_option_matches_the_bare_twisted_model(capsys, label, d):
+    # d = -1, 2 and 3 take quadratic_twist's short-form fallback
+    bare = ",".join(map(str, quadratic_twist(curve_by_label(label), d).ainvs()))
+    for p in (3, 5, 7, 11, 13, 17):
+        _, twisted = run_json(capsys, ["reduction", "--label", label, f"--twist={d}", "--p", str(p)])
+        _, direct = run_json(capsys, ["reduction", "--curve", bare, "--p", str(p)])
+        twisted["payload"].pop("curve", None)
+        direct["payload"].pop("curve", None)
+        assert twisted == direct, p
+    _, twisted = run_json(capsys, ["root-number", "--label", label, f"--twist={d}"])
+    _, direct = run_json(capsys, ["root-number", "--curve", bare])
+    if d in (13, 17):
+        assert twisted["status"] == STATUS_OK
+        assert twisted["payload"]["direct_sign"] == direct["payload"]["value"]
+    else:
+        # the twist formula rejects d before the twist is built
+        assert twisted["payload"]["error_type"] == "HypothesisViolationError"
+
+
 class TestTwistRootCheck:
     def test_small_sweep(self, capsys):
         result, doc = run_json(capsys, ["twist-root-check", "--dmax", "60", "--label", "15a1"])

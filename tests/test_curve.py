@@ -73,6 +73,19 @@ class TestInvariants:
             assert inv.j == Fraction(inv.c4**3, inv.delta)
 
 
+def test_invariants_are_computed_once_per_model(e15):
+    model = WeierstrassModel(*e15.ainvs())
+    inv = invariants(model)
+    assert invariants(model) is inv
+    # the memo is not part of the model's value
+    assert model == WeierstrassModel(*e15.ainvs()) and repr(model) == repr(e15)
+    assert hash(model) == hash(WeierstrassModel(*e15.ainvs()))
+    singular = WeierstrassModel(0, 0, 0, 0, 0)
+    for _ in range(2):
+        with pytest.raises(SingularCurveError):
+            invariants(singular)
+
+
 class TestShortForm:
     def test_already_short(self):
         model = WeierstrassModel(0, 0, 0, -7, 11)

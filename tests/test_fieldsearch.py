@@ -15,7 +15,6 @@ from twistgate.fieldsearch import (
     check_hypothesis,
     is_admissible,
     search,
-    square_subset,
 )
 from twistgate.lseries import VERDICT_NONZERO
 from twistgate.numtheory import jacobi
@@ -43,6 +42,19 @@ def oracle_single(d, p):
         and math.gcd(d, 3 * p) == 1
         and oracle_legendre(d, 3) * oracle_legendre(d, p) == 1
     )
+
+
+def square_subset(ds):
+    """Indices of a nonempty subset whose product is a perfect square, or
+    None: the literal scan, smallest subsets first."""
+    ds = list(ds)
+    for size in range(1, len(ds) + 1):
+        for combo in combinations(range(len(ds)), size):
+            prod = math.prod(ds[i] for i in combo)
+            root = math.isqrt(prod)
+            if root * root == prod:
+                return combo
+    return None
 
 
 def exponent_vectors_independent(ds):
@@ -143,6 +155,61 @@ class TestSubsetImplementations:
         for _ in range(300):
             ds = [rng.randint(1, 400) for _ in range(rng.randint(1, 4))]
             assert (square_subset(ds) is None) == exponent_vectors_independent(ds), ds
+
+
+def largest_prime_factor(d):
+    q = 2
+    while q * q <= d:
+        if d % q:
+            q += 1
+        else:
+            d //= q
+    return d
+
+
+def subset_cases():
+    """The 300 random tuples of test_two_implementations_agree, and tuples
+    of admissible d (p = 5) built from few primes, with repeats, so that
+    dependencies of every size occur."""
+    import random
+
+    rng = random.Random(13)
+    cases = [[rng.randint(1, 400) for _ in range(rng.randint(1, 4))] for _ in range(300)]
+    pool = [d for d in range(2, 3000) if oracle_single(d, 5) and largest_prime_factor(d) < 40]
+    rng = random.Random(29)
+    cases += [[rng.choice(pool) for _ in range(rng.randint(2, 5))] for _ in range(300)]
+    return cases + [[1], [17, 17], [17, 53, 901], [17, 53, 901, 17]]
+
+
+def named_subset(detail):
+    """The 0-based indices a subset-square detail names."""
+    names = detail.removeprefix("product of d_").removesuffix(" is a perfect square")
+    return [int(i) - 1 for i in names.split(",")]
+
+
+class TestEchelonAgainstScan:
+    def test_verdict_and_named_subset(self):
+        failures = 0
+        for ds in subset_cases():
+            check = is_admissible(5, ds)
+            if not all(oracle_single(d, 5) for d in ds):
+                assert not check.ok and check.failed_condition != "subset-square", ds
+                continue
+            assert check.ok == (square_subset(ds) is None), ds
+            if not check.ok:
+                failures += 1
+                assert check.failed_condition == "subset-square", ds
+                named = named_subset(check.detail)
+                prod = math.prod(ds[i] for i in named)
+                assert named and math.isqrt(prod) ** 2 == prod, (ds, check.detail)
+        assert failures >= 100
+
+    def test_names_the_echelon_dependency_not_the_smallest(self):
+        # 901 = 17 * 53 depends on the rows before it, before the repeated 17
+        # is reached; the scan finds the pair (17, 17) first
+        check = is_admissible(5, [17, 53, 901, 17])
+        assert check.detail == "product of d_1,2,3 is a perfect square"
+        assert square_subset([17, 53, 901, 17]) == (0, 3)
 
 
 class TestCharacterDiscriminant:
