@@ -35,7 +35,7 @@ class UnsupportedPrimeError(TwistgateError):
 
 
 class PrimeTooLargeError(TwistgateError):
-    """Point counting requested beyond the enumeration bound."""
+    """Point counting beyond its bound, or a primality test beyond psi_13."""
 
 
 class NonMinimalModelError(TwistgateError):
@@ -73,13 +73,6 @@ class NonCommutingActionError(TwistgateError):
 
 class NonInvolutiveActionError(TwistgateError):
     """Generator matrices of a signed module must square to the identity."""
-
-
-class TwistDerivationError(TwistgateError):
-    """Deriving the a_p of a record made by X.twist(d) from X's a_p table
-    failed its exact check: (d/p) = 0 at a prime where a_p was to be
-    derived.  The odd primes of the twist's own d divide its discriminant
-    and are never derived, so this marks a record linked to a wrong d."""
 
 
 class LemmaSumSizeError(TwistgateError):

@@ -236,12 +236,7 @@ class HypothesisReport:
     note: str
 
 
-def check_hypothesis(
-    p: int,
-    ds,
-    margin_factor: float = DEFAULT_MARGIN,
-    terms: int | None = None,
-) -> HypothesisReport:
+def check_hypothesis(p: int, ds, margin_factor: float = DEFAULT_MARGIN) -> HypothesisReport:
     """Run the full per-character pipeline for the tuple (d_1, ..., d_r).
 
     For each of the 2^r characters: the twist discriminant, the twisted
@@ -286,7 +281,7 @@ def check_hypothesis(
                 f"twist formula sign {formula} disagrees with local product "
                 f"{direct.value} at d = {d_s}"
             )
-        estimate = l_value_at_1(twist, terms=terms, margin_factor=margin_factor)
+        estimate = l_value_at_1(twist, margin_factor=margin_factor)
         retried = False
         if estimate.verdict != VERDICT_NONZERO:
             retried = True

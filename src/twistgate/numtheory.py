@@ -1,8 +1,9 @@
-"""Exact integer primitives: factorization, squarefree parts, Jacobi symbols,
-p-adic valuations.
+"""Exact integer primitives: primality, factorization, squarefree parts,
+Jacobi symbols, p-adic valuations.
 
-Everything here is pure and exact (Python big integers, fractions.Fraction
-for rationals).  Factoring is plain trial division with a hard cofactor
+Everything here is pure and exact.  One byte sieve to TRIAL_DIVISION_BOUND =
+10^6, where every caller's primes stop, is the only source of small primes:
+is_prime, primes_up_to and factor all read it.  Factoring has a hard cofactor
 bound: the inputs this package meets (twist parameters below 10^4,
 discriminants and conductors below ~10^23 whose prime factors are small) all
 factor instantly, and anything else is out of desk scale on purpose.
@@ -10,28 +11,57 @@ factor instantly, and anything else is out of desk scale on purpose.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CompositeResidueError, EvenModulusError, InvariantError, ZeroInputError
+import numpy as np
+
+from .errors import (
+    CompositeResidueError,
+    EvenModulusError,
+    InvariantError,
+    PrimeTooLargeError,
+    ZeroInputError,
+)
 
 TRIAL_DIVISION_BOUND = 10**6
 COFACTOR_BOUND = 10**12
 
-# Witness set deterministic for n < 3.3 * 10^24 (covers our certification
-# bound of 3 * 10^18 with room to spare).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_CERTIFIED_BOUND = 3 * 10**18
+# Deterministic below psi_13; without 41, psi_12 = 318665857834031151167461
+# passes (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_DETERMINISTIC_BOUND = 3317044064679887385961981  # psi_13
+_MR_CERTIFIED_BOUND = 3 * 10**18  # factor's bound for certifying a cofactor
+
+
+@functools.cache
+def _small_primes() -> tuple[bytearray, array]:
+    """The byte sieve of [0, TRIAL_DIVISION_BOUND], 1 at each prime, and its
+    primes ascending, 4 bytes each; built on first use, never written after."""
+    n = TRIAL_DIVISION_BOUND
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    found = np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8))
+    return sieve, array("i", found.astype(np.intc).tobytes())
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below 3.3e24; sufficient for desk scale."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+    """A sieve lookup up to TRIAL_DIVISION_BOUND, Miller-Rabin above it and
+    PrimeTooLargeError from psi_13 ~ 3.3e24 on; TypeError for a non-integer."""
+    n = operator.index(n)
+    if n <= TRIAL_DIVISION_BOUND:
+        return n >= 2 and _small_primes()[0][n] == 1
+    if n >= _MR_DETERMINISTIC_BOUND:
+        raise PrimeTooLargeError(f"{n} is not below psi_13 = {_MR_DETERMINISTIC_BOUND}")
+    # an even n fails at base 2: 2^(n-1) mod n is even, so neither 1 nor n - 1
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -51,15 +81,11 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a byte sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(n + 1) if sieve[i]]
+    """All primes <= n, read from the sieve; ValueError above its bound."""
+    if n > TRIAL_DIVISION_BOUND:
+        raise ValueError(f"primes_up_to reads the sieve up to {TRIAL_DIVISION_BOUND}, not {n}")
+    primes = _small_primes()[1]
+    return primes[: bisect_right(primes, n)].tolist()
 
 
 @dataclass(frozen=True)
@@ -91,44 +117,30 @@ class Factorization:
 
 
 def factor(n: int) -> Factorization:
-    """Factor a positive integer by trial division up to 10^6.
+    """Factor a positive integer by trial division by the sieve's primes.
 
-    A leftover cofactor above 10^12 is accepted only if it can be certified
-    prime (below 3e18); otherwise CompositeResidueError signals that the
-    input is out of desk scale.
+    A cofactor left past them is prime up to 10^12; above, it must be
+    certified prime (below 3e18), else CompositeResidueError signals that
+    the input is out of desk scale.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("factor expects a positive integer")
     m = n
     out: list[tuple[int, int]] = []
-
-    def strip(p: int):
-        nonlocal m
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
+    for p in _small_primes()[1]:
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
             out.append((p, e))
-
-    strip(2)
-    strip(3)
-    p = 5
-    step = 2
-    while p <= TRIAL_DIVISION_BOUND and p * p <= m:
-        strip(p)
-        p += step
-        step = 6 - step
+    # m > 10^12 only when the primes ran out
+    if m > COFACTOR_BOUND and not (m < _MR_CERTIFIED_BOUND and is_prime(m)):
+        raise CompositeResidueError(f"cofactor {m} exceeds 10^12 and is not a certified prime")
     if m > 1:
-        if p * p > m or m <= COFACTOR_BOUND:
-            # no divisor below min(p, 10^6), so m is prime
-            out.append((m, 1))
-        elif m < _MR_CERTIFIED_BOUND and is_prime(m):
-            out.append((m, 1))
-        else:
-            raise CompositeResidueError(
-                f"cofactor {m} exceeds 10^12 and is not a certified prime"
-            )
+        out.append((m, 1))
     return Factorization(n, tuple(out))
 
 

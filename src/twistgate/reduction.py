@@ -62,7 +62,6 @@ from .errors import (
     InvariantError,
     NonMinimalModelError,
     PrimeTooLargeError,
-    TwistDerivationError,
     UnsupportedPrimeError,
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
@@ -414,7 +413,8 @@ class LocalData:
         derived = ps[~direct]
         chi = 1 if d == 1 else _legendre(_residues(d, derived), derived)
         if not np.all(chi):
-            raise TwistDerivationError(
+            # the odd primes of d divide Delta(X^d): this record has a wrong d
+            raise InvariantError(
                 f"({d}/p) = 0 at the good prime p = {derived[chi == 0][0]}"
             )
         if len(derived):

@@ -241,6 +241,13 @@ class TestSerreCheck:
         result = run(["serre-check", "--ell", "2", "--label", "15a1"])
         assert result.exit_code == 2
 
+    def test_strong_pseudoprime_to_twelve_bases_is_not_a_prime_ell(self, capsys):
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to 2..37
+        psi12 = 318665857834031151167461
+        result, doc = run_json(capsys, ["serre-check", "--label", "15a1", "--ell", str(psi12)])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "UnsupportedPrimeError"
+
     def test_aux_count_uses_the_minimal_model(self, capsys):
         # 15a1 scaled by u = 11 is not minimal at 11, but its minimal model
         # has good reduction there; the count must be that of 15a1 over F_11
@@ -407,6 +414,27 @@ class TestInternalError:
         assert doc["status"] == "internal-error"
         assert doc["payload"]["error_type"] == "InvariantError"
         assert "Hasse bound violated" in doc["payload"]["error"]
+        assert "Traceback" not in captured.err
+
+    def test_a_twist_linked_to_a_wrong_d_is_an_internal_error(self, capsys, monkeypatch):
+        # 17 * 7 in place of 17: (119/7) = 0 at the good prime 7.  The twist
+        # by 17 has root number +1, so its series needs the derived a_p.
+        twist = reduction.LocalData.twist
+
+        def wrong_d(record, d):
+            made = twist(record, d)
+            base, d = made._base
+            object.__setattr__(made, "_base", (base, 7 * d))
+            return made
+
+        monkeypatch.setattr(reduction.LocalData, "twist", wrong_d)
+        result = run(["lvalue", "--label", "15a1", "--twist", "17", "--json"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)  # exactly one document
+        assert (result.status, result.exit_code) == (STATUS_INTERNAL, 3)
+        assert doc["status"] == "internal-error"
+        assert doc["payload"]["error_type"] == "InvariantError"
+        assert "(119/p) = 0" in doc["payload"]["error"]
         assert "Traceback" not in captured.err
 
 

@@ -328,7 +328,7 @@ class TestCheckHypothesis:
         assert not isinstance(excinfo.value, TwistgateError)
 
     def test_character_count_is_power_of_two(self):
-        report = check_hypothesis(5, [17, 61], terms=1000)
+        report = check_hypothesis(5, [17, 61])
         assert len(report.per_character) == 4
         assert [c.signs for c in report.per_character] == characters(2)
         assert {c.discriminant for c in report.per_character} == {1, 17, 61, 17 * 61}

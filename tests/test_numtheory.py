@@ -1,6 +1,9 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from twistgate.errors import (
     CompositeResidueError,
     EvenModulusError,
     InvariantError,
+    PrimeTooLargeError,
     ZeroInputError,
 )
 from twistgate.numtheory import (
@@ -20,6 +24,46 @@ from twistgate.numtheory import (
     squarefree_part,
     valuation,
 )
+
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def is_prime_by_trial_division(n):
+    """Independent oracle: no divisor in [2, sqrt(n)]."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def factor_by_wheel(n):
+    """Independent oracle: the trial division factor had before the sieve, by
+    2, 3 and then 6k +- 1 up to 10^6, with the same cofactor rules."""
+    m = n
+    out = []
+
+    def strip(p):
+        nonlocal m
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            out.append((p, e))
+
+    strip(2)
+    strip(3)
+    p = 5
+    step = 2
+    while p <= 10**6 and p * p <= m:
+        strip(p)
+        p += step
+        step = 6 - step
+    if m > 1:
+        if p * p > m or m <= 10**12 or (m < 3 * 10**18 and is_prime(m)):
+            out.append((m, 1))
+        else:
+            raise CompositeResidueError(m)
+    return tuple(out)
 
 
 def legendre_by_enumeration(a, p):
@@ -63,6 +107,22 @@ class TestFactor:
     def test_validation_catches_bad_product(self):
         with pytest.raises(InvariantError):
             Factorization(12, ((2, 1), (3, 1)))
+
+    def test_agrees_with_the_wheel(self):
+        rng = random.Random(12)
+        values = [rng.randrange(1, 10**9) for _ in range(300)]
+        # cofactors just below and just above 10^12, prime and composite,
+        # and a product of two primes above 10^6 that neither can certify
+        values += [rng.randrange(1, 50) * (10**12 + k) for k in range(-15, 15)]
+        values += [999983 * 1000003, 1000003 * 1000033, 6 * 1000003 * 1000033]
+        for n in values:
+            try:
+                want = factor_by_wheel(n)
+            except CompositeResidueError:
+                with pytest.raises(CompositeResidueError):
+                    factor(n)
+            else:
+                assert factor(n).factors == want, n
 
     def test_random_roundtrip(self):
         rng = random.Random(7)
@@ -188,6 +248,42 @@ class TestValuation:
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert len(primes_up_to(10**6)) == 78498
+    with pytest.raises(ValueError):
+        primes_up_to(10**6 + 1)
+
+
+def test_is_prime_agrees_with_trial_division_around_the_sieve():
+    for n in list(range(20_001)) + list(range(10**6 - 1999, 10**6 + 2001)):
+        assert is_prime(n) == is_prime_by_trial_division(n), n
+
+
+def test_is_prime_beyond_twelve_bases():
+    assert not is_prime(PSI_12)
+    assert is_prime(10**24 + 7)  # the least prime above 10^24
+    with pytest.raises(PrimeTooLargeError):
+        is_prime(PSI_13)
+
+
+def test_is_prime_rejects_non_integers():
+    for n in (7.0, 1.5, "7", Fraction(7)):
+        with pytest.raises(TypeError):
+            is_prime(n)
+
+
+def test_loading_the_curve_table_leaves_the_sieve_unbuilt():
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:2]\n"
+        "import twistgate\n"
+        "twistgate.load_curve_table()\n"
+        "from twistgate import numtheory\n"
+        "print(numtheory._small_primes.cache_info().currsize)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(src)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0"]
 
 
 def test_is_prime_small_and_carmichael():

@@ -17,7 +17,7 @@ import pytest
 
 from twistgate import fieldsearch, reduction
 from twistgate.curve import WeierstrassModel, curve_by_label, invariants, quadratic_twist
-from twistgate.errors import InvariantError, TwistDerivationError
+from twistgate.errors import InvariantError
 from twistgate.fieldsearch import AdmissibleTuple, character_discriminant, check_hypothesis
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
 from twistgate.numtheory import jacobi, primes_up_to
@@ -65,14 +65,14 @@ def oracle_mismatches(M=2000):
 
 def legendre_fault_caught():
     """The name of the derivation's exact check, if it raises
-    TwistDerivationError for a twist record linked to a wrong d."""
+    InvariantError for a twist record linked to a wrong d."""
     twist = local_data(curve_by_label("15a1")).twist(13)
     base, d = twist._base
     # 13 * 7 in place of 13: (91/7) = 0 at the good prime 7
     object.__setattr__(twist, "_base", (base, 7 * d))
     try:
         dirichlet_coefficients(twist, 100)
-    except TwistDerivationError:
+    except InvariantError:
         return "legendre-zero"
     return "none"
 
