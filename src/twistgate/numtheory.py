@@ -36,7 +36,6 @@ COFACTOR_BOUND = 10**12
 # passes (Sorenson and Webster, Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981  # psi_13
-_MR_CERTIFIED_BOUND = 3 * 10**18  # factor's bound for certifying a cofactor
 
 
 @functools.cache
@@ -120,8 +119,8 @@ def factor(n: int) -> Factorization:
     """Factor a positive integer by trial division by the sieve's primes.
 
     A cofactor left past them is prime up to 10^12; above, it must be
-    certified prime (below 3e18), else CompositeResidueError signals that
-    the input is out of desk scale.
+    proven prime by is_prime (deterministic below psi_13 ~ 3.3e24), else
+    CompositeResidueError signals that the input is out of desk scale.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("factor expects a positive integer")
@@ -137,7 +136,7 @@ def factor(n: int) -> Factorization:
                 e += 1
             out.append((p, e))
     # m > 10^12 only when the primes ran out
-    if m > COFACTOR_BOUND and not (m < _MR_CERTIFIED_BOUND and is_prime(m)):
+    if m > COFACTOR_BOUND and not (m < _MR_DETERMINISTIC_BOUND and is_prime(m)):
         raise CompositeResidueError(f"cofactor {m} exceeds 10^12 and is not a certified prime")
     if m > 1:
         out.append((m, 1))

@@ -9,19 +9,21 @@ function that only reads local data takes a model or its record, and so do
 count_points and classify.  Every function reads a curve's invariants as
 invariants(model), which computes them once per model.
 
-Every record keeps a table of a_p at its good odd primes, which grows on
-demand in LocalData.traces_up_to: from BSGS_FROM on by Shanks-Mestre
-baby-step giant-step (_trace_bsgs, O(p^(1/4)) group operations), below it
-and wherever that cannot decide by a point count (O(p)), each result
-checked by ReductionData; at(p) keeps only the primes it is asked for, 2
-and the primes of Delta in LocalData.traces.  Each curve X of the loaded
-curve table has one record per process, which local_data() hands to every
-caller, so X's table lasts for the process.  X.twist(d) is the record of
-the quadratic twist X^d, linked to X as its base: LocalData.traces then
-takes a_p(X^d) = (d/p) a_p(X) from X's table at the odd primes p not
-dividing Delta(X^d), vectorized over p, and reads p = 2 and the other
-primes from at(p) on X^d itself, so reduction kinds and errors are those
-of X^d.  A model that is not built by twist() counts its own points.
+_reduction alone decides reduction data at a prime, for classify,
+LocalData.at, LocalData.traces_up_to and so the CLI: at a good prime from
+BSGS_FROM on by Shanks-Mestre baby-step giant-step (_trace_bsgs, O(p^(1/4))
+group operations), below it and wherever that cannot decide by a point
+count (O(p)), each result checked by ReductionData.  Every record keeps a
+table of a_p at its good odd primes, which grows on demand in traces_up_to;
+at(p) keeps only the primes it is asked for, 2 and the primes of Delta in
+LocalData.traces.  Each curve X of the loaded curve table has one record per
+process, which local_data() hands to every caller, so X's table lasts for
+the process.  X.twist(d) is the record of the quadratic twist X^d, linked to
+X as its base: LocalData.traces then takes a_p(X^d) = (d/p) a_p(X) from X's
+table at the odd primes p not dividing Delta(X^d), vectorized over p, and
+reads p = 2 and the other primes from at(p) on X^d itself, so reduction
+kinds and errors are those of X^d.  A model that is not built by twist()
+counts its own points.
 
 Point counts follow the convention that the count of a bad reduction
 includes the singular point (and the point at infinity), so that
@@ -31,14 +33,14 @@ includes the singular point (and the point at infinity), so that
                        -1   nonsplit multiplicative
 
 and equals a_p with |a_p| <= 2 sqrt(p) at good primes.  Every ReductionData
-asserts this table literally.  Points are counted only at good primes and
-at p = 2.  At an odd bad prime p the table is derived on the p-minimal
-model instead: the singular point is a node iff p does not divide c4, and
-the node's tangents are rational (split reduction) iff -c6 is a square
-mod p, so a_p = (-c6/p) (Cremona, Algorithms for Modular Elliptic Curves,
-3.2; Silverman, Advanced Topics, IV.9); else it is a cusp and a_p = 0.  The
-tests keep the point count as the oracle of this derivation, p = 3
-included.
+asserts this table literally.  Points are counted only at 2 and at good
+primes below BSGS_FROM or where _trace_bsgs cannot decide.  At an odd bad
+prime p the table is derived on the p-minimal model instead: the singular
+point is a node iff p does not divide c4, and the node's tangents are
+rational (split reduction) iff -c6 is a square mod p, so a_p = (-c6/p)
+(Cremona, Algorithms for Modular Elliptic Curves, 3.2; Silverman, Advanced
+Topics, IV.9); else it is a cusp and a_p = 0.  The tests keep the point
+count as the oracle of this derivation, p = 3 included.
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ from .errors import (
 from .numtheory import factor, is_prime, jacobi, primes_up_to, valuation
 
 POINT_COUNT_BOUND = 10**6
-# LocalData.traces_up_to decides good primes from BSGS_FROM on by _trace_bsgs:
-# measured per prime, it is level with the point count at p ~ 150-230 and
-# faster above, and above 229 Mestre's theorem leaves E or its twist a point
-# that decides a_p.  The count decides where BSGS_POINTS points did not
-# (never seen above 229).
+# _reduction decides good primes from BSGS_FROM on by _trace_bsgs: measured
+# per prime, it is level with the point count at p ~ 150-230 and faster
+# above, and above 229 Mestre's theorem leaves E or its twist a point that
+# decides a_p.  The count decides where BSGS_POINTS points did not (never
+# seen above 229).
 BSGS_FROM = 230
 BSGS_POINTS = 16
 
@@ -171,11 +173,11 @@ def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
 
 
 def classify(E: WeierstrassModel | LocalData, p: int) -> ReductionData:
-    """Reduction type of E, a model or its record, at an odd prime.
+    """Reduction data of E, a model or its record, at an odd prime.
 
-    The model is p-minimalized first for p >= 5.  At p = 3 a visibly
-    non-minimal model (v3(Delta) >= 12 and v3(c4) >= 4) is rejected since we
-    cannot minimalize there.
+    The model is p-minimalized first for p >= 5, then handed to _reduction.
+    At p = 3 a visibly non-minimal model (v3(Delta) >= 12 and v3(c4) >= 4)
+    is rejected since we cannot minimalize there.
     """
     _check_prime(p)
     if p == 2:
@@ -193,11 +195,14 @@ def classify(E: WeierstrassModel | LocalData, p: int) -> ReductionData:
 
 
 def _reduction(model: WeierstrassModel, p: int) -> ReductionData:
-    """Reduction data at p of a model minimal at p.  Points are counted at
-    good primes and at 2, where odd Delta is good, odd c4 multiplicative
-    (and minimal), and anything else raises.  At an odd bad prime a node (p
-    not dividing c4) has a_p = (-c6/p) and a cusp a_p = 0."""
+    """Reduction data at p of a model minimal at p, decided here only.  A
+    good prime from BSGS_FROM on goes to _trace_bsgs; the other good primes,
+    those it cannot decide, and 2 are point-counted.  At 2, odd Delta is
+    good, odd c4 multiplicative (and minimal), and anything else raises.  At
+    an odd bad prime a node (p not dividing c4) has a_p = (-c6/p), a cusp 0."""
     inv = invariants(model)
+    if p >= BSGS_FROM and inv.delta % p and (data := _trace_bsgs(inv, p)) is not None:
+        return data
     if p == 2 and inv.delta % 2 == 0 and inv.c4 % 2 == 0:
         raise UnsupportedReductionAtTwoError("additive (or non-minimal) reduction at 2")
     if p == 2 or inv.delta % p:
@@ -351,22 +356,17 @@ class LocalData:
         return factor(abs(self.inv.delta)).primes()
 
     def at(self, p: int) -> ReductionData:
-        """Reduction data at the prime p, of a model minimal at p; odd
-        primes of Delta go through classify, which minimalizes."""
+        """Reduction data at the prime p: _reduction at 2, where the model
+        must be minimal, and classify, which minimalizes, at odd p."""
         data = self._decided.get(p)
         if data is None:
-            if p == 2 or self.inv.delta % p:
-                data = _reduction(self.model, p)
-            else:
-                data = classify(self, p)
+            data = _reduction(self.model, 2) if p == 2 else classify(self, p)
             self._decided[p] = data
         return data
 
     def traces_up_to(self, bound: int) -> np.ndarray:
         """a_p at the good odd primes p <= bound, indexed by p (0 elsewhere),
-        each decided once, as callers ask for larger primes: by _trace_bsgs
-        from BSGS_FROM on, else (and where it cannot decide) by a point
-        count."""
+        each decided once by _reduction, as callers ask for larger primes."""
         known = len(self._a_p) - 1
         if bound > known:
             grown = np.zeros(bound + 1, dtype=np.int32)
@@ -374,10 +374,7 @@ class LocalData:
             inv = self.inv
             for p in primes_up_to(bound):
                 if p > known and inv.delta % p:
-                    data = _trace_bsgs(inv, p) if p >= BSGS_FROM else None
-                    if data is None:
-                        data = _reduction(self.model, p)
-                    grown[p] = data.a_p
+                    grown[p] = _reduction(self.model, p).a_p
             # the record is frozen; the table is a memo, like _decided
             object.__setattr__(self, "_a_p", grown)
         return self._a_p

@@ -117,10 +117,7 @@ def global_root_number(E: WeierstrassModel | LocalData) -> RootNumber:
     ledger: list[tuple[object, int, str]] = [(INFINITE_PLACE, -1, CASE_ARCHIMEDEAN)]
     value = -1
     for p in data.delta_primes:
-        try:
-            sign, case = _local_factor(data, p)
-        except UnsupportedPlaceError as exc:
-            raise UnsupportedPlaceError(f"at p = {p}: {exc}") from exc
+        sign, case = _local_factor(data, p)
         if case == CASE_GOOD:
             continue
         ledger.append((p, sign, case))

@@ -14,9 +14,17 @@ import pytest
 
 from twistgate import reduction
 from twistgate.curve import WeierstrassModel, curve_by_label
-from twistgate.errors import InvariantError
+from twistgate.errors import InvariantError, PrimeTooLargeError
 from twistgate.numtheory import is_prime, primes_up_to
-from twistgate.reduction import BSGS_FROM, LocalData, _trace_bsgs, count_points
+from twistgate.reduction import (
+    BSGS_FROM,
+    LocalData,
+    ReductionData,
+    ReductionKind,
+    _trace_bsgs,
+    classify,
+    count_points,
+)
 
 ORACLE_CURVES = {
     "15a1": curve_by_label("15a1"),
@@ -64,7 +72,10 @@ def test_bsgs_matches_the_point_count_at_sampled_primes_up_to_a_million(E):
     for p in primes:
         if record.inv.delta % p:
             data = _trace_bsgs(record.inv, p)
-            assert data is not None and data.points == count_points(record, p), p
+            points = count_points(record, p)
+            assert data is not None and data.points == points, p
+            counted = ReductionData(p, ReductionKind.GOOD, points, p + 1 - points)
+            assert classify(E, p) == counted and record.at(p) == counted, p
 
 
 def test_the_table_uses_bsgs_from_the_crossover_on(monkeypatch):
@@ -90,6 +101,12 @@ def test_forced_fallback_leaves_the_table_unchanged(monkeypatch):
     assert asked and all(p >= BSGS_FROM for p in asked)
     assert counted[-len(asked):] == asked
     assert np.array_equal(fallback, table)
+
+
+def test_forced_fallback_above_the_enumeration_bound_still_refuses(monkeypatch):
+    monkeypatch.setattr(reduction, "_trace_bsgs", lambda inv, p: None)
+    with pytest.raises(PrimeTooLargeError):
+        classify(curve_by_label("15a1"), 1000003)
 
 
 def test_orders_that_miss_every_candidate_are_an_internal_error(monkeypatch):

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import random
 import signal
 import time
 
@@ -16,6 +17,7 @@ from twistgate.cli import (
     main,
     run,
 )
+from twistgate.curve import invariants
 
 RESULT_SCHEMA = {
     "type": "object",
@@ -26,6 +28,11 @@ RESULT_SCHEMA = {
         "payload": {"type": "object"},
     },
 }
+
+
+# a good prime of 15a1 above POINT_COUNT_BOUND, and #15a1(F_p) there
+AUX_ABOVE_THE_BOUND = 1000003
+POINTS_ABOVE_THE_BOUND = 998280
 
 
 @contextlib.contextmanager
@@ -96,6 +103,12 @@ class TestCurveInfo:
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
         assert doc["payload"]["error_type"] == "CurveTableError"
 
+    def test_a_cofactor_below_psi_13_is_proven_prime(self, capsys):
+        # Delta = -2^4 * 2700000001620000000247, a cofactor above 3e18
+        result, doc = run_json(capsys, ["curve-info", "--curve", "0,0,0,1,10000000003"])
+        assert (result.exit_code, doc["status"]) == (0, STATUS_OK)
+        assert doc["payload"]["delta_factored"] == "-2^4 * 2700000001620000000247"
+
 
 class TestReduction:
     def test_split_at_5(self, capsys):
@@ -111,6 +124,32 @@ class TestReduction:
         result, doc = run_json(capsys, ["reduction", "--p", "4", "--label", "15a1"])
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
         assert "prime" in doc["payload"]["error"]
+
+    def test_a_good_prime_above_the_enumeration_bound(self, capsys):
+        # baby-step giant-step decides; a point count would refuse p > 10^6
+        p = AUX_ABOVE_THE_BOUND
+        result, doc = run_json(capsys, ["reduction", "--label", "15a1", "--p", str(p)])
+        assert (result.exit_code, doc["status"]) == (0, STATUS_OK)
+        payload = doc["payload"]
+        assert payload["kind"] == "good"
+        assert payload["a_p"] ** 2 <= 4 * p
+        assert (payload["points"], payload["a_p"]) == (POINTS_ABOVE_THE_BOUND, 1724)
+        # checked apart from baby-step giant-step: #E kills 20 random points
+        # of 15a1's short form y^2 = x^3 + A x + B
+        n = payload["points"]
+        inv = invariants(curve_by_label("15a1"))
+        A, B = -27 * inv.c4 % p, -54 * inv.c6 % p
+        assert p % 4 == 3
+        rng = random.Random(5)
+        points = 0
+        while points < 20:
+            x = rng.randrange(p)
+            f = (x * x * x + A * x + B) % p
+            if pow(f, (p - 1) // 2, p) == 1:
+                y = pow(f, (p + 1) // 4, p)
+                assert y * y % p == f
+                assert reduction._ec_mul(n, (x, y), A, p) is None, x
+                points += 1
 
 
 class TestRootNumber:
@@ -132,6 +171,11 @@ class TestRootNumber:
     def test_invalid_twist_rejected(self, capsys):
         result = run(["root-number", "--label", "15a1", "--twist", "7"])
         assert result.exit_code == 2
+
+    def test_additive_at_2_names_its_own_error_type(self, capsys):
+        result, doc = run_json(capsys, ["root-number", "--curve", "0,0,0,-1,0"])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "UnsupportedReductionAtTwoError"
 
 
 @pytest.mark.parametrize("d", [-11, -1, 2, 3, 13, 17])
@@ -257,6 +301,12 @@ class TestSerreCheck:
         assert scaled["status"] == table["status"] == STATUS_OK
         assert scaled["payload"]["aux_prime"] == table["payload"]["aux_prime"]
         assert table["payload"]["aux_prime"]["points"] == 16
+
+    def test_aux_above_the_enumeration_bound(self, capsys):
+        argv = ["serre-check", "--label", "15a1", "--ell", "7", "--aux", str(AUX_ABOVE_THE_BOUND)]
+        result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (0, STATUS_OK)
+        assert doc["payload"]["aux_prime"]["points"] == POINTS_ABOVE_THE_BOUND
 
 
 class TestSearch:

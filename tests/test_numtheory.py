@@ -59,7 +59,7 @@ def factor_by_wheel(n):
         p += step
         step = 6 - step
     if m > 1:
-        if p * p > m or m <= 10**12 or (m < 3 * 10**18 and is_prime(m)):
+        if p * p > m or m <= 10**12 or (m < PSI_13 and is_prime(m)):
             out.append((m, 1))
         else:
             raise CompositeResidueError(m)
@@ -91,12 +91,20 @@ class TestFactor:
         assert is_prime(p)
         assert factor(2 * p).factors == ((2, 1), (p, 1))
 
+    def test_cofactor_proven_prime_below_psi_13(self):
+        # Delta of y^2 = x^3 + x + 10000000003 is -2^4 times this prime
+        q = 2700000001620000000247
+        assert 3 * 10**18 < q < PSI_13 and is_prime(q)
+        assert factor(16 * q).factors == ((2, 4), (q, 1))
+
     def test_composite_residue_rejected(self):
         # both factors sit just above the trial bound, so the whole composite
-        # survives as a cofactor above 10^12
-        n = 1000003 * 1000033
-        with pytest.raises(CompositeResidueError):
-            factor(n)
+        # survives as a cofactor above 10^12; PSI_12 passes the first twelve
+        # bases, and 2^89 - 1 is prime but above PSI_13, where is_prime
+        # cannot prove it
+        for n in (1000003 * 1000033, 2 * PSI_12, PSI_13, 2**89 - 1):
+            with pytest.raises(CompositeResidueError):
+                factor(n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
