@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_curve_info)
 
     p = sub.add_parser("reduction", parents=[common, curvesel],
-                       help="reduction type, point count and a_p at an odd prime")
+                       help="reduction type, point count and a_p at a prime")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--twist", type=int, help="twist the curve first")
     p.set_defaults(handler=_cmd_reduction)

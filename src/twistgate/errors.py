@@ -35,7 +35,8 @@ class UnsupportedPrimeError(TwistgateError):
 
 
 class PrimeTooLargeError(TwistgateError):
-    """Point counting beyond its bound, or a primality test beyond psi_13."""
+    """Point counting beyond its bound, baby-step giant-step at a good prime
+    above BSGS_BOUND, or a primality test beyond psi_13."""
 
 
 class NonMinimalModelError(TwistgateError):

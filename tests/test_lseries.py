@@ -122,6 +122,11 @@ class TestLValue:
         with pytest.raises(TermBudgetError):
             l_value_at_1(e15, terms=2 * 10**6)
 
+    @pytest.mark.parametrize("terms", [1000.9, "1000"])
+    def test_terms_must_be_an_int(self, e15, terms):
+        with pytest.raises(ValueError, match="positive integer"):
+            l_value_at_1(e15, terms=terms)
+
     def test_tail_bound_dominates_true_tail(self, e15):
         # the geometric majorant must cover the actual dropped terms
         est = l_value_at_1(e15, terms=500)

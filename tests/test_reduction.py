@@ -13,7 +13,6 @@ from twistgate.errors import (
     PrimeTooLargeError,
     SingularCurveError,
     UnsupportedPlaceError,
-    UnsupportedPrimeError,
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
@@ -21,12 +20,12 @@ from twistgate.galois import serre_check
 from twistgate.lseries import l_value_at_1
 from twistgate.numtheory import factor, jacobi, primes_up_to, squarefree_part
 from twistgate.reduction import (
+    BSGS_BOUND,
     ReductionData,
     ReductionKind,
     classify,
     conductor,
     count_points,
-    count_points_naive,
     LocalData,
 )
 from twistgate.rootnum import global_root_number, twist_root_number_formula
@@ -34,6 +33,19 @@ from twistgate.rootnum import global_root_number, twist_root_number_formula
 
 def scale_model(E, u):
     return WeierstrassModel(E.a1 * u, E.a2 * u**2, E.a3 * u**3, E.a4 * u**4, E.a6 * u**6)
+
+
+def count_points_naive(E, p):
+    """O(p^2) enumeration of all affine pairs, plus the point at infinity:
+    the independent oracle of count_points."""
+    a1, a2, a3, a4, a6 = E.ainvs()
+    n = 1
+    for x in range(p):
+        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
+        for y in range(p):
+            if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
+                n += 1
+    return n
 
 
 class TestCountPoints:
@@ -51,8 +63,6 @@ class TestCountPoints:
         curves = [e15, e21, quadratic_twist(e15, 17), quadratic_twist(e21, 5)]
         for model in curves:
             for p in primes_up_to(97):
-                if p == 2:
-                    continue
                 assert count_points(model, p) == count_points_naive(model, p), (model, p)
 
     def test_prime_bound(self, e15):
@@ -65,6 +75,8 @@ class TestCountPoints:
 
     def test_p_equals_2(self, e15):
         assert count_points(e15, 2) == count_points_naive(e15, 2) == 4
+        for model in GRID:
+            assert count_points(model, 2) == count_points_naive(model, 2), model
 
 
 class TestClassify:
@@ -99,13 +111,20 @@ class TestClassify:
         assert data.kind is ReductionKind.GOOD
         assert data.a_p == 0  # 7 + 1 - 8
 
-    def test_p2_unsupported(self, e15):
-        with pytest.raises(UnsupportedPrimeError):
-            classify(e15, 2)
+    def test_p2_answers(self, e15):
+        assert classify(e15, 2) == ReductionData(2, ReductionKind.GOOD, 4, -1)
+        # y^2 + xy = x^3 + 2: Delta = -1730, c4 = 1
+        assert classify(WeierstrassModel(1, 0, 0, 0, 2), 2).kind is ReductionKind.MULT_SPLIT
+        # y^2 = x^3 - x: additive at 2
+        with pytest.raises(UnsupportedReductionAtTwoError):
+            classify(WeierstrassModel(0, 0, 0, -1, 0), 2)
 
     def test_nonminimal_at_3_rejected(self, e15):
+        model = scale_model(e15, 3)
         with pytest.raises(NonMinimalModelError):
-            classify(scale_model(e15, 3), 3)
+            classify(model, 3)
+        with pytest.raises(NonMinimalModelError):
+            LocalData(model).at(3)
 
     def test_nonminimal_at_5_is_silently_minimalized(self, e15):
         assert classify(scale_model(e15, 5), 5) == classify(e15, 5)
@@ -193,12 +212,11 @@ class TestLocalData:
             data = LocalData(model)
             assert data.delta_primes == factor(abs(data.inv.delta)).primes()
             for p in primes_up_to(200):
+                assert data.at(p) == classify(model, p), (model, p)
                 if p == 2:
                     at2 = data.at(2)
                     assert at2.points == count_points_naive(model, 2), model
                     assert at2.kind.is_multiplicative == (data.inv.delta % 2 == 0)
-                else:
-                    assert data.at(p) == classify(model, p), (model, p)
 
 
 # a1, a3 in {0, 1}, a2 in {-1, 0, 1} and |a4|, |a6| <= 12
@@ -284,6 +302,16 @@ class TestPrimeBeyondTheCountBound:
         assert LocalData(self.E).delta_primes == (self.P,)
         assert conductor(self.E) == self.P
         assert global_root_number(self.E).value == 1
+
+    def test_a_bad_prime_above_the_bsgs_bound_answers(self):
+        # a6 = 10^9 + 14 makes Delta = -P with P prime above BSGS_BOUND
+        E = WeierstrassModel(0, 0, 1, -40, 1000000014)
+        P = 432000012311995991723
+        assert P > BSGS_BOUND
+        assert LocalData(E).delta_primes == (P,)
+        assert classify(E, P) == ReductionData(P, ReductionKind.MULT_SPLIT, P, 1)
+        assert conductor(E) == P
+        assert global_root_number(E).value == 1
 
     def test_cli_document(self, capsys):
         result = run(["root-number", "--curve", "0,0,1,-40,-300", "--json"])
