@@ -30,6 +30,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import (
+    ArgumentError,
     CurveTableError,
     InvariantError,
     NotSquarefreeError,
@@ -176,7 +177,7 @@ def minimalize_at(E: WeierstrassModel, p: int) -> WeierstrassModel:
     if p in (2, 3):
         raise UnsupportedPrimeError(f"minimalization at p = {p} is not supported")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ArgumentError(f"{p} is not prime")
     inv = invariants(E)
     c4, c6, delta = inv.c4, inv.c6, inv.delta
     k = 0

@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from .errors import (
+    ArgumentError,
     LemmaSumSizeError,
     NonCommutingActionError,
     NonInvolutiveActionError,
@@ -68,7 +69,7 @@ class QuadElt:
     def _coerce(self, other) -> "QuadElt":
         if isinstance(other, QuadElt):
             if other.d != self.d:
-                raise ValueError("elements live in different quadratic fields")
+                raise ArgumentError("elements live in different quadratic fields")
             return other
         return QuadElt.rational(other, self.d)
 
@@ -140,7 +141,7 @@ class QuadPoint:
         A, B = self.curve
         object.__setattr__(self, "curve", (_as_fraction(A), _as_fraction(B)))
         if self.x.d != self.y.d:
-            raise ValueError("coordinates live in different quadratic fields")
+            raise ArgumentError("coordinates live in different quadratic fields")
         A, B = self.curve
         lhs = self.y * self.y
         rhs = self.x * self.x * self.x + A * self.x + B
@@ -185,7 +186,7 @@ def quad_point_search(
     if not isinstance(d, int) or d <= 1 or not is_squarefree(d):
         raise NotSquarefreeError(f"search needs a squarefree integer d > 1, got {d}")
     if not 1 <= height <= MAX_SEARCH_HEIGHT:
-        raise ValueError(f"height must be between 1 and {MAX_SEARCH_HEIGHT}")
+        raise ArgumentError(f"height must be between 1 and {MAX_SEARCH_HEIGHT}, got {height}")
     A = _as_fraction(curve[0])
     B = _as_fraction(curve[1])
     points = []
@@ -224,7 +225,7 @@ def twist_map(P: QuadPoint, d: int) -> QuadPoint:
     on the twisted equation exactly (QuadPoint construction re-checks).
     """
     if d != P.d:
-        raise ValueError(f"point lives over Q(sqrt({P.d})), not Q(sqrt({d}))")
+        raise ArgumentError(f"point lives over Q(sqrt({P.d})), not Q(sqrt({d}))")
     sqrt_d = QuadElt(Fraction(0), Fraction(1), d)
     x_new = P.x * d
     y_new = P.y * sqrt_d * d
@@ -265,7 +266,7 @@ class SignedModule:
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
-            raise ValueError("need k >= 1 and n >= 1")
+            raise ArgumentError("need k >= 1 and n >= 1")
         mod = self.modulus
         gens = tuple(
             tuple(tuple(entry % mod for entry in row) for row in g)
@@ -275,7 +276,7 @@ class SignedModule:
         ident = _identity(self.n)
         for g in gens:
             if len(g) != self.n or any(len(row) != self.n for row in g):
-                raise ValueError(f"generator is not {self.n}x{self.n}")
+                raise ArgumentError(f"generator is not {self.n}x{self.n}")
             if _mat_mul(g, g, mod) != ident:
                 raise NonInvolutiveActionError(f"generator {g} does not square to 1 mod {mod}")
         for g, h in itertools.combinations(gens, 2):
@@ -344,9 +345,12 @@ def enumerate_signed_modules(k: int, n: int, r: int) -> list[SignedModule]:
 
     Non-commuting combinations are skipped (every pool matrix is already
     involutive); repeated generators are allowed, they just act through a
-    quotient of (Z/2)^r.  LemmaSumSizeError, before enumerating, when a
-    bound (MAX_MODULE_SIZE, MAX_LEMMA_SUM_WORK) would be exceeded.
+    quotient of (Z/2)^r.  Before the pool is built, ArgumentError unless
+    k, n >= 1 and r >= 0, and LemmaSumSizeError when a bound
+    (MAX_MODULE_SIZE, MAX_LEMMA_SUM_WORK) would be exceeded.
     """
+    if k < 1 or n < 1 or r < 0:
+        raise ArgumentError(f"need k, n >= 1 and r >= 0, got k={k} n={n} r={r}")
     if k * n > MAX_MODULE_SIZE.bit_length() - 1:
         raise LemmaSumSizeError(f"(Z/2^{k})^{n} has more than {MAX_MODULE_SIZE} elements")
     pool = involutive_generator_pool(k, n)
@@ -373,10 +377,10 @@ def lemma_sum_check(module: SignedModule) -> LemmaSumResult:
     v_s = sum over group elements sigma of s_sigma * sigma(m).  Membership
     v_s in M_s is checked by applying every sigma, and the decomposition
     identity is checked mod 2^k.  Fails are collected, and the full list of
-    certificates is returned.
+    certificates is returned.  LemmaSumSizeError above MAX_MODULE_SIZE.
     """
     if module.size > MAX_MODULE_SIZE:
-        raise ValueError(f"module has {module.size} elements, above the exhaustive bound")
+        raise LemmaSumSizeError(f"module has {module.size} elements, above {MAX_MODULE_SIZE}")
     mod = module.modulus
     r = module.r
     group = module.group_elements()

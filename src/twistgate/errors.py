@@ -2,12 +2,18 @@
 
 Everything raised on purpose derives from TwistgateError, so callers (and the
 CLI exit-code mapping) can treat "the input is outside the supported desk
-scale" uniformly.
+scale" uniformly.  Argument rules belong to the library: a value outside a
+function's domain raises ArgumentError where the function is defined, and
+the CLI only parses, dispatches and prints.
 """
 
 
 class TwistgateError(Exception):
     """Base class for all library errors."""
+
+
+class ArgumentError(TwistgateError, ValueError):
+    """An argument outside its function's domain; also a ValueError."""
 
 
 class CompositeResidueError(TwistgateError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .curve import curve_by_label
 from .descent import characters
-from .errors import CurveTableError, InvariantError, WorkBoundError
+from .errors import ArgumentError, CurveTableError, InvariantError, WorkBoundError
 from .lseries import (
     COEFFICIENT_BUDGET,
     DEFAULT_MARGIN,
@@ -65,7 +65,7 @@ class AdmissibleTuple:
     def __post_init__(self):
         check = is_admissible(self.p, self.ds)
         if not check.ok:
-            raise ValueError(
+            raise ArgumentError(
                 f"tuple {self.ds} is not admissible for p = {self.p}: "
                 f"{check.failed_condition} (index {check.failed_index})"
             )
@@ -105,7 +105,7 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
     d_i that reduces to no prime bits names a subset with a square product.
     """
     if p not in SUPPORTED_P:
-        raise ValueError(f"p must be one of {SUPPORTED_P}, got {p}")
+        raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p}")
     ds = list(ds)
     if not ds:
         return _fail("empty", None)
@@ -147,9 +147,9 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
     """
     signs = tuple(signs)
     if len(signs) != tup.r:
-        raise ValueError(f"character has length {len(signs)}, tuple has rank {tup.r}")
+        raise ArgumentError(f"character has length {len(signs)}, tuple has rank {tup.r}")
     if any(s not in (1, -1) for s in signs):
-        raise ValueError("character entries must be +1 or -1")
+        raise ArgumentError("character entries must be +1 or -1")
     prod = 1
     for d, s in zip(tup.ds, signs):
         if s == -1:
@@ -179,11 +179,11 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     candidates number more than MAX_SEARCH_WORK.
     """
     if p not in SUPPORTED_P:
-        raise ValueError(f"p must be one of {SUPPORTED_P}, got {p}")
+        raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p}")
     if r < 1:
-        raise ValueError("rank r must be >= 1")
+        raise ArgumentError(f"rank r must be at least 1, got {r}")
     if not 1 <= bound <= MAX_SEARCH_BOUND:
-        raise ValueError(f"bound must be between 1 and {MAX_SEARCH_BOUND}")
+        raise ArgumentError(f"bound must be between 1 and {MAX_SEARCH_BOUND}, got {bound}")
     n3p = 3 * p
     singles = [d for d in range(1, bound + 1) if _single_ok(d, n3p)]
     work = sum(math.comb(len(singles), k) for k in range(min(r, len(singles)) + 1))

@@ -48,7 +48,7 @@ import numpy as np
 from mpmath import mp
 
 from .curve import WeierstrassModel
-from .errors import InvariantError, MarginError, TermBudgetError
+from .errors import ArgumentError, InvariantError, MarginError, TermBudgetError
 from .numtheory import primes_up_to
 from .reduction import LocalData, conductor, local_data
 from .rootnum import global_root_number
@@ -94,7 +94,7 @@ def dirichlet_coefficients(E: WeierstrassModel | LocalData, M: int) -> list[int]
     which holds every a_n exactly: |a_n| <= d(n) sqrt(n) < 2^62.
     """
     if not isinstance(M, int) or M < 1:
-        raise ValueError("M must be a positive integer")
+        raise ArgumentError("M must be a positive integer")
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"M = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
     if M == 1:
@@ -219,14 +219,14 @@ def l_value_at_1(
     computing a coefficient (terms_summed = 0).
     """
     if t <= 0:
-        raise ValueError("evaluation point t must be positive")
+        raise ArgumentError("evaluation point t must be positive")
     check_margin(margin_factor)
     data = local_data(E)
     N = conductor(data)
     root_number = global_root_number(data).value
     M = default_terms(N) if terms is None else terms
     if not isinstance(M, int) or M < 1:
-        raise ValueError("terms must be a positive integer")
+        raise ArgumentError(f"terms must be a positive integer, got {terms!r}")
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"terms = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
     with mp.workdps(DEFAULT_DPS):

@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     CompositeResidueError,
     EvenModulusError,
     InvariantError,
@@ -80,9 +81,9 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, read from the sieve; ValueError above its bound."""
+    """All primes <= n, read from the sieve; ArgumentError above its bound."""
     if n > TRIAL_DIVISION_BOUND:
-        raise ValueError(f"primes_up_to reads the sieve up to {TRIAL_DIVISION_BOUND}, not {n}")
+        raise ArgumentError(f"primes_up_to reads the sieve up to {TRIAL_DIVISION_BOUND}, not {n}")
     primes = _small_primes()[1]
     return primes[: bisect_right(primes, n)].tolist()
 
@@ -123,7 +124,7 @@ def factor(n: int) -> Factorization:
     CompositeResidueError signals that the input is out of desk scale.
     """
     if not isinstance(n, int) or n < 1:
-        raise ValueError("factor expects a positive integer")
+        raise ArgumentError("factor expects a positive integer")
     m = n
     out: list[tuple[int, int]] = []
     for p in _small_primes()[1]:
@@ -192,7 +193,7 @@ def _int_valuation(n: int, p: int) -> int:
 def valuation(x, p: int) -> int:
     """p-adic valuation of a nonzero integer or Fraction."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ArgumentError(f"{p} is not prime")
     if x == 0:
         raise ZeroInputError("valuation of 0 is undefined")
     if isinstance(x, Fraction):

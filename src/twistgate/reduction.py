@@ -64,6 +64,7 @@ from .curve import (
     quadratic_twist,
 )
 from .errors import (
+    ArgumentError,
     InvariantError,
     NonMinimalModelError,
     PrimeTooLargeError,
@@ -129,7 +130,7 @@ class ReductionData:
 
 def _check_prime(p: int):
     if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ArgumentError(f"p must be a prime, got {p!r}")
 
 
 def count_points(E: WeierstrassModel | LocalData, p: int) -> int:

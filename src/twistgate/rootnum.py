@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 from .curve import WeierstrassModel
 from .errors import (
+    ArgumentError,
     HypothesisViolationError,
     InvariantError,
     UnsupportedPlaceError,
-    UnsupportedReductionAtTwoError,
+    UnsupportedReductionError,
 )
 from .numtheory import is_prime, is_squarefree, jacobi, valuation
 from .reduction import LocalData, ReductionKind, conductor, local_data
@@ -79,7 +80,7 @@ def _local_factor(data: LocalData, place) -> tuple[int, str]:
         return -1, CASE_ARCHIMEDEAN
     p = place
     if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"place must be 'inf' or a prime, got {place!r}")
+        raise ArgumentError(f"place must be 'inf' or a prime, got {place!r}")
     kind = data.at(p).kind
     if kind is ReductionKind.GOOD:
         return 1, CASE_GOOD
@@ -133,14 +134,13 @@ def twist_root_number_formula(E: WeierstrassModel | LocalData, d: int) -> int:
     value equals the global root number of the twisted curve.
     """
     data = local_data(E)
+    try:
+        N = conductor(data)
+    except UnsupportedReductionError as exc:  # additive at 2 or 3
+        raise HypothesisViolationError(f"E is not semistable: {exc}") from exc
     for p in data.delta_primes:
-        try:
-            additive = data.at(p).kind.is_additive
-        except UnsupportedReductionAtTwoError as exc:
-            raise HypothesisViolationError(f"E is not semistable: {exc}") from exc
-        if additive:
+        if N % (p * p) == 0:
             raise HypothesisViolationError(f"E is not semistable: additive reduction at {p}")
-    N = conductor(data)
     if N % 2 == 0:
         raise HypothesisViolationError(f"conductor {N} is even")
     if not isinstance(d, int) or d <= 0:

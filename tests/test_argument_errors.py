@@ -1,0 +1,34 @@
+"""Every argument rule is the library's: a value outside a function's
+domain raises ArgumentError, which is both a TwistgateError (the CLI's
+unsupported-input) and a ValueError (what library callers catch)."""
+
+import pytest
+
+from twistgate.curve import short_form
+from twistgate.descent import enumerate_signed_modules, quad_point_search
+from twistgate.errors import ArgumentError, TwistgateError
+from twistgate.fieldsearch import is_admissible, search
+from twistgate.lseries import l_value_at_1
+from twistgate.numtheory import factor
+from twistgate.reduction import classify, count_points
+
+CALLS = {
+    "classify at 4": lambda E: classify(E, 4),
+    "count_points at 4": lambda E: count_points(E, 4),
+    "l_value_at_1 with no terms": lambda E: l_value_at_1(E, terms=0),
+    "search of rank 0": lambda E: search(5, 0, 10),
+    "search to bound 0": lambda E: search(5, 1, 0),
+    "quad_point_search to height 0": lambda E: quad_point_search(short_form(E), 17, 0),
+    "is_admissible for p = 11": lambda E: is_admissible(11, [17]),
+    "factor of 0": lambda E: factor(0),
+    "modules of (Z/2^0)^1": lambda E: enumerate_signed_modules(0, 1, 1),
+    "modules with -1 involutions": lambda E: enumerate_signed_modules(1, 1, -1),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_argument_rule_raises_argument_error(e15, call):
+    with pytest.raises(ArgumentError) as excinfo:
+        call(e15)
+    assert isinstance(excinfo.value, TwistgateError)
+    assert isinstance(excinfo.value, ValueError)

@@ -260,7 +260,8 @@ class TestLValue:
     def test_zero_terms_is_unsupported_input(self, capsys):
         result, doc = run_json(capsys, ["lvalue", "--label", "15a1", "--terms", "0"])
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
-        assert "--terms" in doc["payload"]["error"]
+        assert doc["payload"]["error_type"] == "ArgumentError"
+        assert "terms" in doc["payload"]["error"]
 
     @pytest.mark.parametrize("margin", ["-1", "0", "0.5", "nan"])
     def test_margin_below_one_is_unsupported_input(self, capsys, margin):
@@ -342,7 +343,8 @@ class TestSearch:
     def test_bound_beyond_the_limit_is_unsupported_input(self, capsys):
         result, doc = run_json(capsys, ["search", "--p", "5", "--r", "1", "--bound", "20000"])
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
-        assert "--bound" in doc["payload"]["error"]
+        assert doc["payload"]["error_type"] == "ArgumentError"
+        assert "bound" in doc["payload"]["error"]
 
 
 class TestWorkBounds:
@@ -427,7 +429,8 @@ class TestDescentCheck:
             capsys, ["descent-check", "--lemma", "tmw", "--d", "17", "--height", "-1"]
         )
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
-        assert "--height" in doc["payload"]["error"]
+        assert doc["payload"]["error_type"] == "ArgumentError"
+        assert "height" in doc["payload"]["error"]
 
     def test_zero_rank_module_is_unsupported_input(self, capsys):
         result, doc = run_json(
@@ -510,6 +513,32 @@ class TestInternalError:
         assert doc["payload"]["error_type"] == "InvariantError"
         assert "(119/p) = 0" in doc["payload"]["error"]
         assert "Traceback" not in captured.err
+
+
+class TestArgumentRules:
+    """The library decides every option value the CLI passes through; the
+    CLI reports its ArgumentError like any other TwistgateError."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduction", "--label", "15a1", "--p", "4"],
+            ["lvalue", "--label", "15a1", "--terms", "0"],
+            ["search", "--p", "5", "--r", "0", "--bound", "10"],
+            ["search", "--p", "5", "--r", "1", "--bound", "0"],
+            ["descent-check", "--lemma", "sum", "--k", "0", "--n", "1", "--r", "1"],
+            ["descent-check", "--lemma", "sum", "--k", "1", "--n", "1", "--r", "-1"],
+            ["descent-check", "--lemma", "tmw", "--d", "17", "--height", "0"],
+        ],
+    )
+    def test_library_rule_is_unsupported_input(self, capsys, argv):
+        result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "ArgumentError"
+
+    def test_an_unknown_label_is_reported_before_the_prime(self, capsys):
+        result, doc = run_json(capsys, ["reduction", "--label", "nosuch", "--p", "4"])
+        assert (result.exit_code, doc["payload"]["error_type"]) == (2, "CurveTableError")
 
 
 class TestUsage:

@@ -4,6 +4,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from twistgate import descent
 from twistgate.curve import short_form
 from twistgate.descent import (
     MAX_LEMMA_SUM_WORK,
@@ -21,6 +22,7 @@ from twistgate.descent import (
     twist_map,
 )
 from twistgate.errors import (
+    ArgumentError,
     LemmaSumSizeError,
     NonCommutingActionError,
     NonInvolutiveActionError,
@@ -254,7 +256,7 @@ class TestSignedModule:
 
     def test_size_bound(self):
         module = SignedModule(9, 2, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(LemmaSumSizeError):
             lemma_sum_check(module)
 
     def test_certificates_cover_all_elements(self):
@@ -292,6 +294,17 @@ class TestSignedModule:
             enumerate_signed_modules(17, 1, 0)
         with pytest.raises(LemmaSumSizeError):
             enumerate_signed_modules(10**9, 10**9, 1)
+
+    @pytest.mark.parametrize("k, n, r", [(0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    def test_empty_or_negative_family_is_refused_before_the_pool(self, monkeypatch, k, n, r):
+        # k = 0 gives an empty pool, hence no modules, which the harness
+        # would report as all passed; r = -1 would fail inside itertools
+        def no_pool(k, n):
+            raise AssertionError("the generator pool was built")
+
+        monkeypatch.setattr(descent, "involutive_generator_pool", no_pool)
+        with pytest.raises(ArgumentError, match=f"got k={k} n={n} r={r}"):
+            enumerate_signed_modules(k, n, r)
 
     def test_characters_order(self):
         assert characters(2)[0] == (1, 1)
