@@ -10,15 +10,18 @@ function that only reads local data takes a model or its record, and so do
 count_points and classify.  Every function reads a curve's invariants as
 invariants(model), which computes them once per model.
 
-_reduction alone decides reduction data at a prime, for classify,
-LocalData.at, LocalData.traces_up_to and so the CLI: at a good prime from
-BSGS_FROM to BSGS_BOUND by Shanks-Mestre baby-step giant-step (_trace_bsgs,
-O(p^(1/4)) group operations), below it and wherever that cannot decide by a
-point count (O(p)), each result checked by ReductionData.  It alone refuses
-a model visibly non-minimal at 2 or 3, where nothing minimalizes, and a
-good prime above BSGS_BOUND.  Every record keeps a table of a_p at its good
-odd primes, which grows on demand in traces_up_to; at(p) keeps only the
-primes it is asked for, 2 and the primes of Delta in LocalData.traces.
+_reduction decides reduction data at a prime, one prime at a time, for
+classify, LocalData.at and so the CLI: at a good prime from BSGS_FROM to
+BSGS_BOUND by Shanks-Mestre baby-step giant-step (_trace_bsgs, O(p^(1/4))
+group operations), below it and wherever that cannot decide by a point
+count (O(p)), each result checked by ReductionData.  It alone refuses a
+model visibly non-minimal at 2 or 3, where nothing minimalizes, and a good
+prime above BSGS_BOUND.  Every record keeps a table of a_p at its good odd
+primes, which grows on demand in traces_up_to: the new primes from
+BSGS_FROM on are decided together by the same method in numpy int64 lanes,
+one lane per prime (_lane_traces), and the primes below BSGS_FROM and the
+lanes left undecided by _reduction.  at(p) keeps only the primes it is
+asked for, 2 and the primes of Delta in LocalData.traces.
 Each curve X of the loaded curve table has one record per process, which
 local_data() hands to every caller, so X's table lasts for the process.
 X.twist(d) is the record of the quadratic twist X^d, linked to X as its
@@ -36,8 +39,9 @@ includes the singular point (and the point at infinity), so that
                        -1   nonsplit multiplicative
 
 and equals a_p with |a_p| <= 2 sqrt(p) at good primes.  Every ReductionData
-asserts this table literally.  Points are counted only at 2 and at good
-primes below BSGS_FROM or where _trace_bsgs cannot decide.  At an odd bad
+asserts this table literally; a lane's a_p lies in the Hasse interval by
+construction.  Points are counted only at 2 and at good primes below
+BSGS_FROM or where _trace_bsgs cannot decide.  At an odd bad
 prime p the table is derived on the p-minimal model instead: the singular
 point is a node iff p does not divide c4, and the node's tangents are
 rational (split reduction) iff -c6 is a square mod p, so a_p = (-c6/p)
@@ -49,6 +53,7 @@ count as the oracle of this derivation, p = 3 included.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -85,6 +90,22 @@ BSGS_POINTS = 16
 # _trace_bsgs keeps about (4p)^(1/4) baby steps, and at p = 10^18 + 3 it took
 # 0.74-0.90 s and 47 MB peak process memory (one core of a 2-core Xeon host).
 BSGS_BOUND = 10**18
+# LocalData.traces_up_to decides its new good primes from BSGS_FROM on by
+# _lane_traces, one numpy int64 lane per prime, when there are LANES_FROM or
+# more; fewer, and the lanes left undecided, go to _reduction one by one.
+# Each lane's prime is below LANE_PRIME_BOUND, so that every product of two
+# residues stays below 2^62.  Measured on one core of a 2-core Xeon host:
+# - a point on a batch of lanes costs 2-4 ms however few the lanes, the
+#   time _trace_bsgs takes for 30 (p ~ 10^5) to 100 (p ~ 10^3) primes, and
+#   lvalue-fresh's table fills took least time at LANES_FROM = 32-64;
+# - BSGS_LANES = 1024 lanes a batch and MATCH_BLOCK = 2^15 elements a
+#   comparison block keep the peak memory of 15a1's table to 38 312 within
+#   1.4 MB of the scalar loop's (2048 lanes: 3.1 MB, 2^16 elements: 2.5 MB),
+#   and fill it in 0.14 s against 0.34 s.
+LANE_PRIME_BOUND = 2**31
+LANES_FROM = 64
+BSGS_LANES = 1024
+MATCH_BLOCK = 2**15
 
 
 class ReductionKind(str, Enum):
@@ -318,6 +339,202 @@ def _trace_bsgs(inv: CurveInvariants, p: int) -> ReductionData | None:
     return None
 
 
+def _lane_add(P, Q, a, p):
+    """P + Q on y^2 = x^3 + a x + b over F_p, one lane per prime p, in
+    projective (X, Y, Z) int64 arrays with O = (0 : 1 : 0); every product is
+    of two residues below 2^31.  The generic formula already gives O for
+    P = -Q; it gives (0 : 0 : 0) exactly when an operand is O or P = Q, and
+    only those lanes are patched."""
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    u = (Y2 * Z1 - Y1 * Z2) % p
+    v = (X2 * Z1 - X1 * Z2) % p
+    z = Z1 * Z2 % p
+    vv = v * v % p
+    vvv = vv * v % p
+    r = vv * X1 % p * Z2 % p
+    w = (u * u % p * z - vvv - 2 * r) % p
+    R = (v * w % p, (u * ((r - w) % p) - vvv * (Y1 * Z2 % p)) % p, vvv * z % p)
+    patch = np.flatnonzero((R[1] == 0) & (R[2] == 0))
+    if len(patch):
+        P, Q = (np.array([c[patch] for c in T]) for T in (P, Q))
+        fix = np.where(P[2] == 0, Q, P)
+        same = np.flatnonzero(P[2] * Q[2])
+        if len(same):
+            fix[:, same] = _lane_double(P[:, same], a[patch[same]], p[patch[same]])
+        for c, f in zip(R, fix):
+            c[patch] = f
+    return R
+
+
+def _lane_double(P, a, p):
+    """2 P in each lane.  A point with Y = 0 doubles to (0 : -w^3 : 0) = O,
+    w != 0 on a nonsingular curve; O, which the formula takes to
+    (0 : 0 : 0), is patched to O."""
+    X, Y, Z = P
+    w = (a * (Z * Z % p) + 3 * (X * X % p)) % p
+    s = Y * Z % p
+    b = X * Y % p * s % p
+    h = (w * w - 8 * b) % p
+    ss = s * s % p
+    Y2 = (w * ((4 * b - h) % p) - 8 * (Y * Y % p * ss % p)) % p
+    if not Z.all():
+        Y2 = np.where(Z == 0, 1, Y2)
+    return h * s % p * 2 % p, Y2, 8 * (ss * s % p) % p
+
+
+def _lane_multiple(k, P, a, p):
+    """k P in each lane, k >= 0 per lane, by doubling and adding from each
+    lane's leading bit, so that no lane passes through O on the way."""
+    top = np.array([n.bit_length() - 1 for n in k.tolist()])
+    R = np.array(P)
+    for bit in reversed(range(int(top.max()))):
+        double = _lane_double(R, a, p)
+        odd = (k >> bit & 1).astype(bool)
+        step = np.where(odd, _lane_add(double, P, a, p), double)
+        R = np.where(top > bit, step, R)
+    R[:, k == 0] = [[0], [1], [0]]
+    return tuple(R)
+
+
+def _lane_orders(P, a, p, H):
+    """For each lane, how many N with |p + 1 - N| <= H have N P = O, the
+    least and the greatest: _hasse_orders on all lanes at once, with one m
+    for all.  These N are the multiples of ord(P) in range, a progression
+    that the three numbers describe.
+
+    Baby steps jP, 0 <= j <= m, form an (m + 1) x lanes table; giant steps
+    R_k = k (2m + 1) P run over the k whose window k (2m + 1) - m ..
+    k (2m + 1) + m meets [p + 1 - H, p + 1 + H], and are matched against
+    the table MATCH_BLOCK elements at a time, by cross-multiplying
+    coordinates.  R_k = jP gives N = k (2m + 1) - j, and R_k = -jP gives
+    k (2m + 1) + j.  Every such N is found: O (j = 0) is in the table, so a
+    giant step that lands on O matches it (its two signs give one N, counted
+    once), and a baby step with y = 0 equals its own negative, so it matches
+    both signs."""
+    m = math.isqrt(int(H.max())) + 1
+    width = 2 * m + 1
+    babies = np.empty((3, m + 1, len(p)), dtype=np.int64)
+    babies[:, 0] = np.array([0, 1, 0])[:, None]
+    babies[:, 1] = P
+    babies[:, 2] = _lane_double(P, a, p)
+    for j in range(3, m + 1):
+        babies[:, j] = _lane_add(babies[:, j - 1], P, a, p)
+    BX, BY, BZ = babies
+    stride = _lane_add(babies[:, m], _lane_add(babies[:, m], P, a, p), a, p)
+    k = (p + 1 - H - m + width - 1) // width
+    steps = int(((p + 1 + H + m) // width - k).max()) + 1
+    giants = np.empty((3, steps, 1, len(p)), dtype=np.int64)
+    giants[:, 0, 0] = _lane_multiple(k, stride, a, p)
+    for i in range(1, steps):
+        giants[:, i, 0] = _lane_add(giants[:, i - 1, 0], stride, a, p)
+    GX, GY, GZ = giants
+    block = max(1, MATCH_BLOCK // BX.size)
+    N, at = [], []
+    for i0 in range(0, steps, block):
+        gx, gy, gz = (c[i0 : i0 + block] for c in (GX, GY, GZ))
+        i, j, lane = np.nonzero((gx * BZ - BX * gz) % p == 0)
+        pl = p[lane]
+        yR = gy[i, 0, lane] * BZ[j, lane] % pl
+        yB = BY[j, lane] * gz[i, 0, lane] % pl
+        centre = (k[lane] + i0 + i) * width
+        plus = (yR - yB) % pl == 0
+        minus = ((yR + yB) % pl == 0) & (j > 0)
+        N += [centre[plus] - j[plus], centre[minus] + j[minus]]
+        at += [lane[plus], lane[minus]]
+    N, at = np.concatenate(N), np.concatenate(at)
+    keep = np.abs(p[at] + 1 - N) <= H[at]
+    N, at = N[keep], at[keep]
+    least = np.full(len(p), np.iinfo(np.int64).max)
+    greatest = np.zeros(len(p), dtype=np.int64)
+    np.minimum.at(least, at, N)
+    np.maximum.at(greatest, at, N)
+    return np.bincount(at, minlength=len(p)), least, greatest
+
+
+def _progressions(count, least, greatest, base, size):
+    """lanes x size mask: base + i is set in a lane iff it is one of the
+    count terms of the lane's progression from least to greatest."""
+    step = np.maximum((greatest - least) // np.maximum(count - 1, 1), 1)[:, None]
+    N = base[:, None] + np.arange(size)
+    return (N >= least[:, None]) & (N <= greatest[:, None]) & ((N - least[:, None]) % step == 0)
+
+
+def _lane_traces(inv: CurveInvariants, primes) -> tuple[np.ndarray, np.ndarray]:
+    """a_p of E at good primes 5 <= p < LANE_PRIME_BOUND by _trace_bsgs's
+    method in numpy int64 lanes, one lane per prime, in batches of at most
+    BSGS_LANES lanes of nearly equal size; returns a_p and whether each lane
+    was decided (the a_p of a lane not decided is meaningless).
+
+    Each lane takes _trace_bsgs's points, in its order, and each point's
+    orders (_lane_orders), N -> 2p + 2 - N when t is not a square mod p.  A
+    lane is decided when the intersection of its points' sets is one
+    number, which is then #E, proven as in _trace_bsgs; an empty
+    intersection raises InvariantError.  The first point's set is kept as
+    its count, least and greatest term; lanes it leaves undecided keep
+    their candidates as a dense mask of the Hasse interval for the further
+    points.  Lanes still undecided after BSGS_POINTS points, or once fewer
+    than LANES_FROM are left, come back undecided."""
+    ps = np.asarray(primes, dtype=np.int64)
+    if len(ps) and int(ps.max()) >= LANE_PRIME_BOUND:
+        raise PrimeTooLargeError(f"lanes hold primes below 2^31, not p = {int(ps.max())}")
+    batches = np.array_split(ps, max(1, -(-len(ps) // BSGS_LANES)))
+    a_p, decided = zip(*(_lane_batch(inv, batch) for batch in batches))
+    return np.concatenate(a_p), np.concatenate(decided)
+
+
+def _lane_batch(inv: CurveInvariants, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_lane_traces on one batch of lanes."""
+    A = _residues(-27 * inv.c4, p)
+    B = _residues(-54 * inv.c6, p)
+    H = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
+    x0 = np.where(A == 0, 0, -1)
+    points = np.zeros(len(p), dtype=np.int64)
+    active = np.arange(len(p))
+    mask = None
+    for _ in range(BSGS_POINTS):
+        if len(active) < LANES_FROM:
+            break
+        pa, Aa, Ha = p[active], A[active], H[active]
+        # the next x0 with t = f(x0) != 0, as in _trace_bsgs
+        x, t = x0[active], np.zeros_like(pa)
+        while not t.all():
+            x = np.where(t == 0, x + 1, x)
+            t = (x * x % pa * x % pa + Aa * x % pa + B[active]) % pa
+        x0[active] = x
+        tt = t * t % pa
+        P = (t * x % pa, tt, np.ones_like(pa))
+        count, least, greatest = _lane_orders(P, Aa * tt % pa, pa, Ha)
+        if ((greatest - least) % np.maximum(count - 1, 1)).any():
+            raise InvariantError("a point's orders in the Hasse interval are not a progression")
+        twisted = _legendre(t, pa) == -1
+        least, greatest = (
+            np.where(twisted, 2 * pa + 2 - greatest, least),
+            np.where(twisted, 2 * pa + 2 - least, greatest),
+        )
+        base = pa + 1 - Ha
+        if mask is None:
+            n, first = count, least
+        else:
+            mask &= _progressions(count, least, greatest, base, mask.shape[1])
+            n, first = mask.sum(axis=1), base + mask.argmax(axis=1)
+        if not n.all():
+            q = int(pa[n == 0][0])
+            raise InvariantError(f"no group order in the Hasse interval at p = {q}")
+        one = n == 1
+        points[active[one]] = first[one]
+        rest = ~one
+        active = active[rest]
+        if mask is None:
+            size = 2 * int(H.max()) + 1
+            mask = _progressions(count[rest], least[rest], greatest[rest], base[rest], size)
+        else:
+            mask = mask[rest]
+    decided = np.ones(len(p), dtype=bool)
+    decided[active] = False
+    return p + 1 - points, decided
+
+
 @dataclass(frozen=True)
 class LocalData:
     """Invariants, primes of Delta and ReductionData at each prime of a model,
@@ -358,15 +575,21 @@ class LocalData:
 
     def traces_up_to(self, bound: int) -> np.ndarray:
         """a_p at the good odd primes p <= bound, indexed by p (0 elsewhere),
-        each decided once by _reduction, as callers ask for larger primes."""
+        each decided once, as callers ask for larger primes: the new primes
+        from BSGS_FROM on together by _lane_traces, and those below it and
+        the lanes it leaves undecided by _reduction."""
         known = len(self._a_p) - 1
         if bound > known:
             grown = np.zeros(bound + 1, dtype=np.int32)
             grown[: known + 1] = self._a_p
-            inv = self.inv
-            for p in primes_up_to(bound):
-                if p > known and inv.delta % p:
-                    grown[p] = _reduction(self.model, p).a_p
+            primes = primes_up_to(bound)
+            new = np.array(primes[bisect_right(primes, known) :], dtype=np.int64)
+            new = new[_residues(self.inv.delta, new) != 0]
+            lanes = new[new >= BSGS_FROM]
+            a_p, decided = _lane_traces(self.inv, lanes)
+            grown[lanes[decided]] = a_p[decided]
+            for p in np.concatenate([new[new < BSGS_FROM], lanes[~decided]]).tolist():
+                grown[p] = _reduction(self.model, p).a_p
             # the record is frozen; the table is a memo, like _decided
             object.__setattr__(self, "_a_p", grown)
         return self._a_p

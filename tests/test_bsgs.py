@@ -1,5 +1,6 @@
 """a_p at good primes by Shanks-Mestre baby-step giant-step, against the
-point count as its oracle.
+point count as its oracle, and the numpy lanes that fill a_p tables by the
+same method, against _trace_bsgs and the point count as theirs.
 
 _trace_bsgs answers only when its points leave one group order in the
 Hasse interval, and #E lies in every point's set of orders, so a wrong
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from twistgate import reduction
-from twistgate.curve import WeierstrassModel, curve_by_label
+from twistgate.curve import WeierstrassModel, curve_by_label, quadratic_twist
 from twistgate.errors import InvariantError, PrimeTooLargeError
 from twistgate.numtheory import is_prime, primes_up_to
 from twistgate.reduction import (
@@ -21,6 +22,7 @@ from twistgate.reduction import (
     LocalData,
     ReductionData,
     ReductionKind,
+    _lane_traces,
     _trace_bsgs,
     classify,
     count_points,
@@ -41,6 +43,15 @@ FRESH_CURVES = [
 ]
 # Mestre: above this, E or its twist has a point that decides #E
 MESTRE_BOUND = 229
+# the lanes' oracle curves: the above, twists of 15a1, and a curve on which
+# a y = 0 baby step matching one sign only drops #E from the candidates
+LANE_CURVES = {
+    **ORACLE_CURVES,
+    **{str(E): E for E in FRESH_CURVES},
+    "15a1^-11": quadratic_twist(curve_by_label("15a1"), -11),
+    "15a1^13": quadratic_twist(curve_by_label("15a1"), 13),
+    "[1,1,1,18,4]": WeierstrassModel(1, 1, 1, 18, 4),
+}
 
 
 def largest_prime_below(n):
@@ -78,29 +89,52 @@ def test_bsgs_matches_the_point_count_at_sampled_primes_up_to_a_million(E):
             assert classify(E, p) == counted and record.at(p) == counted, p
 
 
+def undecided_lanes(inv, primes):
+    """_lane_traces leaving every lane undecided."""
+    return np.zeros(len(primes), dtype=np.int64), np.zeros(len(primes), dtype=bool)
+
+
+def spy(monkeypatch, name):
+    """The primes each call of reduction.<name>(E, p) is given, in order."""
+    calls = []
+    real = getattr(reduction, name)
+    monkeypatch.setattr(reduction, name, lambda E, p: calls.append(p) or real(E, p))
+    return calls
+
+
 def test_the_table_uses_bsgs_from_the_crossover_on(monkeypatch):
     E = FRESH_CURVES[0]
-    counted = []
-    real = reduction.count_points
-    monkeypatch.setattr(reduction, "count_points", lambda E, p: counted.append(p) or real(E, p))
+    monkeypatch.setattr(reduction, "_lane_traces", undecided_lanes)
+    reduced = spy(monkeypatch, "_reduction")
+    counted = spy(monkeypatch, "count_points")
     record = LocalData(E)
     record.traces_up_to(3000)
     good = [p for p in primes_up_to(3000) if p > 2 and record.inv.delta % p]
+    assert reduced == good
     assert counted == [p for p in good if p < BSGS_FROM]
 
 
 def test_forced_fallback_leaves_the_table_unchanged(monkeypatch):
     E = FRESH_CURVES[0]
     table = LocalData(E).traces_up_to(3000).copy()
+    monkeypatch.setattr(reduction, "_lane_traces", undecided_lanes)
     asked = []
     monkeypatch.setattr(reduction, "_trace_bsgs", lambda inv, p: asked.append(p))
-    counted = []
-    real = reduction.count_points
-    monkeypatch.setattr(reduction, "count_points", lambda E, p: counted.append(p) or real(E, p))
+    counted = spy(monkeypatch, "count_points")
     fallback = LocalData(E).traces_up_to(3000)
-    assert asked and all(p >= BSGS_FROM for p in asked)
-    assert counted[-len(asked):] == asked
+    good = [p for p in primes_up_to(3000) if p > 2 and LocalData(E).inv.delta % p]
+    assert asked == [p for p in good if p >= BSGS_FROM]
+    assert counted == good
     assert np.array_equal(fallback, table)
+
+
+def test_the_lanes_decide_most_of_the_table(monkeypatch):
+    reduced = spy(monkeypatch, "_reduction")
+    record = LocalData(FRESH_CURVES[0])
+    record.traces_up_to(20_000)
+    lanes = [p for p in primes_up_to(20_000) if p >= BSGS_FROM and record.inv.delta % p]
+    undecided = [p for p in reduced if p >= BSGS_FROM]
+    assert len(undecided) < 0.1 * len(lanes)
 
 
 def test_forced_fallback_above_the_enumeration_bound_still_refuses(monkeypatch):
@@ -128,3 +162,89 @@ def test_j_zero_starts_past_the_point_of_order_three(monkeypatch):
     for p in good:
         assert _trace_bsgs(record.inv, p) is not None, p
     assert len(calls) < 1.5 * len(good)
+
+
+def lane_oracle(E, primes):
+    """(p, lane a_p, _trace_bsgs a_p) wherever the lanes and _trace_bsgs
+    differ at the good primes among primes, or a lane is left undecided."""
+    inv = LocalData(E).inv
+    good = [p for p in primes if inv.delta % p]
+    a_p, decided = _lane_traces(inv, good)
+    wrong = []
+    for p, lane, ok in zip(good, a_p.tolist(), decided.tolist()):
+        data = _trace_bsgs(inv, p)
+        if not ok or data is None or data.a_p != lane:
+            wrong.append((p, lane if ok else None, data and data.a_p))
+    return good, a_p, wrong
+
+
+@pytest.mark.parametrize("name", LANE_CURVES)
+def test_lanes_match_bsgs_and_the_point_count_at_every_good_prime(name, monkeypatch):
+    # with no fallback the lanes take every point _trace_bsgs would
+    monkeypatch.setattr(reduction, "LANES_FROM", 1)
+    E = LANE_CURVES[name]
+    good, a_p, wrong = lane_oracle(E, [p for p in primes_up_to(20_000) if p >= BSGS_FROM])
+    assert wrong == []
+    assert [p + 1 - count_points(E, p) for p in good] == a_p.tolist()
+
+
+@pytest.mark.parametrize("E", FRESH_CURVES, ids=str)
+def test_lanes_match_bsgs_at_sampled_primes_up_to_a_million_across_batches(E, monkeypatch):
+    monkeypatch.setattr(reduction, "LANES_FROM", 1)
+    monkeypatch.setattr(reduction, "BSGS_LANES", 7)
+    primes = [largest_prime_below(25_000 * k) for k in range(1, 41)]
+    good, a_p, wrong = lane_oracle(E, primes)
+    assert len(good) > 5 * 7 and wrong == []
+
+
+def test_lanes_at_the_largest_prime_they_hold(monkeypatch):
+    # 2^31 - 1: every product of two residues is within a factor 4 of 2^63;
+    # in one batch with it, the giant steps of the small primes start at O
+    monkeypatch.setattr(reduction, "LANES_FROM", 1)
+    p = 2**31 - 1
+    assert is_prime(p)
+    for E in [curve_by_label("15a1"), *FRESH_CURVES]:
+        inv = LocalData(E).inv
+        small = [q for q in primes_up_to(300)[2:] if inv.delta % q]
+        a_p, decided = _lane_traces(inv, [*small, p])
+        assert decided[-1] and a_p[-1] == _trace_bsgs(inv, p).a_p
+        assert decided[:-1].sum() > len(small) / 2
+        for q, a, ok in zip(small, a_p.tolist(), decided.tolist()):
+            assert not ok or a == q + 1 - count_points(E, q), q
+
+
+def test_lanes_refuse_a_prime_from_2_to_the_31_on():
+    inv = LocalData(curve_by_label("15a1")).inv
+    p = 2**31 + 11
+    assert is_prime(p)
+    with pytest.raises(PrimeTooLargeError):
+        _lane_traces(inv, [1009, p])
+
+
+def test_an_empty_candidate_set_in_a_lane_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(reduction, "LANES_FROM", 1)
+    no_orders = lambda P, a, p, H: (np.zeros(len(p), dtype=np.int64), p + 1, p + 1)
+    monkeypatch.setattr(reduction, "_lane_orders", no_orders)
+    with pytest.raises(InvariantError):
+        _lane_traces(LocalData(curve_by_label("15a1")).inv, [1009, 1013])
+    with pytest.raises(InvariantError):
+        LocalData(curve_by_label("15a1")).traces_up_to(2000)
+
+
+def test_disjoint_candidate_sets_in_a_lane_are_an_internal_error(monkeypatch):
+    # two orders for the first point, then one outside them for the second
+    monkeypatch.setattr(reduction, "LANES_FROM", 1)
+    calls = []
+
+    def orders(P, a, p, H):
+        calls.append(len(p))
+        ones = np.ones(len(p), dtype=np.int64)
+        if len(calls) == 1:
+            return 2 * ones, p + 1 - H, p + 2 - H
+        return ones, p + 1 + H, p + 1 + H
+
+    monkeypatch.setattr(reduction, "_lane_orders", orders)
+    monkeypatch.setattr(reduction, "_legendre", lambda t, p: np.ones(len(p), dtype=np.int64))
+    with pytest.raises(InvariantError):
+        _lane_traces(LocalData(curve_by_label("15a1")).inv, [1009])
+    assert calls == [1, 1]

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from twistgate.curve import quadratic_twist
-from twistgate.errors import TermBudgetError
+from twistgate.curve import WeierstrassModel, invariants, quadratic_twist
+from twistgate.errors import SingularCurveError, TermBudgetError
 from twistgate.lseries import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NONZERO,
@@ -12,7 +14,8 @@ from twistgate.lseries import (
     l_value_at_1,
 )
 from twistgate.numtheory import jacobi, primes_up_to
-from twistgate.reduction import ReductionKind, classify
+from twistgate.reduction import LocalData, ReductionKind, classify
+from twistgate.rootnum import global_root_number
 
 
 class TestDirichletCoefficients:
@@ -139,3 +142,41 @@ class TestLValue:
                 qn *= q
                 dropped += mp.mpf(a[n]) / n * qn
             assert abs(2 * dropped) < est.tail_bound
+
+
+# The benchmark's lvalue-fresh universe: a1, a3 in {0, 1}, a2 in {-1, 0, 1},
+# |a4|, |a6| <= 30, with Delta odd, prime to 3 and below 10^6 in size.
+FRESH_AINVS = st.tuples(
+    st.sampled_from([0, 1]),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([0, 1]),
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+)
+
+
+@pytest.mark.parametrize("w", [1, -1])
+@settings(
+    max_examples=15,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(ainvs=FRESH_AINVS)
+def test_functional_equation_on_fresh_curves(w, ainvs):
+    # L(E, 1) at t = 1 and at t = 1.2 are sums over the same a_n with
+    # different weights; they agree within their tails only if every a_p,
+    # each lane of the table fill among them, is right.
+    E = WeierstrassModel(*ainvs)
+    try:
+        delta = invariants(E).delta
+    except SingularCurveError:
+        assume(False)
+    assume(delta % 2 and delta % 3 and abs(delta) < 10**6)
+    data = LocalData(E)
+    assume(global_root_number(data).value == w)
+    at_1 = l_value_at_1(data, t=1)
+    at_12 = l_value_at_1(data, t=1.2)
+    assert at_12.terms_summed == at_12.terms_used
+    assert abs(at_1.value - at_12.value) <= at_1.tail_bound + at_12.tail_bound, ainvs
