@@ -3,7 +3,9 @@ human-readable text by default and a single JSON document under --json.
 
 It only parses, dispatches and prints; the library owns the argument rules
 (ArgumentError).  The CLI checks only --curve and --d, which it parses, the
-options each --lemma form needs, and --dmax, whose sweep lives here.
+options each --lemma form needs, and --dmax, whose sweep lives here.  The
+rule on a twist parameter d is rootnum's: root-number --twist and the sweep
+over d <= --dmax (rootnum.twist_parameters) both apply it.
 
 Exit codes, one per status: 0 ok (and any verification passed); 1
 check-failed, a check ran to completion and failed; 2 unsupported-input, a
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .descent import (
     quad_point_search,
     twist_map,
 )
-from .errors import InvariantError, TwistgateError, WorkBoundError
+from .errors import ArgumentError, InvariantError, TwistgateError, WorkBoundError
 from .fieldsearch import (
     OVERALL_VERIFIED,
     check_hypothesis,
@@ -44,9 +45,9 @@ from .fieldsearch import (
 )
 from .galois import serre_check
 from .lseries import DEFAULT_MARGIN, EVIDENCE_NOTE, l_value_at_1
-from .numtheory import factor, is_squarefree, jacobi
-from .reduction import classify, conductor, local_data
-from .rootnum import global_root_number, twist_root_number_formula
+from .numtheory import factor
+from .reduction import classify, local_data
+from .rootnum import global_root_number, twist_formula, twist_parameters
 
 STATUS_OK = "ok"
 STATUS_CHECK_FAILED = "check-failed"
@@ -178,24 +179,24 @@ def _cmd_root_number(args) -> CommandResult:
         return CommandResult(STATUS_OK, payload, text)
     d = args.twist
     data = local_data(model)
-    formula = twist_root_number_formula(data, d)
-    N = conductor(data)
-    base = global_root_number(data)
+    base = twist_formula(data)
+    formula = base.sign(d)
+    symbol = formula * base.root_number  # (d/N), as w(E) = +-1
     direct = global_root_number(data.twist(d))
     agree = direct.value == formula
     payload = {
         "curve": name,
         "twist": d,
-        "conductor": N,
-        "jacobi_symbol": jacobi(d, N),
-        "base_root_number": base.value,
+        "conductor": base.conductor,
+        "jacobi_symbol": symbol,
+        "base_root_number": base.root_number,
         "formula_sign": formula,
         "direct_sign": direct.value,
         "agree": agree,
     }
     text = [
-        f"twist root number, formula path: w(E^({d})) = ({d}/{N}) * w(E) "
-        f"= {jacobi(d, N):+d} * {base.value:+d} = {_sign_str(formula)}",
+        f"twist root number, formula path: w(E^({d})) = ({d}/{base.conductor}) * w(E) "
+        f"= {symbol:+d} * {base.root_number:+d} = {_sign_str(formula)}",
         f"  direct local product on the twisted curve: {_sign_str(direct.value)}"
         + ("  [agrees]" if agree else "  [MISMATCH]"),
     ]
@@ -206,16 +207,18 @@ def _cmd_root_number(args) -> CommandResult:
 def _cmd_twist_root_check(args) -> CommandResult:
     if args.dmax > MAX_TWIST_DMAX:
         raise WorkBoundError(f"--dmax must be at most {MAX_TWIST_DMAX}, got {args.dmax}")
+    if args.dmax < 1:
+        raise ArgumentError(f"--dmax must be at least 1, got {args.dmax}")
     model, name = _resolve_curve(args)
     data = local_data(model)
-    N = conductor(data)
-    instances = 0
+    base = twist_formula(data)
+    N = base.conductor
+    valid = twist_parameters(args.dmax, N)
     mismatches = []
-    for d in range(1, args.dmax + 1):
-        if d % 4 != 1 or math.gcd(d, N) != 1 or not is_squarefree(d):
-            continue
-        instances += 1
-        formula = twist_root_number_formula(data, d)
+    for factored in valid:
+        d = factored.value
+        formula = base.sign(d, factored)
+        # the direct path classifies the twist's own model at every prime
         direct = global_root_number(data.twist(d)).value
         if formula != direct:
             mismatches.append({"d": d, "formula": formula, "direct": direct})
@@ -223,14 +226,14 @@ def _cmd_twist_root_check(args) -> CommandResult:
         "curve": name,
         "conductor": N,
         "dmax": args.dmax,
-        "instances": instances,
+        "instances": len(valid),
         "mismatches": mismatches,
     }
     ok = not mismatches
     text = [
         f"twist root-number equivalence for {name} (N = {N}), squarefree d = 1 mod 4, "
         f"gcd(d, N) = 1, d <= {args.dmax}:",
-        f"  {instances} twists checked, {len(mismatches)} mismatches"
+        f"  {len(valid)} twists checked, {len(mismatches)} mismatches"
         + ("" if ok else f": {mismatches}"),
     ]
     return CommandResult(STATUS_OK if ok else STATUS_CHECK_FAILED, payload, text)

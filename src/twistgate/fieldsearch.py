@@ -2,9 +2,10 @@
 hypothesis pipeline tying root numbers to L-value evidence.
 
 For p in {5, 7} and the conductor-3p curve X, a tuple (d_1, ..., d_r) is
-admissible when every d_i is a squarefree positive integer, d_i = 1 mod 4,
-gcd(d_i, 3p) = 1, jacobi(d_i, 3p) = 1, and no nonempty subset product is a
-perfect square (so the d_i are independent modulo squares and
+admissible when every d_i passes the twist-parameter rule against 3p
+(rootnum.twist_parameter_failure: a squarefree positive integer, d_i = 1 mod
+4, gcd(d_i, 3p) = 1), jacobi(d_i, 3p) = 1, and no nonempty subset product is
+a perfect square (so the d_i are independent modulo squares and
 Q(sqrt(d_1), ..., sqrt(d_r)) has degree 2^r).  Each sign character of that
 field corresponds to the squarefree part of a subset product; the
 hypothesis check computes, for all 2^r characters, the twist's global root
@@ -28,9 +29,10 @@ from .lseries import (
     check_margin,
     l_value_at_1,
 )
-from .numtheory import Factorization, factor, is_squarefree, jacobi, squarefree_part
+from .numtheory import Factorization, factor, jacobi, squarefree_part
 from .reduction import conductor, local_data
 from .rootnum import RootNumber, global_root_number, twist_root_number_formula
+from .rootnum import twist_parameter_failure, twist_parameters
 
 SUPPORTED_P = (5, 7)
 CURVE_FOR_P = {5: "15a1", 7: "21a1"}
@@ -100,9 +102,11 @@ def _reduce(mask: int, basis: list[int]) -> int:
 def is_admissible(p: int, ds) -> AdmissibilityCheck:
     """Check the tuple conditions in order, naming the first failure.
 
-    Independence modulo squares is decided by the GF(2) echelon of search,
-    each row carrying below its prime bits one bit per d_i it combines, so a
-    d_i that reduces to no prime bits names a subset with a square product.
+    Named first: a d_i not positive or not squarefree, then one not 1 mod 4,
+    then one sharing a factor with 3p.  Independence modulo squares is
+    decided by the GF(2) echelon of search, each row carrying below its
+    prime bits one bit per d_i it combines, so a d_i that reduces to no
+    prime bits names a subset with a square product.
     """
     if p not in SUPPORTED_P:
         raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p}")
@@ -110,19 +114,18 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
     if not ds:
         return _fail("empty", None)
     n3p = 3 * p
-    factored = []
+    factored, failures = [], []
     for i, d in enumerate(ds):
-        if not isinstance(d, int) or d <= 0:
-            return _fail("positive", i, f"d_{i+1} = {d}")
-        factored.append(factor(d))
-        if any(e > 1 for _, e in factored[-1].factors):
-            return _fail("squarefree", i, f"d_{i+1} = {d}")
-    for i, d in enumerate(ds):
-        if d % 4 != 1:
-            return _fail("mod4", i, f"d_{i+1} = {d} is {d % 4} mod 4")
-    for i, d in enumerate(ds):
-        if math.gcd(d, n3p) != 1:
-            return _fail("coprime", i, f"gcd({d}, {n3p}) = {math.gcd(d, n3p)}")
+        factored.append(factor(d) if isinstance(d, int) and d > 0 else None)
+        failures.append(twist_parameter_failure(d, n3p, factored[i]))
+        if failures[i] in ("positive", "squarefree"):
+            return _fail(failures[i], i, f"d_{i+1} = {d}")
+    if "mod4" in failures:
+        i = failures.index("mod4")
+        return _fail("mod4", i, f"d_{i+1} = {ds[i]} is {ds[i] % 4} mod 4")
+    if "coprime" in failures:
+        i = failures.index("coprime")
+        return _fail("coprime", i, f"gcd({ds[i]}, {n3p}) = {math.gcd(ds[i], n3p)}")
     for i, d in enumerate(ds):
         if jacobi(d, n3p) != 1:
             return _fail("jacobi", i, f"({d}/{n3p}) = {jacobi(d, n3p)}")
@@ -155,18 +158,10 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
         if s == -1:
             prod *= d
     d_s = squarefree_part(prod)
-    if not (d_s >= 1 and _single_ok(d_s, 3 * tup.p)):
+    n3p = 3 * tup.p
+    if twist_parameter_failure(d_s, n3p) is not None or jacobi(d_s, n3p) != 1:
         raise InvariantError(f"character discriminant {d_s} of {tup.ds} is not admissible")
     return d_s
-
-
-def _single_ok(d: int, n3p: int) -> bool:
-    return (
-        d % 4 == 1
-        and math.gcd(d, n3p) == 1
-        and is_squarefree(d)
-        and jacobi(d, n3p) == 1
-    )
 
 
 def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
@@ -185,7 +180,7 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     if not 1 <= bound <= MAX_SEARCH_BOUND:
         raise ArgumentError(f"bound must be between 1 and {MAX_SEARCH_BOUND}, got {bound}")
     n3p = 3 * p
-    singles = [d for d in range(1, bound + 1) if _single_ok(d, n3p)]
+    singles = [f for f in twist_parameters(bound, n3p) if jacobi(f.value, n3p) == 1]
     work = sum(math.comb(len(singles), k) for k in range(min(r, len(singles)) + 1))
     if work > MAX_SEARCH_WORK:
         raise WorkBoundError(
@@ -193,7 +188,7 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
             f"above {MAX_SEARCH_WORK}"
         )
     prime_bits: dict[int, int] = {}
-    masks = [_odd_exponent_mask(factor(d), prime_bits) for d in singles]
+    masks = [_odd_exponent_mask(f, prime_bits) for f in singles]
     results: list[AdmissibleTuple] = []
 
     def extend(start: int, chosen: list[int], basis: list[int]):
@@ -205,7 +200,7 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
             reduced = _reduce(masks[idx], basis)
             if reduced == 0:
                 continue  # some subset product would be a square
-            chosen.append(singles[idx])
+            chosen.append(singles[idx].value)
             basis.append(reduced)
             extend(idx + 1, chosen, basis)
             basis.pop()

@@ -1,5 +1,5 @@
-"""Local and global root numbers, and the Jacobi-symbol twist formula for
-semistable curves of odd conductor.
+"""Local and global root numbers, the Jacobi-symbol twist formula for
+semistable curves of odd conductor, and the one rule on twist parameters.
 
 Local signs follow the Dokchitser-Dokchitser case table over Q_p / R:
 
@@ -14,6 +14,11 @@ The kind at each prime comes from the model's LocalData record
 takes a model or its record.  Uncovered places (additive or non-minimal
 reduction at 2, additive potentially good at 3) raise UnsupportedPlaceError
 rather than guessing.
+
+The one rule on a twist parameter d against a modulus n (N in the twist
+formula, 3p in fieldsearch) is twist_parameter_failure: d must be positive,
+squarefree, 1 mod 4 and prime to n.  twist_formula decides the formula's
+hypotheses on E once per curve; its sign(d) is the part decided per d.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     UnsupportedPlaceError,
     UnsupportedReductionError,
 )
-from .numtheory import is_prime, is_squarefree, jacobi, valuation
+from .numtheory import Factorization, factor, is_prime, jacobi, valuation
 from .reduction import LocalData, ReductionKind, conductor, local_data
 
 INFINITE_PLACE = "inf"
@@ -126,13 +131,55 @@ def global_root_number(E: WeierstrassModel | LocalData) -> RootNumber:
     return RootNumber(value, tuple(ledger))
 
 
-def twist_root_number_formula(E: WeierstrassModel | LocalData, d: int) -> int:
-    """jacobi(d, N) * w(E) for semistable E of odd conductor N.
+def twist_parameter_failure(d: int, n: int, factored: Factorization | None = None) -> str | None:
+    """The first condition d fails against n, of "positive", "squarefree",
+    "mod4" and "coprime" in this order, or None.  4 | d fails squarefreeness
+    unfactored; a caller holding d's Factorization passes it as factored."""
+    if not isinstance(d, int) or d <= 0:
+        return "positive"
+    if factored is not None and factored.value != d:
+        raise ArgumentError(f"factorization of {factored.value} passed for d = {d}")
+    if d % 4 == 0 or any(e > 1 for _, e in (factored or factor(d)).factors):
+        return "squarefree"
+    if d % 4 != 1:
+        return "mod4"
+    return None if math.gcd(d, n) == 1 else "coprime"
 
-    Valid for squarefree positive d = 1 mod 4 prime to N; any failed
-    hypothesis raises HypothesisViolationError naming the condition.  The
-    value equals the global root number of the twisted curve.
-    """
+
+def twist_parameters(bound: int, n: int) -> list[Factorization]:
+    """The factorizations of the d <= bound that pass the rule against n,
+    ascending.  Only d = 1 mod 4 prime to n can pass; no other d is factored."""
+    candidates = (factor(d) for d in range(1, bound + 1, 4) if math.gcd(d, n) == 1)
+    return [f for f in candidates if twist_parameter_failure(f.value, n, f) is None]
+
+
+_VIOLATION = {
+    "positive": "twist parameter must be a positive integer",
+    "squarefree": "twist parameter {d} is not squarefree",
+    "mod4": "twist parameter {d} is not 1 mod 4",
+    "coprime": "twist parameter {d} shares a factor with N = {N}",
+}
+
+
+@dataclass(frozen=True)
+class TwistFormula:
+    """The part of w(E^(d)) = (d/N) w(E) that twist_formula decides once per
+    curve: the odd conductor N and w(E) of a semistable E."""
+
+    conductor: int
+    root_number: int
+
+    def sign(self, d: int, factored: Factorization | None = None) -> int:
+        """(d/N) w(E); HypothesisViolationError naming the first condition d fails."""
+        failure = twist_parameter_failure(d, self.conductor, factored)
+        if failure is not None:
+            raise HypothesisViolationError(_VIOLATION[failure].format(d=d, N=self.conductor))
+        return jacobi(d, self.conductor) * self.root_number
+
+
+def twist_formula(E: WeierstrassModel | LocalData) -> TwistFormula:
+    """E's part of the formula; HypothesisViolationError unless E is
+    semistable of odd conductor."""
     data = local_data(E)
     try:
         N = conductor(data)
@@ -143,12 +190,11 @@ def twist_root_number_formula(E: WeierstrassModel | LocalData, d: int) -> int:
             raise HypothesisViolationError(f"E is not semistable: additive reduction at {p}")
     if N % 2 == 0:
         raise HypothesisViolationError(f"conductor {N} is even")
-    if not isinstance(d, int) or d <= 0:
-        raise HypothesisViolationError("twist parameter must be a positive integer")
-    if not is_squarefree(d):
-        raise HypothesisViolationError(f"twist parameter {d} is not squarefree")
-    if d % 4 != 1:
-        raise HypothesisViolationError(f"twist parameter {d} is not 1 mod 4")
-    if math.gcd(d, N) != 1:
-        raise HypothesisViolationError(f"twist parameter {d} shares a factor with N = {N}")
-    return jacobi(d, N) * global_root_number(data).value
+    return TwistFormula(N, global_root_number(data).value)
+
+
+def twist_root_number_formula(E: WeierstrassModel | LocalData, d: int) -> int:
+    """jacobi(d, N) * w(E) for semistable E of odd conductor N, equal to the
+    global root number of the twist; HypothesisViolationError naming a failed
+    hypothesis.  A sweep over d builds twist_formula(E) once instead."""
+    return twist_formula(E).sign(d)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import random
 import signal
@@ -7,7 +8,7 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from twistgate import curve_by_label, fieldsearch, l_value_at_1, quadratic_twist, reduction
+from twistgate import cli, curve_by_label, fieldsearch, l_value_at_1, quadratic_twist, reduction
 from twistgate.cli import (
     STATUS_CHECK_FAILED,
     STATUS_INTERNAL,
@@ -188,6 +189,23 @@ class TestRootNumber:
         result = run(["root-number", "--label", "15a1", "--twist", "7"])
         assert result.exit_code == 2
 
+    def test_twist_reads_the_formula_terms_from_the_curve_record(self, capsys):
+        # 37a1 has w = -1, so the printed (5/37) = -1 is not the formula sign
+        _, doc = run_json(capsys, ["root-number", "--curve", "0,0,1,-1,0", "--twist", "5"])
+        payload = dict(doc["payload"], curve=None)
+        assert payload == {
+            "curve": None,
+            "twist": 5,
+            "conductor": 37,
+            "jacobi_symbol": -1,
+            "base_root_number": -1,
+            "formula_sign": 1,
+            "direct_sign": 1,
+            "agree": True,
+        }
+        run(["root-number", "--curve", "0,0,1,-1,0", "--twist", "5"])
+        assert "w(E^(5)) = (5/37) * w(E) = -1 * -1 = +1" in capsys.readouterr().out
+
     def test_additive_at_2_names_its_own_error_type(self, capsys):
         result, doc = run_json(capsys, ["root-number", "--curve", "0,0,0,-1,0"])
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
@@ -220,7 +238,34 @@ class TestTwistRootCheck:
         result, doc = run_json(capsys, ["twist-root-check", "--dmax", "60", "--label", "15a1"])
         assert result.status == STATUS_OK
         assert doc["payload"]["mismatches"] == []
-        assert doc["payload"]["instances"] > 0
+        # of the d = 1 mod 4 up to 60, those prime to 15 and squarefree
+        assert doc["payload"]["instances"] == len([1, 13, 17, 29, 37, 41, 53])
+
+    @pytest.mark.parametrize("dmax", ["0", "-5"])
+    def test_an_empty_sweep_is_refused(self, capsys, dmax):
+        result, doc = run_json(capsys, ["twist-root-check", "--label", "15a1", "--dmax", dmax])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "ArgumentError"
+        assert "at least 1" in doc["payload"]["error"]
+
+    def test_even_conductor_is_a_hypothesis_violation(self, capsys):
+        argv = ["twist-root-check", "--curve", "1,0,0,0,2", "--dmax", "50"]
+        result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "HypothesisViolationError"
+        assert "even" in doc["payload"]["error"]
+
+    def test_a_wrong_formula_record_is_caught_by_the_direct_path(self, capsys, monkeypatch):
+        # the direct root number reads the twist's own model, not the record
+        formula = cli.twist_formula
+        monkeypatch.setattr(
+            cli,
+            "twist_formula",
+            lambda E: dataclasses.replace(formula(E), root_number=-formula(E).root_number),
+        )
+        result, doc = run_json(capsys, ["twist-root-check", "--label", "15a1", "--dmax", "60"])
+        assert (result.exit_code, doc["status"]) == (1, STATUS_CHECK_FAILED)
+        assert len(doc["payload"]["mismatches"]) == doc["payload"]["instances"] == 7
 
 
 class TestLValue:

@@ -36,12 +36,36 @@ def oracle_legendre(a, p):
 
 
 def oracle_single(d, p):
+    """The conditions on one candidate d of search, each tested inline."""
     return (
         oracle_squarefree(d)
         and d % 4 == 1
         and math.gcd(d, 3 * p) == 1
         and oracle_legendre(d, 3) * oracle_legendre(d, p) == 1
     )
+
+
+def oracle_conditions(p, ds):
+    """is_admissible's numeric conditions as one loop per condition, positive
+    and squarefree sharing the first: (ok, failed_condition, failed_index,
+    detail) of the first failure, or None when all hold."""
+    n3p = 3 * p
+    for i, d in enumerate(ds):
+        if not isinstance(d, int) or d <= 0:
+            return False, "positive", i, f"d_{i+1} = {d}"
+        if not oracle_squarefree(d):
+            return False, "squarefree", i, f"d_{i+1} = {d}"
+    for i, d in enumerate(ds):
+        if d % 4 != 1:
+            return False, "mod4", i, f"d_{i+1} = {d} is {d % 4} mod 4"
+    for i, d in enumerate(ds):
+        if math.gcd(d, n3p) != 1:
+            return False, "coprime", i, f"gcd({d}, {n3p}) = {math.gcd(d, n3p)}"
+    for i, d in enumerate(ds):
+        symbol = oracle_legendre(d, 3) * oracle_legendre(d, p)
+        if symbol != 1:
+            return False, "jacobi", i, f"({d}/{n3p}) = {symbol}"
+    return None
 
 
 def square_subset(ds):
@@ -140,6 +164,37 @@ class TestIsAdmissible:
     def test_admissible_tuple_constructor_enforces(self):
         with pytest.raises(ValueError):
             AdmissibleTuple(5, (13,))
+
+
+def grid_tuples():
+    """Every 1- and 2-tuple of d in [-3, 130], and every 3-tuple of d in
+    [-3, 130] stepping by 5, a grid with d failing each condition
+    (positive -3; squarefree 12, 27, 117; mod4 2, 7; coprime 57; jacobi
+    97) and passing them all (17), 37 and 77 failing jacobi or coprime
+    for one p and passing for the other."""
+    full = range(-3, 131)
+    coarse = range(-3, 131, 5)
+    yield from ([d] for d in full)
+    yield from ([a, b] for a in full for b in full)
+    yield from ([a, b, c] for a in coarse for b in coarse for c in coarse)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_conditions_are_named_as_the_one_loop_per_condition_oracle(p):
+    for ds in grid_tuples():
+        check = is_admissible(p, ds)
+        expected = oracle_conditions(p, ds)
+        if expected is None:
+            assert check.ok == (square_subset(ds) is None), ds
+        else:
+            assert (check.ok, check.failed_condition, check.failed_index, check.detail) == expected, ds
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_search_candidates_are_the_oracle_singles(p):
+    # [1] fails only as a square, so the 1-tuples are every other candidate
+    found = [t.ds[0] for t in search(p, 1, 10**4)]
+    assert found == [d for d in range(2, 10**4 + 1) if oracle_single(d, p)]
 
 
 class TestSubsetImplementations:

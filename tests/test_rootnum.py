@@ -3,8 +3,13 @@ import math
 import pytest
 
 from twistgate.curve import WeierstrassModel, quadratic_twist
-from twistgate.errors import HypothesisViolationError, InvariantError, UnsupportedPlaceError
-from twistgate.numtheory import jacobi, primes_up_to, squarefree_part
+from twistgate.errors import (
+    ArgumentError,
+    HypothesisViolationError,
+    InvariantError,
+    UnsupportedPlaceError,
+)
+from twistgate.numtheory import factor, jacobi, primes_up_to, squarefree_part
 from twistgate.rootnum import (
     CASE_ADD_POT_GOOD,
     CASE_ADD_POT_MULT,
@@ -13,8 +18,12 @@ from twistgate.rootnum import (
     CASE_SPLIT,
     INFINITE_PLACE,
     RootNumber,
+    TwistFormula,
     global_root_number,
     local_root_number,
+    twist_formula,
+    twist_parameter_failure,
+    twist_parameters,
     twist_root_number_formula,
 )
 
@@ -180,3 +189,59 @@ class TestTwistFormula:
         twist = quadratic_twist(e15, 17)  # additive at 17
         with pytest.raises(HypothesisViolationError, match="semistable"):
             twist_root_number_formula(twist, 5)
+
+    def test_the_curve_half_is_decided_once_and_signs_every_d(self, e15, e21):
+        assert twist_formula(e15) == TwistFormula(15, 1)
+        assert twist_formula(e21) == TwistFormula(21, 1)
+        base = twist_formula(e15)
+        for d in (1, 13, 17, 29, 41, 53):
+            assert base.sign(d) == base.sign(d, factor(d)) == twist_root_number_formula(e15, d)
+
+    def test_curve_hypotheses_fail_before_any_d(self, e15):
+        with pytest.raises(HypothesisViolationError, match="even"):
+            twist_formula(WeierstrassModel(1, 0, 0, 0, 2))
+        with pytest.raises(HypothesisViolationError, match="semistable"):
+            twist_formula(WeierstrassModel(0, 0, 0, -1, 0))  # additive at 2
+        with pytest.raises(HypothesisViolationError, match="semistable"):
+            twist_formula(quadratic_twist(e15, 17))
+
+
+# ---------------------------------------------------------------------------
+# the twist-parameter rule against the naive checks, in the named order
+
+
+def naive_failure(d, n, squarefree):
+    if d <= 0:
+        return "positive"
+    if not squarefree:
+        return "squarefree"
+    if d % 4 != 1:
+        return "mod4"
+    if math.gcd(d, n) != 1:
+        return "coprime"
+    return None
+
+
+@pytest.mark.parametrize("n", [15, 21, 35, 1729])
+def test_rule_and_enumeration_match_the_naive_ordered_checks(n):
+    top = 5000
+    expected = {}
+    for d in range(-20, top + 1):
+        squarefree = d > 0 and all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
+        expected[d] = naive_failure(d, n, squarefree)
+        assert twist_parameter_failure(d, n) == expected[d], d
+        if d > 0:
+            assert twist_parameter_failure(d, n, factor(d)) == expected[d], d
+    assert twist_parameter_failure(17.0, n) == "positive"
+    valid = twist_parameters(top, n)
+    assert [f.value for f in valid] == [d for d in range(1, top + 1) if expected[d] is None]
+    assert all(f == factor(f.value) for f in valid)
+    for bound in (-1, 0, 1, 4, 5, 99):
+        assert [f.value for f in twist_parameters(bound, n)] == [
+            d for d in range(1, bound + 1) if expected[d] is None
+        ], bound
+
+
+def test_rule_refuses_the_factorization_of_another_number():
+    with pytest.raises(ArgumentError, match="factorization of 13"):
+        twist_parameter_failure(17, 15, factor(13))
