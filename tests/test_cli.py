@@ -8,7 +8,15 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from twistgate import cli, curve_by_label, fieldsearch, l_value_at_1, quadratic_twist, reduction
+from twistgate import (
+    cli,
+    curve_by_label,
+    descent,
+    fieldsearch,
+    l_value_at_1,
+    quadratic_twist,
+    reduction,
+)
 from twistgate.cli import (
     STATUS_CHECK_FAILED,
     STATUS_INTERNAL,
@@ -468,6 +476,16 @@ class TestDescentCheck:
         assert result.status == STATUS_OK
         assert doc["payload"]["points_found"] >= 4
         assert doc["payload"]["all_passed"] is True
+
+    def test_lemma_sum_failure_is_check_failed(self, capsys, monkeypatch):
+        # two copies of the trivial character cannot sum to 2 m
+        monkeypatch.setattr(descent, "characters", lambda r: [(1,) * r] * 2**r)
+        result, doc = run_json(
+            capsys, ["descent-check", "--lemma", "sum", "--k", "2", "--n", "1", "--r", "1"]
+        )
+        assert (result.exit_code, doc["status"]) == (1, STATUS_CHECK_FAILED)
+        assert doc["payload"]["all_passed"] is False
+        assert "m=(1,): components sum to (0,), expected (2,)" in doc["payload"]["failures"]
 
     def test_negative_height_is_unsupported_input(self, capsys):
         result, doc = run_json(

@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -10,6 +11,7 @@ from twistgate.descent import (
     MAX_LEMMA_SUM_WORK,
     MAX_MODULE_SIZE,
     DecompositionCertificate,
+    LemmaSumResult,
     QuadElt,
     QuadPoint,
     SignedModule,
@@ -51,6 +53,52 @@ def rational_point_search(curve, num_bound, den_bound):
             if rn * rn == fx.numerator and rd * rd == fx.denominator:
                 out.append((x, Fraction(rn, rd)))
     return out
+
+
+def loop_lemma_sum_check(module):
+    """lemma_sum_check one element at a time, in Python integers: the oracle
+    for the array form's certificates and failure strings.  The group
+    products are taken here too; the characters are read through the module,
+    so a test that patches them patches both."""
+    mod, n, r = module.modulus, module.n, module.r
+
+    def mat_vec(a, v):
+        return tuple(sum(x * y for x, y in zip(row, v)) % mod for row in a)
+
+    def mat_mul(a, b):
+        return tuple(mat_vec(a, col) for col in zip(*b))
+
+    group = []
+    for bits in itertools.product((0, 1), repeat=r):
+        columns = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        for bit, g in zip(bits, module.generators):
+            if bit:
+                columns = mat_mul(g, columns)
+        group.append((bits, tuple(zip(*columns))))
+    values = [
+        (signs, [prod(s for bit, s in zip(bits, signs) if bit) for bits, _ in group])
+        for signs in descent.characters(r)
+    ]
+    certificates = []
+    failures = []
+    for m in itertools.product(range(mod), repeat=n):
+        images = [mat_vec(mat, m) for _, mat in group]
+        components = []
+        total = (0,) * n
+        for signs, s_values in values:
+            v = (0,) * n
+            for coeff, img in zip(s_values, images):
+                v = tuple((vi + coeff * xi) % mod for vi, xi in zip(v, img))
+            for (_, mat), s_sigma in zip(group, s_values):
+                if mat_vec(mat, v) != tuple((s_sigma * vi) % mod for vi in v):
+                    failures.append(f"m={m}: component for {signs} escapes its eigenspace")
+            components.append((signs, v))
+            total = tuple((ti + vi) % mod for ti, vi in zip(total, v))
+        want = tuple((2**r * mi) % mod for mi in m)
+        if total != want:
+            failures.append(f"m={m}: components sum to {total}, expected {want}")
+        certificates.append(DecompositionCertificate(m, tuple(components)))
+    return LemmaSumResult(not failures, tuple(certificates), tuple(failures))
 
 
 def random_elt(rng, d):
@@ -305,6 +353,35 @@ class TestSignedModule:
         monkeypatch.setattr(descent, "involutive_generator_pool", no_pool)
         with pytest.raises(ArgumentError, match=f"got k={k} n={n} r={r}"):
             enumerate_signed_modules(k, n, r)
+
+    def test_agrees_with_the_loop_oracle_on_every_acceptance_family(self):
+        for k, n, r in itertools.product((1, 2, 3), (1, 2), (1, 2)):
+            for module in enumerate_signed_modules(k, n, r):
+                assert lemma_sum_check(module) == loop_lemma_sum_check(module), (k, n, r)
+
+    def test_component_outside_its_eigenspace_is_reported(self, monkeypatch):
+        # the shear squares to [[1, 2], [0, 1]] mod 4, so for odd m_2 the
+        # components m +- g m are not eigenvectors; they still sum to 2 m
+        monkeypatch.setattr(SignedModule, "__post_init__", lambda self: None)
+        module = SignedModule(2, 2, (((1, 1), (0, 1)),))
+        result = lemma_sum_check(module)
+        assert not result.passed
+        assert result.failures[0] == "m=(0, 1): component for (1,) escapes its eigenspace"
+        assert not any("components sum to" in f for f in result.failures)
+        assert result == loop_lemma_sum_check(module)
+
+    def test_components_that_miss_the_sum_are_reported(self, monkeypatch):
+        # two copies of the trivial character: both components are m + 3 m
+        # = 0 mod 4, eigenvectors, but they sum to 0, not 2 m
+        monkeypatch.setattr(descent, "characters", lambda r: [(1,) * r] * 2**r)
+        module = SignedModule(2, 1, (((3,),),))
+        result = lemma_sum_check(module)
+        assert not result.passed
+        assert result.failures == (
+            "m=(1,): components sum to (0,), expected (2,)",
+            "m=(3,): components sum to (0,), expected (2,)",
+        )
+        assert result == loop_lemma_sum_check(module)
 
     def test_characters_order(self):
         assert characters(2)[0] == (1, 1)
