@@ -219,7 +219,10 @@ def _cmd_twist_root_check(args) -> CommandResult:
         d = factored.value
         formula = base.sign(d, factored)
         # the direct path classifies the twist's own model at every prime
-        direct = global_root_number(data.twist(d)).value
+        try:
+            direct = global_root_number(data.twist(d)).value
+        except TwistgateError as exc:
+            raise type(exc)(f"d = {d}: {exc}") from exc
         if formula != direct:
             mismatches.append({"d": d, "formula": formula, "direct": direct})
     payload = {

@@ -8,12 +8,14 @@ Two independent pieces:
   points (x rational, y in sqrt(d) Q) to rational points of the twist, and
   sends rational points with y != 0 off the rational locus.  For elliptic
   curve points "anti-invariant" means sigma(P) = -P, the group inverse.
+  Arithmetic results inherit their operands' check on d, so the integer
+  point search factors d once and builds elements only for points found.
 
 * Finite 2-group modules with r commuting involutions: for every element m,
   2^r m decomposes as the sum over sign characters s of
   v_s = sum_sigma s_sigma m^sigma, each v_s lying in the s-eigenspace M_s.
-  lemma_sum_check verifies this exhaustively and returns the decompositions
-  as certificates.
+  lemma_sum_check verifies this exhaustively, for all elements at once as
+  numpy array equalities, and returns the decompositions as certificates.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
+
+import numpy as np
 
 from .errors import (
     ArgumentError,
@@ -36,7 +40,7 @@ from .numtheory import is_squarefree
 MAX_SEARCH_HEIGHT = 10**4
 MAX_MODULE_SIZE = 2**16
 # Most products lemma_sum_check may make over enumerate_signed_modules(k, n, r):
-# |pool|^r modules of 2^(k n) elements, 4^r products each; seconds in CPython.
+# |pool|^r modules of 2^(k n) elements, 4^r products each; under 1 s (2-core host).
 MAX_LEMMA_SUM_WORK = 2**19
 
 
@@ -63,6 +67,13 @@ class QuadElt:
             raise NotSquarefreeError(f"field parameter {self.d} must be squarefree, not 0 or 1")
 
     @classmethod
+    def _checked(cls, a: Fraction, b: Fraction, d: int) -> "QuadElt":
+        """a + b sqrt(d) for Fractions a, b and a d already checked."""
+        elt = object.__new__(cls)
+        elt.__dict__.update(a=a, b=b, d=d)
+        return elt
+
+    @classmethod
     def rational(cls, value, d: int) -> "QuadElt":
         return cls(_as_fraction(value), Fraction(0), d)
 
@@ -71,16 +82,16 @@ class QuadElt:
             if other.d != self.d:
                 raise ArgumentError("elements live in different quadratic fields")
             return other
-        return QuadElt.rational(other, self.d)
+        return QuadElt._checked(_as_fraction(other), Fraction(0), self.d)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadElt(self.a + o.a, self.b + o.b, self.d)
+        return QuadElt._checked(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElt(-self.a, -self.b, self.d)
+        return QuadElt._checked(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -90,7 +101,7 @@ class QuadElt:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return QuadElt(
+        return QuadElt._checked(
             self.a * o.a + self.d * self.b * o.b,
             self.a * o.b + self.b * o.a,
             self.d,
@@ -105,10 +116,10 @@ class QuadElt:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
         conj = o.conjugate()
         num = self * conj
-        return QuadElt(num.a / n, num.b / n, self.d)
+        return QuadElt._checked(num.a / n, num.b / n, self.d)
 
     def conjugate(self) -> "QuadElt":
-        return QuadElt(self.a, -self.b, self.d)
+        return QuadElt._checked(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
@@ -163,16 +174,6 @@ class QuadPoint:
         return self.x.is_rational and self.y.is_rational
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def quad_point_search(
     curve: tuple[Fraction, Fraction], d: int, height: int
 ) -> list[QuadPoint]:
@@ -181,7 +182,9 @@ def quad_point_search(
     Scans x = m/n with |m|, n <= height and keeps x whenever f(x) is zero, a
     rational square (rational point, invariant), or d times a rational
     square (anti-invariant point y = y0 sqrt(d)).  One representative with
-    nonnegative y is returned per x.
+    nonnegative y is returned per x.  With D = lcm of the denominators of A
+    and B, the integer F = D n (D m^3 + D A m n^2 + D B n^3) is D^2 n^4 f(x),
+    so f(x) is a square iff F is, and d times a square iff d F is a square.
     """
     if not isinstance(d, int) or d <= 1 or not is_squarefree(d):
         raise NotSquarefreeError(f"search needs a squarefree integer d > 1, got {d}")
@@ -189,25 +192,22 @@ def quad_point_search(
         raise ArgumentError(f"height must be between 1 and {MAX_SEARCH_HEIGHT}, got {height}")
     A = _as_fraction(curve[0])
     B = _as_fraction(curve[1])
+    D = lcm(A.denominator, B.denominator)
+    DA, DB = int(D * A), int(D * B)
+    zero = Fraction(0)
     points = []
-    for den in range(1, height + 1):
-        for num in range(-height, height + 1):
-            if gcd(num, den) != 1:
+    for n in range(1, height + 1):
+        for m in range(-height, height + 1):
+            if gcd(m, n) != 1:
                 continue
-            x = Fraction(num, den)
-            fx = x * x * x + A * x + B
-            if fx == 0:
-                y = QuadElt.rational(0, d)
+            F = D * n * (D * m**3 + DA * m * n * n + DB * n**3)
+            if F >= 0 and isqrt(F) ** 2 == F:
+                y = QuadElt._checked(Fraction(isqrt(F), D * n * n), zero, d)
+            elif F > 0 and isqrt(d * F) ** 2 == d * F:
+                y = QuadElt._checked(zero, Fraction(isqrt(d * F), d * D * n * n), d)
             else:
-                y0 = _rational_sqrt(fx)
-                if y0 is not None:
-                    y = QuadElt.rational(y0, d)
-                else:
-                    y1 = _rational_sqrt(fx / d)
-                    if y1 is None:
-                        continue
-                    y = QuadElt(Fraction(0), y1, d)
-            points.append(QuadPoint(QuadElt.rational(x, d), y, (A, B)))
+                continue
+            points.append(QuadPoint(QuadElt._checked(Fraction(m, n), zero, d), y, (A, B)))
     return points
 
 
@@ -226,7 +226,7 @@ def twist_map(P: QuadPoint, d: int) -> QuadPoint:
     """
     if d != P.d:
         raise ArgumentError(f"point lives over Q(sqrt({P.d})), not Q(sqrt({d}))")
-    sqrt_d = QuadElt(Fraction(0), Fraction(1), d)
+    sqrt_d = QuadElt._checked(Fraction(0), Fraction(1), d)
     x_new = P.x * d
     y_new = P.y * sqrt_d * d
     return QuadPoint(x_new, y_new, twist_curve(P.curve, d))
@@ -237,23 +237,6 @@ def twist_map(P: QuadPoint, d: int) -> QuadPoint:
 
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def _mat_mul(a: Matrix, b: Matrix, mod: int) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % mod for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_vec(a: Matrix, v: tuple[int, ...], mod: int) -> tuple[int, ...]:
-    n = len(a)
-    return tuple(sum(a[i][k] * v[k] for k in range(n)) % mod for i in range(n))
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -273,14 +256,17 @@ class SignedModule:
             for g in self.generators
         )
         object.__setattr__(self, "generators", gens)
-        ident = _identity(self.n)
+        # arrays of Python integers (dtype object) stay exact for every k
+        ident = np.identity(self.n, dtype=object)
         for g in gens:
             if len(g) != self.n or any(len(row) != self.n for row in g):
                 raise ArgumentError(f"generator is not {self.n}x{self.n}")
-            if _mat_mul(g, g, mod) != ident:
+            a = np.array(g, dtype=object)
+            if ((a @ a - ident) % mod).any():
                 raise NonInvolutiveActionError(f"generator {g} does not square to 1 mod {mod}")
         for g, h in itertools.combinations(gens, 2):
-            if _mat_mul(g, h, mod) != _mat_mul(h, g, mod):
+            a, b = np.array(g, dtype=object), np.array(h, dtype=object)
+            if ((a @ b - b @ a) % mod).any():
                 raise NonCommutingActionError(f"generators {g} and {h} do not commute mod {mod}")
 
     @property
@@ -300,13 +286,14 @@ class SignedModule:
 
     def group_elements(self) -> list[tuple[tuple[int, ...], Matrix]]:
         """All 2^r products of generators as (exponent bits, matrix)."""
+        gens = [np.array(g, dtype=object) for g in self.generators]
         out = []
         for bits in itertools.product((0, 1), repeat=self.r):
-            mat = _identity(self.n)
-            for bit, g in zip(bits, self.generators):
+            mat = np.identity(self.n, dtype=object)
+            for bit, g in zip(bits, gens):
                 if bit:
-                    mat = _mat_mul(mat, g, self.modulus)
-            out.append((bits, mat))
+                    mat = mat @ g % self.modulus
+            out.append((bits, tuple(map(tuple, mat.tolist()))))
         return out
 
 
@@ -376,39 +363,47 @@ def lemma_sum_check(module: SignedModule) -> LemmaSumResult:
 
     v_s = sum over group elements sigma of s_sigma * sigma(m).  Membership
     v_s in M_s is checked by applying every sigma, and the decomposition
-    identity is checked mod 2^k.  Fails are collected, and the full list of
+    identity is checked mod 2^k, for all m at once as int64 arrays.  Fails
+    are collected per m in character and group order, and the full list of
     certificates is returned.  LemmaSumSizeError above MAX_MODULE_SIZE.
     """
     if module.size > MAX_MODULE_SIZE:
         raise LemmaSumSizeError(f"module has {module.size} elements, above {MAX_MODULE_SIZE}")
     mod = module.modulus
-    r = module.r
     group = module.group_elements()
-    # s(sigma) for each character s, in the order of group
-    values = [
-        (signs, [prod(s for bit, s in zip(bits, signs) if bit) for bits, _ in group])
-        for signs in characters(r)
-    ]
-    certificates = []
+    signs = characters(module.r)
+    # values[s, sigma] = s(sigma), in the order of group
+    values = np.array(
+        [[prod(c for bit, c in zip(bits, chi) if bit) for bits, _ in group] for chi in signs],
+        dtype=np.int64,
+    )
+    # transposed, so that a row vector times mats[sigma] is sigma(m); the
+    # size bound keeps k <= 16, so no int64 product overflows
+    mats = np.array([mat for _, mat in group], dtype=np.int64).transpose(0, 2, 1)
+    elements = list(module.elements())
+    ms = np.array(elements, dtype=np.int64)
+    images = ms @ mats % mod  # [sigma, m]
+    comps = np.tensordot(values, images, axes=1) % mod  # [s, m]: v_s
+    # v_s must lie in the s-eigenspace: sigma(v_s) = s_sigma v_s for all sigma
+    escapes = np.stack(
+        [((v @ mats - s_values[:, None, None] * v) % mod).any(axis=2)
+         for v, s_values in zip(comps, values)]
+    )  # [s, sigma, m]
+    totals = comps.sum(axis=0) % mod
+    wants = ms * pow(2, module.r, mod) % mod
+    wrong_sum = (totals != wants).any(axis=1)
     failures = []
-    for m in module.elements():
-        images = {bits: _mat_vec(mat, m, mod) for bits, mat in group}
-        components = []
-        total = tuple(0 for _ in range(module.n))
-        for signs, s_values in values:
-            v = tuple(0 for _ in range(module.n))
-            for (bits, _), coeff in zip(group, s_values):
-                img = images[bits]
-                v = tuple((vi + coeff * xi) % mod for vi, xi in zip(v, img))
-            # v must lie in the s-eigenspace: sigma(v) = s_sigma v for all sigma
-            for (_, mat), s_sigma in zip(group, s_values):
-                expected = tuple((s_sigma * vi) % mod for vi in v)
-                if _mat_vec(mat, v, mod) != expected:
-                    failures.append(f"m={m}: component for {signs} escapes its eigenspace")
-            components.append((signs, v))
-            total = tuple((ti + vi) % mod for ti, vi in zip(total, v))
-        want = tuple((2**r * mi) % mod for mi in m)
-        if total != want:
+    for i in np.flatnonzero(escapes.any(axis=(0, 1)) | wrong_sum).tolist():
+        m = elements[i]
+        failures += [
+            f"m={m}: component for {chi} escapes its eigenspace"
+            for chi, row in zip(signs, escapes[:, :, i]) for bad in row if bad
+        ]
+        if wrong_sum[i]:
+            total, want = tuple(totals[i].tolist()), tuple(wants[i].tolist())
             failures.append(f"m={m}: components sum to {total}, expected {want}")
-        certificates.append(DecompositionCertificate(m, tuple(components)))
-    return LemmaSumResult(not failures, tuple(certificates), tuple(failures))
+    certificates = tuple(
+        DecompositionCertificate(m, tuple(zip(signs, map(tuple, v))))
+        for m, v in zip(elements, comps.transpose(1, 0, 2).tolist())
+    )
+    return LemmaSumResult(not failures, certificates, tuple(failures))

@@ -275,6 +275,17 @@ class TestTwistRootCheck:
         assert (result.exit_code, doc["status"]) == (1, STATUS_CHECK_FAILED)
         assert len(doc["payload"]["mismatches"]) == doc["payload"]["instances"] == 7
 
+    def test_the_twist_that_stops_a_sweep_is_named(self, capsys):
+        # 37a1: X^21 has additive, potentially good reduction at 3
+        argv = ["twist-root-check", "--curve", "0,0,1,-1,0", "--dmax", "21"]
+        result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "UnsupportedPlaceError"
+        assert doc["payload"]["error"].startswith("d = 21: ")
+        argv[-1] = "20"
+        result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["payload"]["instances"]) == (0, 4)
+
 
 class TestLValue:
     def test_15a1(self, capsys):

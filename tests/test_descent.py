@@ -32,7 +32,7 @@ from twistgate.errors import (
     NotSquarefreeError,
     TwistgateError,
 )
-from twistgate.numtheory import squarefree_part
+from twistgate.numtheory import is_squarefree, squarefree_part
 
 
 def rational_point_search(curve, num_bound, den_bound):
@@ -66,15 +66,16 @@ def loop_lemma_sum_check(module):
         return tuple(sum(x * y for x, y in zip(row, v)) % mod for row in a)
 
     def mat_mul(a, b):
-        return tuple(mat_vec(a, col) for col in zip(*b))
+        # row i of a b is b^T applied to row i of a
+        return tuple(mat_vec(tuple(zip(*b)), row) for row in a)
 
     group = []
     for bits in itertools.product((0, 1), repeat=r):
-        columns = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         for bit, g in zip(bits, module.generators):
             if bit:
-                columns = mat_mul(g, columns)
-        group.append((bits, tuple(zip(*columns))))
+                mat = mat_mul(mat, g)
+        group.append((bits, mat))
     values = [
         (signs, [prod(s for bit, s in zip(bits, signs) if bit) for bits, _ in group])
         for signs in descent.characters(r)
@@ -236,19 +237,31 @@ class TestTwistMap:
             image = twist_map(p, 17)
             assert not image.y.is_rational
 
+    def test_the_field_is_factored_once_per_search(self, e15, monkeypatch):
+        # elements computed from checked elements inherit the check on d
+        calls = []
+        monkeypatch.setattr(
+            descent, "is_squarefree", lambda d: calls.append(d) or is_squarefree(d)
+        )
+        points = quad_point_search(short_form(e15), 21, 30)
+        assert points
+        for p in points:
+            twist_map(p, 21)
+        assert 1 <= len(calls) <= 2
+
     def test_wrong_field_rejected(self, e15):
         points = quad_point_search(short_form(e15), 17, 50)
         with pytest.raises(ValueError):
             twist_map(points[0], 21)
 
-    def test_eigenspace_bijection_with_twist_rational_points(self, e15):
+    def test_eigenspace_bijection_with_twist_rational_points(self, e15, e21):
         # anti-invariant points of E over Q(sqrt(d)) with x-height <= H
         # correspond exactly to rational points of the twist in the mapped
         # window (numerator scaled by d), and invariant points to rational
-        # points of E itself
-        curve = short_form(e15)
+        # points of E itself; 2, 3 and 21 are not 1 mod 4, and 15a1 has
+        # points with y != 0 over Q(sqrt 3), 21a1 over Q(sqrt 2), Q(sqrt 21)
         H = 30
-        for d in (17, 53):
+        for curve, d in itertools.product(map(short_form, (e15, e21)), (17, 53, 2, 3, 21)):
             points = quad_point_search(curve, d, H)
             # 2-torsion (y = 0) is both invariant and anti-invariant
             anti_x = {p.x.a for p in points if p.is_anti_invariant}
@@ -358,6 +371,10 @@ class TestSignedModule:
         for k, n, r in itertools.product((1, 2, 3), (1, 2), (1, 2)):
             for module in enumerate_signed_modules(k, n, r):
                 assert lemma_sum_check(module) == loop_lemma_sum_check(module), (k, n, r)
+        # every pool matrix is symmetric; this pair of commuting involutions
+        # of (Z/8)^2 is not, so a transposed action would show
+        module = SignedModule(3, 2, (((1, 1), (0, 7)), ((7, 7), (0, 1))))
+        assert lemma_sum_check(module) == loop_lemma_sum_check(module)
 
     def test_component_outside_its_eigenspace_is_reported(self, monkeypatch):
         # the shear squares to [[1, 2], [0, 1]] mod 4, so for odd m_2 the
