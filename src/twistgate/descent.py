@@ -15,7 +15,8 @@ Two independent pieces:
   2^r m decomposes as the sum over sign characters s of
   v_s = sum_sigma s_sigma m^sigma, each v_s lying in the s-eigenspace M_s.
   lemma_sum_check verifies this exhaustively, for all elements at once as
-  numpy array equalities, and returns the decompositions as certificates.
+  numpy array equalities, and returns the components as one int64 array
+  indexed [character, element, coordinate].
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .numtheory import is_squarefree
 
 MAX_SEARCH_HEIGHT = 10**4
 MAX_MODULE_SIZE = 2**16
-# Most products lemma_sum_check may make over enumerate_signed_modules(k, n, r):
-# |pool|^r modules of 2^(k n) elements, 4^r products each; under 1 s (2-core host).
+# Most products lemma_sum_check may make on one module (2^(k n) elements x 4^r
+# products) and over enumerate_signed_modules(k, n, r) (|pool|^r such modules);
+# at the bound, under 0.3 s (2-core Xeon host).
 MAX_LEMMA_SUM_WORK = 2**19
 
 
@@ -303,15 +305,12 @@ def characters(r: int) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class DecompositionCertificate:
-    element: tuple[int, ...]
-    components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (signs, v_s)
-
-
-@dataclass(frozen=True)
 class LemmaSumResult:
+    """components[s, i] is v_s for the s-th character of characters(r) and the
+    i-th element of module.elements(): read-only int64, shape (2^r, size, n)."""
+
     passed: bool
-    certificates: tuple[DecompositionCertificate, ...]
+    components: np.ndarray
     failures: tuple[str, ...]
 
 
@@ -364,12 +363,18 @@ def lemma_sum_check(module: SignedModule) -> LemmaSumResult:
     v_s = sum over group elements sigma of s_sigma * sigma(m).  Membership
     v_s in M_s is checked by applying every sigma, and the decomposition
     identity is checked mod 2^k, for all m at once as int64 arrays.  Fails
-    are collected per m in character and group order, and the full list of
-    certificates is returned.  LemmaSumSizeError above MAX_MODULE_SIZE.
+    are collected per m in character and group order.  The components v_s
+    are returned as one array, laid out as LemmaSumResult describes.
+    LemmaSumSizeError above MAX_MODULE_SIZE elements, or above
+    MAX_LEMMA_SUM_WORK products (size x 4^r), before any product is taken.
     """
     if module.size > MAX_MODULE_SIZE:
         raise LemmaSumSizeError(f"module has {module.size} elements, above {MAX_MODULE_SIZE}")
-    mod = module.modulus
+    if module.size * 4**module.r > MAX_LEMMA_SUM_WORK:
+        raise LemmaSumSizeError(
+            f"{module.size} elements x 4^{module.r} products exceed {MAX_LEMMA_SUM_WORK}"
+        )
+    mod, n = module.modulus, module.n
     group = module.group_elements()
     signs = characters(module.r)
     # values[s, sigma] = s(sigma), in the order of group
@@ -380,8 +385,9 @@ def lemma_sum_check(module: SignedModule) -> LemmaSumResult:
     # transposed, so that a row vector times mats[sigma] is sigma(m); the
     # size bound keeps k <= 16, so no int64 product overflows
     mats = np.array([mat for _, mat in group], dtype=np.int64).transpose(0, 2, 1)
-    elements = list(module.elements())
-    ms = np.array(elements, dtype=np.int64)
+    # row i is the i-th element of module.elements(): the last coordinate
+    # varies fastest, as in itertools.product
+    ms = np.indices((mod,) * n, dtype=np.int64).reshape(n, -1).T
     images = ms @ mats % mod  # [sigma, m]
     comps = np.tensordot(values, images, axes=1) % mod  # [s, m]: v_s
     # v_s must lie in the s-eigenspace: sigma(v_s) = s_sigma v_s for all sigma
@@ -394,7 +400,7 @@ def lemma_sum_check(module: SignedModule) -> LemmaSumResult:
     wrong_sum = (totals != wants).any(axis=1)
     failures = []
     for i in np.flatnonzero(escapes.any(axis=(0, 1)) | wrong_sum).tolist():
-        m = elements[i]
+        m = tuple(ms[i].tolist())
         failures += [
             f"m={m}: component for {chi} escapes its eigenspace"
             for chi, row in zip(signs, escapes[:, :, i]) for bad in row if bad
@@ -402,8 +408,5 @@ def lemma_sum_check(module: SignedModule) -> LemmaSumResult:
         if wrong_sum[i]:
             total, want = tuple(totals[i].tolist()), tuple(wants[i].tolist())
             failures.append(f"m={m}: components sum to {total}, expected {want}")
-    certificates = tuple(
-        DecompositionCertificate(m, tuple(zip(signs, map(tuple, v))))
-        for m, v in zip(elements, comps.transpose(1, 0, 2).tolist())
-    )
-    return LemmaSumResult(not failures, certificates, tuple(failures))
+    comps.setflags(write=False)
+    return LemmaSumResult(not failures, comps, tuple(failures))

@@ -216,10 +216,12 @@ def l_value_at_1(
     NonzeroEvidence iff |value| > margin_factor * tail_bound, and
     margin_factor must be finite and at least 1 (MarginError).  At t = 1
     with root number -1 the value is exactly s1 - s1 = 0, returned without
-    computing a coefficient (terms_summed = 0).
+    computing a coefficient (terms_summed = 0).  ArgumentError unless t is
+    positive and finite, and for a t so far from 1 that q1 or q2 rounds to
+    1 at DEFAULT_DPS digits, where the tail bound would divide by 1 - q = 0.
     """
-    if t <= 0:
-        raise ArgumentError("evaluation point t must be positive")
+    if not 0 < t < math.inf:  # nan fails both comparisons
+        raise ArgumentError(f"evaluation point t must be positive and finite, got {t}")
     check_margin(margin_factor)
     data = local_data(E)
     N = conductor(data)
@@ -230,6 +232,11 @@ def l_value_at_1(
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"terms = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
     with mp.workdps(DEFAULT_DPS):
+        q1, q2 = _q_values(N, t)
+        if q1 == 1 or q2 == 1:
+            raise ArgumentError(
+                f"evaluation point t = {t} puts q1 or q2 at 1 to {DEFAULT_DPS} digits"
+            )
         if t == 1 and root_number == -1:
             value, summed = mp.mpf(0), 0
         else:
@@ -240,7 +247,6 @@ def l_value_at_1(
             s1 = _scaled_sum(coeffs, Q1, B)
             s2 = s1 if t == 1 else _scaled_sum(coeffs, Q2, B)
             value, summed = mp.ldexp(mp.mpf(s1 + root_number * s2), -B), M
-        q1, q2 = _q_values(N, t)
         # |a_n|/n <= d(n)/sqrt(n) <= 2, so each truncated sum is bounded by
         # the geometric tail; plus a roundoff allowance that covers both
         # kernel sums (M 10^-dps each) and the rounding of their

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
+import numpy as np
 import pytest
 
 from twistgate import descent
@@ -10,7 +11,6 @@ from twistgate.curve import short_form
 from twistgate.descent import (
     MAX_LEMMA_SUM_WORK,
     MAX_MODULE_SIZE,
-    DecompositionCertificate,
     LemmaSumResult,
     QuadElt,
     QuadPoint,
@@ -57,7 +57,7 @@ def rational_point_search(curve, num_bound, den_bound):
 
 def loop_lemma_sum_check(module):
     """lemma_sum_check one element at a time, in Python integers: the oracle
-    for the array form's certificates and failure strings.  The group
+    for the array form's components and failure strings.  The group
     products are taken here too; the characters are read through the module,
     so a test that patches them patches both."""
     mod, n, r = module.modulus, module.n, module.r
@@ -80,11 +80,11 @@ def loop_lemma_sum_check(module):
         (signs, [prod(s for bit, s in zip(bits, signs) if bit) for bits, _ in group])
         for signs in descent.characters(r)
     ]
-    certificates = []
+    components = []  # [m][s]: v_s
     failures = []
     for m in itertools.product(range(mod), repeat=n):
         images = [mat_vec(mat, m) for _, mat in group]
-        components = []
+        vs = []
         total = (0,) * n
         for signs, s_values in values:
             v = (0,) * n
@@ -93,13 +93,22 @@ def loop_lemma_sum_check(module):
             for (_, mat), s_sigma in zip(group, s_values):
                 if mat_vec(mat, v) != tuple((s_sigma * vi) % mod for vi in v):
                     failures.append(f"m={m}: component for {signs} escapes its eigenspace")
-            components.append((signs, v))
+            vs.append(v)
             total = tuple((ti + vi) % mod for ti, vi in zip(total, v))
         want = tuple((2**r * mi) % mod for mi in m)
         if total != want:
             failures.append(f"m={m}: components sum to {total}, expected {want}")
-        certificates.append(DecompositionCertificate(m, tuple(components)))
-    return LemmaSumResult(not failures, tuple(certificates), tuple(failures))
+        components.append(vs)
+    array = np.array(components, dtype=np.int64).transpose(1, 0, 2)
+    return LemmaSumResult(not failures, array, tuple(failures))
+
+
+def assert_same_result(got, want):
+    # a dataclass holding an array has no usable ==
+    assert got.passed == want.passed
+    assert got.failures == want.failures
+    assert got.components.dtype == np.int64
+    assert np.array_equal(got.components, want.components)
 
 
 def random_elt(rng, d):
@@ -290,15 +299,15 @@ class TestSignedModule:
         assert sign_space == [0, 1, 2, 3]
         result = lemma_sum_check(module)
         assert result.passed
-        # the certified decomposition of m = 1: 2*1 = v_triv + v_sign
-        cert = {c.element: dict(c.components) for c in result.certificates}
-        comp = cert[(1,)]
-        assert (comp[(1,)][0] + comp[(-1,)][0]) % 4 == 2
+        # the decomposition of m = 1, element 1: 2*1 = v_triv + v_sign
+        assert characters(1) == [(1,), (-1,)]
+        v_triv, v_sign = result.components[:, 1, 0]
+        assert (v_triv + v_sign) % 4 == 2
 
     def test_zero_decomposes_to_zeros(self):
         module = SignedModule(2, 1, (((3,),),))
-        cert = next(c for c in lemma_sum_check(module).certificates if c.element == (0,))
-        assert all(v == (0,) for _, v in cert.components)
+        assert next(module.elements()) == (0,)
+        assert not lemma_sum_check(module).components[:, 0].any()
 
     def test_rank_two_identity_and_swap(self):
         module = SignedModule(1, 2, (((1, 0), (0, 1)), ((0, 1), (1, 0))))
@@ -320,12 +329,41 @@ class TestSignedModule:
         with pytest.raises(LemmaSumSizeError):
             lemma_sum_check(module)
 
-    def test_certificates_cover_all_elements(self):
+    def test_components_cover_all_elements(self):
         module = SignedModule(3, 1, (((7,),),))
         result = lemma_sum_check(module)
         assert result.passed
-        assert len(result.certificates) == 8
-        assert all(isinstance(c, DecompositionCertificate) for c in result.certificates)
+        # [character, element, coordinate], frozen like the result
+        assert result.components.shape == (2, 8, 1)
+        assert result.components.dtype == np.int64
+        with pytest.raises(ValueError):
+            result.components[0, 0, 0] = 1
+
+    def test_work_bound_is_checked_per_module(self, monkeypatch):
+        # a module built by hand is not bounded by its family: 2 elements x
+        # 4^r products reach MAX_LEMMA_SUM_WORK = 2^19 at r = 9
+        generators = (((1,),),)
+        assert lemma_sum_check(SignedModule(1, 1, generators * 9)).passed
+
+        def no_products(self):
+            raise AssertionError("the group products were taken")
+
+        monkeypatch.setattr(SignedModule, "group_elements", no_products)
+        with pytest.raises(LemmaSumSizeError):
+            lemma_sum_check(SignedModule(1, 1, generators * 10))
+
+    @pytest.mark.parametrize("k, n, r", [(15, 1, 1), (1, 15, 1), (16, 1, 0)])
+    def test_largest_families_pass(self, k, n, r):
+        # the largest families under MAX_MODULE_SIZE and MAX_LEMMA_SUM_WORK
+        for module in enumerate_signed_modules(k, n, r):
+            result = lemma_sum_check(module)
+            assert result.passed
+            assert result.components.shape == (2**r, 2 ** (k * n), n)
+
+    def test_int64_components_agree_with_the_loop_oracle_at_k_15(self):
+        # entries up to 2^15 - 1, so the products reach 2^30 in int64
+        module = SignedModule(15, 1, (((2**15 - 1,),),))
+        assert_same_result(lemma_sum_check(module), loop_lemma_sum_check(module))
 
     def test_generator_pool_contents(self):
         pool1 = involutive_generator_pool(3, 1)
@@ -370,11 +408,11 @@ class TestSignedModule:
     def test_agrees_with_the_loop_oracle_on_every_acceptance_family(self):
         for k, n, r in itertools.product((1, 2, 3), (1, 2), (1, 2)):
             for module in enumerate_signed_modules(k, n, r):
-                assert lemma_sum_check(module) == loop_lemma_sum_check(module), (k, n, r)
+                assert_same_result(lemma_sum_check(module), loop_lemma_sum_check(module))
         # every pool matrix is symmetric; this pair of commuting involutions
         # of (Z/8)^2 is not, so a transposed action would show
         module = SignedModule(3, 2, (((1, 1), (0, 7)), ((7, 7), (0, 1))))
-        assert lemma_sum_check(module) == loop_lemma_sum_check(module)
+        assert_same_result(lemma_sum_check(module), loop_lemma_sum_check(module))
 
     def test_component_outside_its_eigenspace_is_reported(self, monkeypatch):
         # the shear squares to [[1, 2], [0, 1]] mod 4, so for odd m_2 the
@@ -385,7 +423,7 @@ class TestSignedModule:
         assert not result.passed
         assert result.failures[0] == "m=(0, 1): component for (1,) escapes its eigenspace"
         assert not any("components sum to" in f for f in result.failures)
-        assert result == loop_lemma_sum_check(module)
+        assert_same_result(result, loop_lemma_sum_check(module))
 
     def test_components_that_miss_the_sum_are_reported(self, monkeypatch):
         # two copies of the trivial character: both components are m + 3 m
@@ -398,7 +436,7 @@ class TestSignedModule:
             "m=(1,): components sum to (0,), expected (2,)",
             "m=(3,): components sum to (0,), expected (2,)",
         )
-        assert result == loop_lemma_sum_check(module)
+        assert_same_result(result, loop_lemma_sum_check(module))
 
     def test_characters_order(self):
         assert characters(2)[0] == (1, 1)
