@@ -21,8 +21,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-
-from mpmath import nstr
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 from . import __version__
 from .curve import (
@@ -40,6 +39,7 @@ from .descent import (
 from .errors import ArgumentError, InvariantError, TwistgateError, WorkBoundError
 from .fieldsearch import (
     OVERALL_VERIFIED,
+    SUPPORTED_P,
     check_hypothesis,
     search,
 )
@@ -102,6 +102,16 @@ def _resolve_curve(args) -> tuple[WeierstrassModel, str]:
 
 def _sign_str(s: int) -> str:
     return "+1" if s == 1 else "-1"
+
+
+def _significant(x: Decimal, n: int) -> str:
+    """x to n significant digits, rounded half up, in mpmath nstr's layout:
+    fixed point iff min(-(n // 3), -5) < e < n for the leading exponent e."""
+    x = Context(prec=n, rounding=ROUND_HALF_UP).plus(x)
+    fixed = x.is_zero() or min(-(n // 3), -5) < x.adjusted() < n
+    mantissa, _, exponent = f"{x:{'f' if fixed else 'e'}}".partition("e")
+    whole, _, frac = mantissa.partition(".")
+    return f"{whole}.{frac.rstrip('0') or '0'}" + (f"e{exponent}" if exponent else "")
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +265,16 @@ def _cmd_lvalue(args) -> CommandResult:
         "root_number": est.root_number,
         "terms_used": est.terms_used,
         "terms_summed": est.terms_summed,
-        "value": nstr(est.value, 30),
-        "tail_bound": nstr(est.tail_bound, 10),
+        "value": _significant(est.value, 30),
+        "tail_bound": _significant(est.tail_bound, 10),
         "margin_factor": args.margin,
         "verdict": est.verdict,
         "note": EVIDENCE_NOTE,
     }
     text = [
         f"L(E,1) for {name}: N = {est.conductor}, root number {_sign_str(est.root_number)}",
-        f"  value = {nstr(est.value, 30)}",
-        f"  tail bound = {nstr(est.tail_bound, 10)} "
+        f"  value = {_significant(est.value, 30)}",
+        f"  tail bound = {_significant(est.tail_bound, 10)} "
         f"({est.terms_used} terms, margin factor {args.margin})",
         f"  verdict: {est.verdict}",
         f"  note: {EVIDENCE_NOTE}",
@@ -345,8 +355,8 @@ def _cmd_check_hypothesis(args) -> CommandResult:
                 "discriminant": c.discriminant,
                 "root_number": c.root_number.value,
                 "formula_sign": c.formula_sign,
-                "lvalue": nstr(c.lvalue.value, 25),
-                "tail_bound": nstr(c.lvalue.tail_bound, 8),
+                "lvalue": _significant(c.lvalue.value, 25),
+                "tail_bound": _significant(c.lvalue.tail_bound, 8),
                 "terms_used": c.lvalue.terms_used,
                 "terms_summed": c.lvalue.terms_summed,
                 "conductor": c.lvalue.conductor,
@@ -367,7 +377,7 @@ def _cmd_check_hypothesis(args) -> CommandResult:
             text.append(
                 f"  character {signs}: d_S = {c.discriminant}, N = {c.lvalue.conductor}, "
                 f"w = {_sign_str(c.root_number.value)} (formula {_sign_str(c.formula_sign)}), "
-                f"L(1) = {nstr(c.lvalue.value, 12)} [{c.lvalue.verdict}"
+                f"L(1) = {_significant(c.lvalue.value, 12)} [{c.lvalue.verdict}"
                 + (", retried x4 terms]" if c.retried else "]")
             )
         text.append(f"  unramified at primes dividing 6p: "
@@ -525,14 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common],
                        help="admissible twist tuples up to a bound")
-    p.add_argument("--p", type=int, choices=(5, 7), required=True)
+    p.add_argument("--p", type=int, choices=SUPPORTED_P, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("check-hypothesis", parents=[common, margin],
                        help="full per-character root-number and L-value pipeline")
-    p.add_argument("--p", type=int, choices=(5, 7), required=True)
+    p.add_argument("--p", type=int, choices=SUPPORTED_P, required=True)
     p.add_argument("--d", required=True, help="comma-separated d_1,...,d_r")
     p.set_defaults(handler=_cmd_check_hypothesis)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -377,11 +377,14 @@ def lemma_sum_check(module: SignedModule) -> LemmaSumResult:
     mod, n = module.modulus, module.n
     group = module.group_elements()
     signs = characters(module.r)
-    # values[s, sigma] = s(sigma), in the order of group
-    values = np.array(
-        [[prod(c for bit, c in zip(bits, chi) if bit) for bits, _ in group] for chi in signs],
-        dtype=np.int64,
-    )
+    # values[s, sigma] = s(sigma) = (-1)^popcount(c & g), c and g the bits of
+    # the character's -1s and of sigma's generators, first factor most
+    # significant (group's order): row c of the Kronecker power below
+    table = np.ones((1, 1), dtype=np.int64)
+    for _ in range(module.r):
+        table = np.kron(table, np.array([[1, 1], [1, -1]], dtype=np.int64))
+    rows = [sum(1 << module.r - 1 - j for j, c in enumerate(chi) if c == -1) for chi in signs]
+    values = table[rows]
     # transposed, so that a row vector times mats[sigma] is sigma(m); the
     # size bound keeps k <= 16, so no int64 product overflows
     mats = np.array([mat for _, mat in group], dtype=np.int64).transpose(0, 2, 1)

@@ -29,10 +29,24 @@ under 2 units of 2^-B, so |q^n 2^B - q_n| < 2n, and with |a_n|/n <= 2 a
 sum of M terms is off by under 2 M^2 + 3 M units.  B is the bit length of (2 M + 3) 10^dps, which
 makes that at most M 10^-dps per sum.
 
-The truncation tail is bounded by |a_n| <= d(n) sqrt(n) <= 2n (divisor
-bound), giving the geometric majorant 2 (q^(M+1)/(1-q)) per sum.  The
-roundoff allowance 32 M 10^-dps added to it covers both kernel sums and
-the rounding of their combination to dps digits.
+The rest is stdlib decimal, in a local context that leaves the caller's
+as it was; value and tail_bound are Decimals.  PI is within 10^-100 of
+pi; sqrt, exp and the three products or quotients that make x in
+q = exp(-x) are off by half an ulp, under u = 5 * 10^-p relative at
+p <= 100 digits.  So q is off by under (4.01 x + 1.01) u.  For Q, p is one
+digit more than 2^(B + 64) has (77 at COEFFICIENT_BUDGET); as x q <= 1/e,
+Q is within 1 + 2^-64 of q 2^B, adding under M^2 2^-62 units to a sum.
+
+The tail, at dps digits: |a_n| <= d(n) sqrt(n) <= sqrt(3) n bounds each
+truncated sum by sqrt(3) g, g = q^(M+1) / (1 - q), and the bound takes
+2 g, room for a computed g off by 13%.  It is off by under 1.1% while
+y = (M + 1) x <= 10^-2 / (4.01 u): q^(M+1) by 4.01 y u + 1.01 (M + 1) u
+and an ulp, 1 - q (refused below 10^(10 - dps)) by 10^-9.  Past that, or
+past decimal's Emin of -999 999, g is under 10^-999 000.  The allowance
+32 M 10^-dps covers both kernel sums, 2.01 M 10^-dps, and the rounding of
+the value to dps digits, 18 M 10^-dps as |value| <= 2 sqrt(3) M.  The
+room left covers such a g, the tail's own three roundings and the
+verdict's product margin_factor * tail, half an ulp each.
 
 A nonzero verdict is *evidence* for rank 0 (via the standard analytic-rank
 implication for curves over Q), never a proof; reports carry that label.
@@ -43,9 +57,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Context, Decimal, getcontext, localcontext
 
 import numpy as np
-from mpmath import mp
 
 from .curve import WeierstrassModel
 from .errors import ArgumentError, InvariantError, MarginError, TermBudgetError
@@ -56,6 +70,9 @@ from .rootnum import global_root_number
 COEFFICIENT_BUDGET = 10**6
 DEFAULT_DPS = 50
 DEFAULT_MARGIN = 10.0
+# pi to 100 decimals, within 10^-100 of pi
+PI = Decimal("3.14159265358979323846264338327950288419716939937510"
+             "58209749445923078164062862089986280348253421170680")
 
 VERDICT_NONZERO = "NonzeroEvidence"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -69,14 +86,13 @@ EVIDENCE_NOTE = (
 
 @dataclass(frozen=True)
 class LValueEstimate:
-    value: object  # mpmath mpf
-    tail_bound: object  # mpmath mpf
+    value: Decimal
+    tail_bound: Decimal
     terms_used: int
     terms_summed: int  # coefficients summed; 0 when w = -1 forced the value at t = 1
     conductor: int
     verdict: str
     root_number: int
-    eval_point: float
 
     def __post_init__(self):
         if self.tail_bound < 0:
@@ -163,17 +179,13 @@ def fraction_bits(M: int, dps: int) -> int:
     return ((2 * M + 3) * 10**dps).bit_length()
 
 
-def _q_values(N: int, t: float):
+def _q_values(N: int, t: float) -> tuple[Decimal, Decimal]:
     """q1 = exp(-2 pi t / sqrt(N)) and q2 = exp(-2 pi / (t sqrt(N))), at the
-    working precision."""
-    sqrt_n = mp.sqrt(N)
-    tt = mp.mpf(t)
-    return mp.exp(-2 * mp.pi * tt / sqrt_n), mp.exp(-2 * mp.pi / (tt * sqrt_n))
-
-
-def _scaled(x, B: int) -> int:
-    """floor(x 2^B) for a positive mpf x."""
-    return int(mp.floor(mp.ldexp(x, B)))
+    precision of the current decimal context, at most PI's 100 digits."""
+    if getcontext().prec > 100:
+        raise InvariantError(f"q asked for at {getcontext().prec} digits, beyond PI's 100")
+    sqrt_n, tt, two_pi = Decimal(N).sqrt(), Decimal(t), 2 * PI
+    return (-two_pi * tt / sqrt_n).exp(), (-two_pi / (tt * sqrt_n)).exp()
 
 
 def _scaled_sum(coeffs: list[int], Q: int, B: int) -> int:
@@ -217,8 +229,9 @@ def l_value_at_1(
     margin_factor must be finite and at least 1 (MarginError).  At t = 1
     with root number -1 the value is exactly s1 - s1 = 0, returned without
     computing a coefficient (terms_summed = 0).  ArgumentError unless t is
-    positive and finite, and for a t so far from 1 that q1 or q2 rounds to
-    1 at DEFAULT_DPS digits, where the tail bound would divide by 1 - q = 0.
+    positive and finite, and for a t so far from 1 that q1 or q2 is within
+    10^(10 - DEFAULT_DPS) of 1 at DEFAULT_DPS digits, where the tail bound
+    would divide by a 1 - q of too few digits.
     """
     if not 0 < t < math.inf:  # nan fails both comparisons
         raise ArgumentError(f"evaluation point t must be positive and finite, got {t}")
@@ -231,38 +244,34 @@ def l_value_at_1(
         raise ArgumentError(f"terms must be a positive integer, got {terms!r}")
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"terms = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
-    with mp.workdps(DEFAULT_DPS):
+    with localcontext(Context(prec=DEFAULT_DPS)) as ctx:
         q1, q2 = _q_values(N, t)
-        if q1 == 1 or q2 == 1:
+        if 1 - max(q1, q2) < Decimal(10) ** (10 - DEFAULT_DPS):
             raise ArgumentError(
-                f"evaluation point t = {t} puts q1 or q2 at 1 to {DEFAULT_DPS} digits"
+                f"evaluation point t = {t} puts q1 or q2 within 10^{10 - DEFAULT_DPS} of 1"
             )
         if t == 1 and root_number == -1:
-            value, summed = mp.mpf(0), 0
+            value, summed = Decimal(0), 0
         else:
             coeffs = dirichlet_coefficients(data, M)
             B = fraction_bits(M, DEFAULT_DPS)
-            with mp.workprec(B + 64):
-                Q1, Q2 = (_scaled(q, B) for q in _q_values(N, t))
+            ctx.prec = len(str(1 << (B + 64))) + 1
+            Q1, Q2 = (int((q * 2**B).to_integral_value(ROUND_FLOOR)) for q in _q_values(N, t))
+            ctx.prec = DEFAULT_DPS
             s1 = _scaled_sum(coeffs, Q1, B)
             s2 = s1 if t == 1 else _scaled_sum(coeffs, Q2, B)
-            value, summed = mp.ldexp(mp.mpf(s1 + root_number * s2), -B), M
-        # |a_n|/n <= d(n)/sqrt(n) <= 2, so each truncated sum is bounded by
-        # the geometric tail; plus a roundoff allowance that covers both
-        # kernel sums (M 10^-dps each) and the rounding of their
-        # combination to dps digits.
+            value, summed = Decimal(s1 + root_number * s2) / 2**B, M
         tail = 2 * (q1 ** (M + 1) / (1 - q1) + q2 ** (M + 1) / (1 - q2))
-        tail += 32 * M * mp.mpf(10) ** (-DEFAULT_DPS)
+        tail += 32 * M * Decimal(10) ** -DEFAULT_DPS
         verdict = (
-            VERDICT_NONZERO if abs(value) > margin_factor * tail else VERDICT_INCONCLUSIVE
+            VERDICT_NONZERO if abs(value) > Decimal(margin_factor) * tail else VERDICT_INCONCLUSIVE
         )
-        return LValueEstimate(
-            value=+value,
-            tail_bound=+tail,
-            terms_used=M,
-            terms_summed=summed,
-            conductor=N,
-            verdict=verdict,
-            root_number=root_number,
-            eval_point=float(t),
-        )
+    return LValueEstimate(
+        value=value,
+        tail_bound=tail,
+        terms_used=M,
+        terms_summed=summed,
+        conductor=N,
+        verdict=verdict,
+        root_number=root_number,
+    )

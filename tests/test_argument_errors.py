@@ -16,11 +16,13 @@ CALLS = {
     "classify at 4": lambda E: classify(E, 4),
     "count_points at 4": lambda E: count_points(E, 4),
     "l_value_at_1 with no terms": lambda E: l_value_at_1(E, terms=0),
-    # not finite, or so far from 1 that q1 or q2 is 1 at the working precision
+    # not finite, or so far from 1 that q1 or q2 is within 10^-40 of 1 at the
+    # working precision: at 1 for 1e-300, as close as 1 - 1.6e-45 for 1e-45
     "l_value_at_1 at t = nan": lambda E: l_value_at_1(E, t=float("nan")),
     "l_value_at_1 at t = inf": lambda E: l_value_at_1(E, t=float("inf")),
     "l_value_at_1 at t = 1e-300": lambda E: l_value_at_1(E, t=1e-300),
     "l_value_at_1 at t = 1e300": lambda E: l_value_at_1(E, t=1e300),
+    "l_value_at_1 at t = 1e-45": lambda E: l_value_at_1(E, t=1e-45),
     "search of rank 0": lambda E: search(5, 0, 10),
     "search to bound 0": lambda E: search(5, 1, 0),
     "quad_point_search to height 0": lambda E: quad_point_search(short_form(E), 17, 0),

@@ -1,9 +1,15 @@
 import contextlib
 import dataclasses
+import decimal
 import json
+import math
 import random
 import signal
+import subprocess
+import sys
 import time
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -22,6 +28,7 @@ from twistgate.cli import (
     STATUS_INTERNAL,
     STATUS_OK,
     STATUS_UNSUPPORTED,
+    _significant,
     build_parser,
     main,
     run,
@@ -639,3 +646,168 @@ class TestUsage:
         lvalue = ["lvalue", "--label", "15a1"]
         assert run_json(capsys, lvalue + ["--margin", "20"])[1]["payload"]["margin_factor"] == 20
         assert run_json(capsys, lvalue)[1]["payload"]["margin_factor"] == 10
+
+
+WIDTHS = (8, 10, 12, 25, 30)
+
+
+def lowest_fixed(n):
+    """The leading-digit exponent at and below which nstr prints d.ddde-XX."""
+    return min(-(n // 3), -5)
+
+
+def nstr_of(x, n):
+    """mpmath's nstr of a Decimal, through an mpf 120 digits wide: exact for
+    a Decimal made from a float, and off only beyond digit 100 otherwise."""
+    with mp.workdps(120):
+        return mp.nstr(mp.mpf(str(x)), n)
+
+
+def scaled(i, k):
+    """i 10^k as an exact Decimal, whatever the context's precision."""
+    return Decimal(f"{i}E{k}")
+
+
+def with_exponent(rng, e, digits=50):
+    """A random Decimal of this many digits, leading digit at 10^e."""
+    coefficient = rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+    return scaled(coefficient, e - digits + 1)
+
+
+class TestSignificant:
+    """The CLI's formatter against mpmath's nstr, which it replaced."""
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_random_floats(self, n):
+        # Decimal(f) and mpf(f) are both exact, so both see the same number
+        rng = random.Random(n)
+        for _ in range(2000):
+            f = math.ldexp(rng.uniform(-1, 1), rng.randint(-130, 130))
+            assert _significant(Decimal(f), n) == mp.nstr(mp.mpf(f), n), (f, n)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_random_fifty_digit_values_at_both_thresholds(self, n):
+        rng = random.Random(100 + n)
+        lo = lowest_fixed(n)
+        for e in [lo - 1, lo, lo + 1, -1, 0, 1, n - 1, n, n + 1] * 100:
+            x = with_exponent(rng, e)
+            assert _significant(x, n) == nstr_of(x, n), (x, n)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_exact_ties_round_half_up(self, n):
+        # D + 0.5 and (10 D + 5) 10^k are ties at n digits and exact in binary
+        rng = random.Random(200 + n)
+        half_up = decimal.Context(prec=100, rounding=decimal.ROUND_HALF_UP)
+        for _ in range(200):
+            tie = 10 * rng.randrange(10 ** (n - 1), 10**n) + 5
+            for x in (scaled(tie, -1), scaled(tie, 0), scaled(tie, 3), scaled(-tie, -1)):
+                got = _significant(x, n)
+                assert got == nstr_of(x, n), (x, n)
+                assert Decimal(got) == half_up.quantize(x, scaled(1, x.adjusted() - n + 1))
+        assert _significant(Decimal("0.125"), 2) == mp.nstr(mp.mpf(0.125), 2) == "0.13"
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_carries_across_both_thresholds(self, n):
+        # 9...95 rounds up to a power of 10, one exponent higher
+        lo = lowest_fixed(n)
+        for sign in (1, -1):
+            # exact ties in binary, a half and integers, at the upper threshold
+            tie = sign * int("9" * n + "5")
+            for k in (-1, 0, 1):
+                x = scaled(tie, k)
+                assert _significant(x, n) == nstr_of(x, n), (x, n)
+            # just above the tie elsewhere, where it is not exact in binary
+            above = sign * int("9" * n + "51")
+            for e in (lo - 2, lo - 1, lo, -1, 0, n - 2, n - 1):
+                x = scaled(above, e - n - 1)
+                assert _significant(x, n) == nstr_of(x, n), (x, n)
+        assert _significant(Decimal("99999999.5"), 8) == "1.0e+8"
+        assert _significant(Decimal("9999999.95"), 8) == "10000000.0"
+        assert _significant(Decimal("0.0000099999999951"), 8) == "1.0e-5"
+        assert _significant(Decimal("-0.000099999999951"), 8) == "-0.0001"
+
+    def test_decimal_ties_round_half_up(self):
+        # not exact in binary, so nstr's digits depend on the mpf: the
+        # formatter rounds the decimal value itself
+        assert _significant(Decimal("1.00000005"), 8) == "1.0000001"
+        assert _significant(Decimal("-2.0000000005E-20"), 10) == "-2.000000001e-20"
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_zero_and_trailing_zeros(self, n):
+        for zero in (Decimal(0), Decimal("-0"), Decimal("0E-50")):
+            assert _significant(zero, n) == mp.nstr(mp.mpf(0), n) == "0.0"
+        for x in (Decimal(3), Decimal("3.000"), Decimal("-3E-2"), Decimal("1.5E+40")):
+            assert _significant(x, n) == nstr_of(x, n), (x, n)
+        assert _significant(Decimal("3.000"), n) == "3.0"
+
+
+NO_MPMATH_SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = sys.argv[1:2]
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from twistgate import cli
+documents = {}
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.run(argv + ["--json"])
+    documents[argv[0]] = json.loads(out.getvalue())
+print(json.dumps(documents))
+"""
+
+# one call of every subcommand
+EVERY_SUBCOMMAND = [
+    ["curve-info", "--label", "15a1"],
+    ["reduction", "--label", "15a1", "--p", "2"],
+    ["root-number", "--label", "15a1"],
+    ["twist-root-check", "--label", "15a1", "--dmax", "50"],
+    ["lvalue", "--label", "15a1"],
+    ["serre-check", "--ell", "5", "--label", "15a1"],
+    ["search", "--p", "5", "--r", "1", "--bound", "50"],
+    ["check-hypothesis", "--p", "5", "--d", "17"],
+    ["descent-check", "--lemma", "sum", "--k", "2", "--n", "1", "--r", "1"],
+]
+
+
+class TestWithoutMpmath:
+    def test_every_subcommand_runs_with_mpmath_unimportable(self):
+        assert {argv[0] for argv in EVERY_SUBCOMMAND} == set(
+            build_parser()._subparsers._group_actions[0].choices
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", NO_MPMATH_SCRIPT, str(src), json.dumps(EVERY_SUBCOMMAND)],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        documents = json.loads(out.stdout)
+        assert {name: doc["status"] for name, doc in documents.items()} == {
+            argv[0]: STATUS_OK for argv in EVERY_SUBCOMMAND
+        }
+        assert documents["lvalue"]["payload"]["value"] == "0.350150760583150505795045209202"
+
+
+class TestDecimalContext:
+    """The library's decimal work neither reads nor changes the caller's
+    context: the value has its 50 digits at a caller's 7."""
+
+    CALLS = {
+        "l_value_at_1": lambda: l_value_at_1(curve_by_label("15a1")).value,
+        "l_value_at_1 at t = 1.2": lambda: l_value_at_1(curve_by_label("15a1"), t=1.2).value,
+        "lvalue": lambda: run(["lvalue", "--label", "15a1", "--json"]).payload["value"],
+        "check-hypothesis": lambda: run(["check-hypothesis", "--p", "5", "--d", "17"])
+        .payload["characters"][0]["lvalue"],
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_precision_rounding_and_flags_are_kept(self, capsys, call):
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding = 7, decimal.ROUND_DOWN
+            ctx.clear_flags()
+            value = call()
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, ctx.rounding) == (7, decimal.ROUND_DOWN)
+            assert not any(ctx.flags.values())
+        capsys.readouterr()
+        assert str(value).startswith("0.350150760583150505795045")

@@ -339,6 +339,27 @@ class TestSignedModule:
         with pytest.raises(ValueError):
             result.components[0, 0, 0] = 1
 
+    @pytest.mark.parametrize("r", range(10))
+    def test_character_table_is_the_product_table(self, monkeypatch, r):
+        # the Kronecker-power table, caught on its way into the components,
+        # against one product of signs per (character, group element)
+        module = SignedModule(1, 1, (((1,),),) * r)
+        tables = []
+        tensordot = np.tensordot
+
+        def spy(a, b, axes):
+            tables.append(a.copy())
+            return tensordot(a, b, axes=axes)
+
+        monkeypatch.setattr(np, "tensordot", spy)
+        lemma_sum_check(module)
+        group = module.group_elements()
+        want = [
+            [prod(s for bit, s in zip(bits, signs) if bit) for bits, _ in group]
+            for signs in characters(r)
+        ]
+        assert tables[0].tolist() == want
+
     def test_work_bound_is_checked_per_module(self, monkeypatch):
         # a module built by hand is not bounded by its family: 2 elements x
         # 4^r products reach MAX_LEMMA_SUM_WORK = 2^19 at r = 9

@@ -141,7 +141,7 @@ class TestLValue:
             for n in range(501, 4001):
                 qn *= q
                 dropped += mp.mpf(a[n]) / n * qn
-            assert abs(2 * dropped) < est.tail_bound
+            assert abs(2 * dropped) < mp.mpf(str(est.tail_bound))
 
 
 # The benchmark's lvalue-fresh universe: a1, a3 in {0, 1}, a2 in {-1, 0, 1},

@@ -4,21 +4,24 @@ The oracle is the mpf loop itself, kept here at dps + 20 digits: each sum
 the kernel computes must agree with it within the kernel's stated
 roundoff, 2 M^2 + 3 M units of 2^-B, and that bound must fit inside the
 M 10^-dps per sum that the tail allowance reserves, for every M the
-coefficient budget admits.  The numpy coefficient fill is checked against
-the list fill it replaced, and the w = -1 short-circuit against the
-estimate the summing path would have returned.
+coefficient budget admits.  The kernel's decimal inputs, q and
+Q = floor(q 2^B), and the constant PI are checked against mpmath.  The
+numpy coefficient fill is checked against the list fill it replaced, and
+the w = -1 short-circuit against the estimate the summing path would have
+returned.
 """
 
-import dataclasses
 import math
+from decimal import ROUND_FLOOR, localcontext
 from functools import cache
 
 import pytest
-from mpmath import mp
+from mpmath import mp, nstr
 
 from twistgate import lseries
+from twistgate.cli import _significant
 from twistgate.curve import WeierstrassModel, curve_by_label, quadratic_twist
-from twistgate.errors import MarginError
+from twistgate.errors import InvariantError, MarginError
 from twistgate.lseries import (
     COEFFICIENT_BUDGET,
     DEFAULT_DPS,
@@ -61,6 +64,11 @@ def q_values(N, t):
     """q1 = exp(-2 pi t / sqrt(N)) and q2 = exp(-2 pi / (t sqrt(N)))."""
     root, tt = mp.sqrt(N), mp.mpf(t)
     return mp.exp(-2 * mp.pi * tt / root), mp.exp(-2 * mp.pi / (tt * root))
+
+
+def oracle_scaled(q, B):
+    """floor(q 2^B) for a positive mpf q."""
+    return int(mp.floor(mp.ldexp(q, B)))
 
 
 def mpf_sum(coeffs, q):
@@ -107,7 +115,6 @@ def summing_estimate(E, t):
             conductor=N,
             verdict=verdict,
             root_number=w,
-            eval_point=float(t),
         )
 
 
@@ -124,7 +131,7 @@ class TestKernelAgainstMpfOracle:
         B = fraction_bits(M, DEFAULT_DPS)
         with mp.workprec(B + 64):
             qs = q_values(N, t)
-            scaled = [lseries._scaled(q, B) for q in qs]
+            scaled = [oracle_scaled(q, B) for q in qs]
         for Q, want in zip(scaled, oracle_sums(name, t)):
             got = lseries._scaled_sum(list(coeffs), Q, B)
             with mp.workdps(ORACLE_DIGITS):
@@ -140,7 +147,7 @@ class TestKernelAgainstMpfOracle:
             want = s1 + est.root_number * s2
             # M 10^-dps per kernel sum, and rounding the sum to dps digits
             bound = (2 * M + abs(want)) * mp.mpf(10) ** -DEFAULT_DPS
-            assert abs(est.value - want) <= bound, (name, t)
+            assert abs(mp.mpf(str(est.value)) - want) <= bound, (name, t)
             assert bound < 32 * M * mp.mpf(10) ** -DEFAULT_DPS
 
 
@@ -154,6 +161,15 @@ class TestRoundoffBound:
         assert failing == []
 
 
+def tails_agree(got, want):
+    """A Decimal tail and the mpf oracle's print equal at the CLI's 10 and 8
+    digits and agree within 10^-46 relative: a 50-digit q is off by up to
+    5 * 10^-50 relative, and q^(M+1) by M + 1 times that, M = 1 000 here."""
+    printed = all(_significant(got, n) == nstr(want, n) for n in (10, 8))
+    with mp.workdps(ORACLE_DIGITS):
+        return printed and abs(mp.mpf(str(got)) - want) <= want * mp.mpf(10) ** -46
+
+
 class TestShortCircuit:
     def test_forced_zero_skips_the_sums(self, e15, monkeypatch):
         twist = quadratic_twist(e15, 13)
@@ -165,20 +181,69 @@ class TestShortCircuit:
 
         monkeypatch.setattr(lseries, "dirichlet_coefficients", no_coefficients)
         got = l_value_at_1(twist)
-        assert got.terms_summed == 0
-        assert dataclasses.replace(got, terms_summed=want.terms_summed) == want
+        assert got.terms_summed == 0 and got.value == 0
+        assert (got.terms_used, got.conductor, got.verdict, got.root_number) == (
+            want.terms_used, want.conductor, want.verdict, want.root_number
+        )
+        assert tails_agree(got.tail_bound, want.tail_bound)
 
     def test_other_evaluation_point_still_sums(self, e15):
         twist = quadratic_twist(e15, 13)
         want = summing_estimate(twist, 1.2)
         got = l_value_at_1(twist, t=1.2)
         assert got.terms_summed == got.terms_used == want.terms_used
-        assert got.tail_bound == want.tail_bound
+        assert tails_agree(got.tail_bound, want.tail_bound)
         assert (got.verdict, got.conductor, got.root_number) == (
             want.verdict, want.conductor, want.root_number
         )
         with mp.workdps(DEFAULT_DPS):
-            assert abs(got.value - want.value) <= 32 * got.terms_used * mp.mpf(10) ** -DEFAULT_DPS
+            assert abs(mp.mpf(str(got.value)) - want.value) <= (
+                32 * got.terms_used * mp.mpf(10) ** -DEFAULT_DPS
+            )
+
+
+class TestDecimalInputs:
+    """q1, q2 and Q as l_value_at_1 computes them, in decimal, against mpmath."""
+
+    @pytest.mark.parametrize("t", [1, 1.2, 0.01, 100])
+    @pytest.mark.parametrize("name", list(kernel_curves()))
+    def test_q_within_its_roundoff(self, name, t):
+        # (4.01 x + 1.01) u relative, x = -log q, u = 5 * 10^-dps
+        _, N, _, _ = curve_terms(name)
+        with localcontext() as ctx:
+            ctx.prec = DEFAULT_DPS
+            got = lseries._q_values(N, t)
+        with mp.workdps(ORACLE_DIGITS):
+            u = 5 * mp.mpf(10) ** -DEFAULT_DPS
+            for q, want in zip(got, q_values(N, t)):
+                bound = (4.01 * -mp.log(want) + 1.01) * u * want
+                assert abs(mp.mpf(str(q)) - want) <= bound, (name, t)
+
+    @pytest.mark.parametrize("t", [1, 1.2, 0.01, 100])
+    @pytest.mark.parametrize("name", list(kernel_curves()))
+    def test_scaled_q_within_one_of_the_floor(self, name, t):
+        _, N, M, _ = curve_terms(name)
+        B = fraction_bits(M, DEFAULT_DPS)
+        with localcontext() as ctx:
+            ctx.prec = len(str(1 << (B + 64))) + 1
+            got = [int((q * 2**B).to_integral_value(ROUND_FLOOR)) for q in lseries._q_values(N, t)]
+        with mp.workprec(B + 64):
+            want = [oracle_scaled(q, B) for q in q_values(N, t)]
+        assert all(abs(g - w) <= 1 for g, w in zip(got, want)), (name, t, got, want)
+
+    def test_the_budget_needs_at_most_77_digits(self):
+        B = fraction_bits(COEFFICIENT_BUDGET, DEFAULT_DPS)
+        assert len(str(1 << (B + 64))) + 1 <= 77
+
+    def test_pi_within_ten_to_the_minus_100(self):
+        with mp.workdps(120):
+            assert abs(mp.mpf(str(lseries.PI)) - mp.pi) < mp.mpf(10) ** -100
+
+    def test_no_q_beyond_the_digits_of_pi(self):
+        with localcontext() as ctx:
+            ctx.prec = 101
+            with pytest.raises(InvariantError):
+                lseries._q_values(15, 1)
 
 
 def list_coefficients(E, M):
