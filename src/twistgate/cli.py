@@ -2,10 +2,10 @@
 human-readable text by default and a single JSON document under --json.
 
 It only parses, dispatches and prints; the library owns the argument rules
-(ArgumentError).  The CLI checks only --curve and --d, which it parses, the
-options each --lemma form needs, and --dmax, whose sweep lives here.  The
-rule on a twist parameter d is rootnum's: root-number --twist and the sweep
-over d <= --dmax (rootnum.twist_parameters) both apply it.
+(ArgumentError).  The CLI checks only --curve and --d, which it parses, and
+the options each --lemma form needs.  The rule on a twist parameter d is
+rootnum's: root-number --twist and the sweep over d <= --dmax
+(rootnum.twist_sweep) both apply it.
 
 Exit codes, one per status: 0 ok (and any verification passed); 1
 check-failed, a check ran to completion and failed; 2 unsupported-input, a
@@ -36,7 +36,7 @@ from .descent import (
     quad_point_search,
     twist_map,
 )
-from .errors import ArgumentError, InvariantError, TwistgateError, WorkBoundError
+from .errors import InvariantError, TwistgateError
 from .fieldsearch import (
     OVERALL_VERIFIED,
     SUPPORTED_P,
@@ -47,7 +47,7 @@ from .galois import serre_check
 from .lseries import DEFAULT_MARGIN, EVIDENCE_NOTE, l_value_at_1
 from .numtheory import factor
 from .reduction import classify, local_data
-from .rootnum import global_root_number, twist_formula, twist_parameters
+from .rootnum import global_root_number, twist_formula, twist_sweep
 
 STATUS_OK = "ok"
 STATUS_CHECK_FAILED = "check-failed"
@@ -55,9 +55,6 @@ STATUS_UNSUPPORTED = "unsupported-input"
 STATUS_INTERNAL = "internal-error"
 
 EXIT_CODE = {STATUS_OK: 0, STATUS_CHECK_FAILED: 1, STATUS_UNSUPPORTED: 2, STATUS_INTERNAL: 3}
-
-# Largest twist-root-check --dmax; the benchmarked sweeps reach 2000.
-MAX_TWIST_DMAX = 10**4
 
 
 @dataclass
@@ -75,10 +72,7 @@ def _factored(n: int) -> str:
     if n in (0, 1, -1):
         return str(n)
     sign = "-" if n < 0 else ""
-    parts = []
-    for p, e in factor(abs(n)).factors:
-        parts.append(f"{p}^{e}" if e > 1 else str(p))
-    return sign + " * ".join(parts)
+    return sign + " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factor(abs(n)).factors)
 
 
 def _parse_curve_arg(text: str) -> WeierstrassModel:
@@ -215,38 +209,21 @@ def _cmd_root_number(args) -> CommandResult:
 
 
 def _cmd_twist_root_check(args) -> CommandResult:
-    if args.dmax > MAX_TWIST_DMAX:
-        raise WorkBoundError(f"--dmax must be at most {MAX_TWIST_DMAX}, got {args.dmax}")
-    if args.dmax < 1:
-        raise ArgumentError(f"--dmax must be at least 1, got {args.dmax}")
     model, name = _resolve_curve(args)
-    data = local_data(model)
-    base = twist_formula(data)
-    N = base.conductor
-    valid = twist_parameters(args.dmax, N)
-    mismatches = []
-    for factored in valid:
-        d = factored.value
-        formula = base.sign(d, factored)
-        # the direct path classifies the twist's own model at every prime
-        try:
-            direct = global_root_number(data.twist(d)).value
-        except TwistgateError as exc:
-            raise type(exc)(f"d = {d}: {exc}") from exc
-        if formula != direct:
-            mismatches.append({"d": d, "formula": formula, "direct": direct})
+    base, signs = twist_sweep(model, args.dmax)
+    mismatches = [{"d": d, "formula": f, "direct": g} for d, f, g in signs if f != g]
     payload = {
         "curve": name,
-        "conductor": N,
+        "conductor": base.conductor,
         "dmax": args.dmax,
-        "instances": len(valid),
+        "instances": len(signs),
         "mismatches": mismatches,
     }
     ok = not mismatches
     text = [
-        f"twist root-number equivalence for {name} (N = {N}), squarefree d = 1 mod 4, "
-        f"gcd(d, N) = 1, d <= {args.dmax}:",
-        f"  {len(valid)} twists checked, {len(mismatches)} mismatches"
+        f"twist root-number equivalence for {name} (N = {base.conductor}), squarefree "
+        f"d = 1 mod 4, gcd(d, N) = 1, d <= {args.dmax}:",
+        f"  {len(signs)} twists checked, {len(mismatches)} mismatches"
         + ("" if ok else f": {mismatches}"),
     ]
     return CommandResult(STATUS_OK if ok else STATUS_CHECK_FAILED, payload, text)
@@ -305,6 +282,8 @@ def _cmd_serre_check(args) -> CommandResult:
             f"  v_{c.q}(j) = {c.v_q_of_j}: ell | {abs(c.v_q_of_j)}? "
             + ("no [ok]" if c.ok else "YES [fail]")
         )
+    if not report.j_exponent_checks:
+        text.append("  j is integral: no pole of j to check [fail]")
     ac = report.aux_check
     text.append(
         f"  #E(F_{ac.q}) = {ac.points}: ell | {ac.points}? "
@@ -423,10 +402,8 @@ def _cmd_descent_check(args) -> CommandResult:
     curve = short_form(model)
     points = quad_point_search(curve, args.d, args.height)
     rows = []
-    bad = []
     for pt in points:
-        image = twist_map(pt, args.d)
-        image_rational = image.x.is_rational and image.y.is_rational
+        image_rational = twist_map(pt, args.d).is_invariant
         if pt.is_anti_invariant:
             kind = "anti-invariant"
             ok = image_rational
@@ -445,8 +422,7 @@ def _cmd_descent_check(args) -> CommandResult:
                 "ok": ok,
             }
         )
-        if not ok:
-            bad.append(rows[-1])
+    bad = [row for row in rows if not row["ok"]]
     payload = {
         "lemma": "tmw",
         "curve": label,

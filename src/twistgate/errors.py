@@ -87,8 +87,8 @@ class LemmaSumSizeError(TwistgateError):
 
 
 class WorkBoundError(TwistgateError):
-    """A tuple search above MAX_SEARCH_WORK, or a twist sweep above
-    MAX_TWIST_DMAX, refused before it starts."""
+    """A tuple search above fieldsearch.MAX_SEARCH_WORK, or a twist sweep
+    above rootnum.MAX_TWIST_DMAX, refused before it starts."""
 
 
 class TermBudgetError(TwistgateError):

@@ -1,12 +1,13 @@
 """Hypothesis checks for Serre's mod-ell surjectivity criterion.
 
 For an odd prime ell >= 3 the check records, exactly as the criterion is
-applied to our curves: (a) for every prime q where the j-invariant has a
-pole, ell does not divide |v_q(j)|, and (b) ell does not divide the point
-count #E(F_q0) at an auxiliary good prime q0.  A passing report means the
-criterion's hypotheses are verified; surjectivity of the mod-ell
-representation then follows from Serre's Proposition 21 (Inventiones 15,
-1972), which we do not re-prove.
+applied to our curves: (a) j has a pole at some prime, and for every prime
+q where it has one, ell does not divide |v_q(j)|, and (b) ell does not
+divide the point count #E(F_q0) at an auxiliary good prime q0.  Integral j
+(CM curves among them, whose mod-ell image is never surjective) fails (a).
+A passing report means the criterion's hypotheses are verified;
+surjectivity of the mod-ell representation then follows from Serre's
+Proposition 21 (Inventiones 15, 1972), which we do not re-prove.
 """
 
 from __future__ import annotations
@@ -88,5 +89,5 @@ def serre_check(
             j_checks.append(JExponentCheck(q, -e, e % ell != 0))
     points = aux_data.points  # on the model minimal at aux, which need not be E
     aux_check = AuxPrimeCheck(aux, points, points % ell != 0)
-    overall = aux_check.ok and all(c.ok for c in j_checks)
+    overall = aux_check.ok and bool(j_checks) and all(c.ok for c in j_checks)
     return SurjectivityReport(ell, tuple(j_checks), aux_check, overall)

@@ -19,6 +19,8 @@ The one rule on a twist parameter d against a modulus n (N in the twist
 formula, 3p in fieldsearch) is twist_parameter_failure: d must be positive,
 squarefree, 1 mod 4 and prime to n.  twist_formula decides the formula's
 hypotheses on E once per curve; its sign(d) is the part decided per d.
+twist_sweep checks the formula against the direct product for every valid
+d <= dmax, within the work bound MAX_TWIST_DMAX.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from .errors import (
     ArgumentError,
     HypothesisViolationError,
     InvariantError,
+    TwistgateError,
     UnsupportedPlaceError,
     UnsupportedReductionError,
+    WorkBoundError,
 )
 from .numtheory import Factorization, factor, is_prime, jacobi, valuation
 from .reduction import LocalData, ReductionKind, conductor, local_data
@@ -45,6 +49,9 @@ CASE_SPLIT = "split-mult"
 CASE_NONSPLIT = "nonsplit-mult"
 CASE_ADD_POT_MULT = "add-pot-mult"
 CASE_ADD_POT_GOOD = "add-pot-good"
+
+# Largest twist_sweep dmax; the benchmarked sweeps reach 2000.
+MAX_TWIST_DMAX = 10**4
 
 
 @dataclass(frozen=True)
@@ -196,5 +203,29 @@ def twist_formula(E: WeierstrassModel | LocalData) -> TwistFormula:
 def twist_root_number_formula(E: WeierstrassModel | LocalData, d: int) -> int:
     """jacobi(d, N) * w(E) for semistable E of odd conductor N, equal to the
     global root number of the twist; HypothesisViolationError naming a failed
-    hypothesis.  A sweep over d builds twist_formula(E) once instead."""
+    hypothesis.  A sweep over d is twist_sweep, which builds twist_formula(E)
+    once."""
     return twist_formula(E).sign(d)
+
+
+def twist_sweep(
+    E: WeierstrassModel | LocalData, dmax: int
+) -> tuple[TwistFormula, list[tuple[int, int, int]]]:
+    """E's TwistFormula and (d, formula sign, direct sign) for each valid
+    d <= dmax, ascending.  The direct sign classifies the twist's own model
+    at every prime; an error there is re-raised with its d named."""
+    if dmax > MAX_TWIST_DMAX:
+        raise WorkBoundError(f"--dmax must be at most {MAX_TWIST_DMAX}, got {dmax}")
+    if dmax < 1:
+        raise ArgumentError(f"--dmax must be at least 1, got {dmax}")
+    data = local_data(E)
+    base = twist_formula(data)
+    signs = []
+    for factored in twist_parameters(dmax, base.conductor):
+        d = factored.value
+        try:
+            direct = global_root_number(data.twist(d)).value
+        except TwistgateError as exc:
+            raise type(exc)(f"d = {d}: {exc}") from exc
+        signs.append((d, base.sign(d, factored), direct))
+    return base, signs

@@ -15,13 +15,13 @@ import pytest
 from mpmath import mp, mpf
 
 from twistgate import (
-    cli,
     curve_by_label,
     descent,
     fieldsearch,
     l_value_at_1,
     quadratic_twist,
     reduction,
+    rootnum,
 )
 from twistgate.cli import (
     STATUS_CHECK_FAILED,
@@ -263,18 +263,11 @@ class TestTwistRootCheck:
         assert doc["payload"]["error_type"] == "ArgumentError"
         assert "at least 1" in doc["payload"]["error"]
 
-    def test_even_conductor_is_a_hypothesis_violation(self, capsys):
-        argv = ["twist-root-check", "--curve", "1,0,0,0,2", "--dmax", "50"]
-        result, doc = run_json(capsys, argv)
-        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
-        assert doc["payload"]["error_type"] == "HypothesisViolationError"
-        assert "even" in doc["payload"]["error"]
-
     def test_a_wrong_formula_record_is_caught_by_the_direct_path(self, capsys, monkeypatch):
         # the direct root number reads the twist's own model, not the record
-        formula = cli.twist_formula
+        formula = rootnum.twist_formula
         monkeypatch.setattr(
-            cli,
+            rootnum,
             "twist_formula",
             lambda E: dataclasses.replace(formula(E), root_number=-formula(E).root_number),
         )
@@ -289,9 +282,6 @@ class TestTwistRootCheck:
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
         assert doc["payload"]["error_type"] == "UnsupportedPlaceError"
         assert doc["payload"]["error"].startswith("d = 21: ")
-        argv[-1] = "20"
-        result, doc = run_json(capsys, argv)
-        assert (result.exit_code, doc["payload"]["instances"]) == (0, 4)
 
 
 class TestLValue:
@@ -368,6 +358,16 @@ class TestSerreCheck:
         result = run(["serre-check", "--ell", "3", "--curve", "1,0,0,0,8"])
         assert result.status == STATUS_CHECK_FAILED
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("curve", ["0,0,0,-1,0", "0,0,1,0,0"], ids=["j=1728", "j=0"])
+    def test_integral_j_is_not_verified(self, capsys, curve):
+        # CM curves: j has no pole, so check (a) has no prime to run on,
+        # and a CM curve's mod-ell image is never surjective
+        result, doc = run_json(capsys, ["serre-check", "--ell", "5", "--curve", curve])
+        assert (result.exit_code, doc["status"]) == (1, STATUS_CHECK_FAILED)
+        assert doc["payload"]["j_exponent_checks"] == []
+        assert doc["payload"]["aux_prime"]["ok"] is True
+        assert doc["payload"]["statement"] == "criterion hypotheses NOT verified"
 
     def test_ell_2_unsupported(self, capsys):
         result = run(["serre-check", "--ell", "2", "--label", "15a1"])
@@ -471,6 +471,19 @@ class TestCheckHypothesis:
         assert len(characters) == 8
         retried = [(c["discriminant"], c["terms_used"]) for c in characters if c["retried"]]
         assert retried == [(3145, 576_492)]
+
+    def test_an_r3_field_at_p7_is_verified(self, capsys):
+        # Q(sqrt 5, sqrt 17, sqrt 41): every character's L-value is nonzero
+        # evidence at its first series length
+        argv = ["check-hypothesis", "--p", "7", "--d", "5,17,41"]
+        with time_limit(30):
+            result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (0, STATUS_OK)
+        assert doc["payload"]["overall"] == "Verified*"
+        characters = doc["payload"]["characters"]
+        assert len(characters) == 8
+        assert not any(c["retried"] for c in characters)
+        assert {c["verdict"] for c in characters} == {"NonzeroEvidence"}
 
     def test_not_admissible_exits_1(self, capsys):
         result = run(["check-hypothesis", "--p", "5", "--d", "13"])

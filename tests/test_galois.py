@@ -59,6 +59,19 @@ class TestSerreCheck:
         assert failing[2] is False
         assert "NOT" in report.statement
 
+    @pytest.mark.parametrize(
+        "model", [WeierstrassModel(0, 0, 0, -1, 0), WeierstrassModel(0, 0, 1, 0, 0)],
+        ids=["j=1728", "j=0"],
+    )
+    def test_integral_j_is_not_verified(self, model):
+        # CM curves, whose mod-ell image is never surjective: j has no pole,
+        # so check (a) has no prime to pass at
+        for ell in (3, 5, 7, 11):
+            report = serre_check(model, ell)
+            assert report.j_exponent_checks == ()
+            assert not report.overall, ell
+            assert "NOT" in report.statement
+
     def test_failing_aux_count_detected(self, e15):
         # #E(F_2) = 4 for the conductor-15 curve, so ell = 2 would divide it,
         # but ell = 2 is rejected; instead use a count divisible by ell:

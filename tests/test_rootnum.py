@@ -1,15 +1,19 @@
+import dataclasses
 import math
 
 import pytest
 
+from twistgate import curve_by_label, rootnum
 from twistgate.curve import WeierstrassModel, quadratic_twist
 from twistgate.errors import (
     ArgumentError,
     HypothesisViolationError,
     InvariantError,
     UnsupportedPlaceError,
+    WorkBoundError,
 )
 from twistgate.numtheory import factor, jacobi, primes_up_to, squarefree_part
+from twistgate.reduction import conductor
 from twistgate.rootnum import (
     CASE_ADD_POT_GOOD,
     CASE_ADD_POT_MULT,
@@ -17,6 +21,7 @@ from twistgate.rootnum import (
     CASE_NONSPLIT,
     CASE_SPLIT,
     INFINITE_PLACE,
+    MAX_TWIST_DMAX,
     RootNumber,
     TwistFormula,
     global_root_number,
@@ -25,6 +30,7 @@ from twistgate.rootnum import (
     twist_parameter_failure,
     twist_parameters,
     twist_root_number_formula,
+    twist_sweep,
 )
 
 
@@ -245,3 +251,60 @@ def test_rule_and_enumeration_match_the_naive_ordered_checks(n):
 def test_rule_refuses_the_factorization_of_another_number():
     with pytest.raises(ArgumentError, match="factorization of 13"):
         twist_parameter_failure(17, 15, factor(13))
+
+
+# ---------------------------------------------------------------------------
+# the sweep of the twist formula against the direct local product
+
+
+class TestTwistSweep:
+    def test_the_60_sweep_checks_seven_d(self, e15):
+        base, signs = twist_sweep(e15, 60)
+        assert base == TwistFormula(15, 1)
+        # of the d = 1 mod 4 up to 60, those prime to 15 and squarefree
+        assert [d for d, _, _ in signs] == [1, 13, 17, 29, 37, 41, 53]
+        assert all(formula == direct for _, formula, direct in signs)
+
+    def test_the_twist_that_stops_a_sweep_is_named(self):
+        # 37a1: X^21 has additive, potentially good reduction at 3
+        e37 = WeierstrassModel(0, 0, 1, -1, 0)
+        with pytest.raises(UnsupportedPlaceError, match=r"^d = 21: "):
+            twist_sweep(e37, 21)
+        base, signs = twist_sweep(e37, 20)
+        assert (base.conductor, len(signs)) == (37, 4)
+
+    def test_even_conductor_is_a_hypothesis_violation(self):
+        with pytest.raises(HypothesisViolationError, match="even"):
+            twist_sweep(WeierstrassModel(1, 0, 0, 0, 2), 50)
+
+    @pytest.mark.parametrize("dmax", [0, -5])
+    def test_an_empty_sweep_is_refused(self, e15, dmax):
+        with pytest.raises(ArgumentError, match=f"^--dmax must be at least 1, got {dmax}$"):
+            twist_sweep(e15, dmax)
+
+    def test_a_sweep_above_the_work_bound_is_refused(self, e15):
+        message = f"^--dmax must be at most {MAX_TWIST_DMAX}, got {MAX_TWIST_DMAX + 1}$"
+        with pytest.raises(WorkBoundError, match=message):
+            twist_sweep(e15, MAX_TWIST_DMAX + 1)
+
+    def test_a_wrong_formula_record_is_caught_by_the_direct_path(self, e15, monkeypatch):
+        # the direct root number reads the twist's own model, not the record
+        real = rootnum.twist_formula
+        monkeypatch.setattr(
+            rootnum,
+            "twist_formula",
+            lambda E: dataclasses.replace(real(E), root_number=-real(E).root_number),
+        )
+        _, signs = twist_sweep(e15, 60)
+        assert len(signs) == 7
+        assert all(formula == -direct for _, formula, direct in signs)
+
+    @pytest.mark.parametrize("label", ["15a1", "21a1"])
+    def test_sweep_matches_a_naive_scan_and_the_bare_twists(self, label):
+        model = curve_by_label(label)
+        N = conductor(model)
+        _, signs = twist_sweep(model, 200)
+        naive = [d for d in range(1, 201) if twist_parameter_failure(d, N) is None]
+        assert [d for d, _, _ in signs] == naive
+        for d, formula, direct in signs:
+            assert formula == direct == global_root_number(quadratic_twist(model, d)).value, d
