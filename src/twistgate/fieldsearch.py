@@ -238,10 +238,12 @@ def check_hypothesis(p: int, ds, margin_factor: float = DEFAULT_MARGIN) -> Hypot
     curve, its global root number as a local product (cross-checked against
     the Jacobi-symbol formula, exactly), and an L(1) estimate; an
     inconclusive estimate is retried once with four times the terms.  One
-    LocalData record of each twist, made by the base curve's record,
-    serves its root number, its estimate and the retry.  Character
-    evaluations are independent pure computations aggregated in a fixed
-    order.
+    LocalData record of each twist, made and kept by the base curve's
+    record, which lasts for the process, serves its root number, its
+    estimate and the retry; its L-value sums are remembered on it, so a
+    character met again, in this tuple or a later one, is not summed
+    again.  Character evaluations are independent pure computations
+    aggregated in a fixed order.
 
     margin_factor is checked first, admissible tuple or not (MarginError
     below 1 or not finite).  The d_i are taken as given: a value that is

@@ -5,10 +5,12 @@ the Serre check read.  classify(E, p) is the one entry at every prime, 2
 included: it p-minimalizes for p >= 5 and hands the model to _reduction.
 
 A record is built once per curve per operation, by the code that made the
-curve, and passed down: local_data(E) returns E when E is a record, so each
-function that only reads local data takes a model or its record, and so do
-count_points and classify.  Every function reads a curve's invariants as
-invariants(model), which computes them once per model.
+curve, and passed down (a curve of the curve table and its twists keep
+theirs for the process, below): local_data(E) returns E when E is a
+record, so each function that only reads local data takes a model or its
+record, and so do count_points and classify.  Every function reads a
+curve's invariants as invariants(model), which computes them once per
+model.
 
 _reduction decides reduction data at a prime, one prime at a time, for
 classify, LocalData.at and so the CLI: at a good prime from BSGS_FROM to
@@ -24,7 +26,9 @@ lanes left undecided by _reduction.  at(p) keeps only the primes it is
 asked for, 2 and the primes of Delta in LocalData.traces.
 Each curve X of the loaded curve table has one record per process, which
 local_data() hands to every caller, so X's table lasts for the process.
-X.twist(d) is the record of the quadratic twist X^d, linked to X as its
+X.twist(d) is the record of the quadratic twist X^d, made once per d and
+kept by X, so X's twists, their reduction data and their L-value sums
+(lseries) last for the process too.  The twist is linked to X as its
 base: LocalData.traces then takes a_p(X^d) = (d/p) a_p(X) from X's table at
 the odd primes p not dividing Delta(X^d), vectorized over p, and reads p = 2
 and the other primes from at(p) on X^d itself, so reduction kinds and errors
@@ -55,6 +59,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from functools import cached_property
 
@@ -538,12 +543,17 @@ def _lane_batch(inv: CurveInvariants, p: np.ndarray) -> tuple[np.ndarray, np.nda
 @dataclass(frozen=True)
 class LocalData:
     """Invariants, primes of Delta and ReductionData at each prime of a model,
-    built once per curve per operation and passed down (see local_data for
-    the curves of the curve table).  at(p) decides p on first use and
-    remembers it; walking delta_primes in ascending order, callers meet the
-    first failing prime's error first.  a_p at the good odd primes, which
-    only traces reads, is kept in the table of traces_up_to instead.  A
-    record made by X.twist(d) keeps (X, d) as its base, set there only."""
+    built once per curve per operation and passed down, except that a curve
+    of the curve table has one record per process (see local_data), and so
+    do its twists.  at(p) decides p on first use and remembers it; walking
+    delta_primes in ascending order, callers meet the first failing prime's
+    error first.  a_p at the good odd primes, which only traces reads, is
+    kept in the table of traces_up_to instead.  A record made by X.twist(d)
+    keeps (X, d) as its base, set there only, and X keeps the record under d
+    in _twists.  _sums is lseries.l_value_at_1's memo: (value, tail bound,
+    terms summed) per (terms, t).  A twist record takes about 2.1 KB and a
+    sum about 0.4 KB, and a record's memos grow only with the distinct d,
+    terms and t asked of it."""
 
     model: WeierstrassModel
     _decided: dict[int, ReductionData] = field(
@@ -554,6 +564,12 @@ class LocalData:
     )
     _base: tuple[LocalData, int] | None = field(
         default=None, init=False, repr=False, compare=False
+    )
+    _twists: dict[int, LocalData] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _sums: dict[tuple[int, float], tuple[Decimal, Decimal, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
@@ -596,13 +612,19 @@ class LocalData:
 
     def twist(self, d: int) -> LocalData:
         """The record of quadratic_twist(model, d), with this record as its
-        base; this record itself when the twist's model is its model."""
-        model = quadratic_twist(self.model, d)
-        if model == self.model:
-            return self
-        record = LocalData(model)
-        # the record is frozen; the base is set here and nowhere else
-        object.__setattr__(record, "_base", (self, d))
+        base; this record itself when the twist's model is its model.  Made
+        once per d and remembered, so the twists of a record that lasts for
+        the process last with it."""
+        record = self._twists.get(d)
+        if record is None:
+            model = quadratic_twist(self.model, d)
+            if model == self.model:
+                record = self
+            else:
+                record = LocalData(model)
+                # the record is frozen; the base is set here and nowhere else
+                object.__setattr__(record, "_base", (self, d))
+            self._twists[d] = record
         return record
 
     def traces(self, primes: list[int]) -> tuple[list[int], list[bool]]:

@@ -8,7 +8,7 @@ from twistgate.curve import short_form
 from twistgate.descent import enumerate_signed_modules, quad_point_search
 from twistgate.errors import ArgumentError, TwistgateError
 from twistgate.fieldsearch import is_admissible, search
-from twistgate.lseries import l_value_at_1
+from twistgate.lseries import dirichlet_coefficients, l_value_at_1
 from twistgate.numtheory import factor
 from twistgate.reduction import classify, count_points
 
@@ -16,6 +16,9 @@ CALLS = {
     "classify at 4": lambda E: classify(E, 4),
     "count_points at 4": lambda E: count_points(E, 4),
     "l_value_at_1 with no terms": lambda E: l_value_at_1(E, terms=0),
+    # bool is an int subclass; True would otherwise sum one term
+    "l_value_at_1 with terms=True": lambda E: l_value_at_1(E, terms=True),
+    "dirichlet_coefficients to M = True": lambda E: dirichlet_coefficients(E, True),
     # not finite, or so far from 1 that q1 or q2 is within 10^-40 of 1 at the
     # working precision: at 1 for 1e-300, as close as 1 - 1.6e-45 for 1e-45
     "l_value_at_1 at t = nan": lambda E: l_value_at_1(E, t=float("nan")),

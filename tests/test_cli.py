@@ -590,6 +590,10 @@ class TestInternalError:
     def test_a_twist_linked_to_a_wrong_d_is_an_internal_error(self, capsys, monkeypatch):
         # 17 * 7 in place of 17: (119/7) = 0 at the good prime 7.  The twist
         # by 17 has root number +1, so its series needs the derived a_p.
+        # 15a1's record keeps its twists for the process: a fresh one keeps
+        # the corrupted twist from later tests, and sums remembered by
+        # earlier tests from this one.
+        monkeypatch.setattr(reduction, "_TABLE_CURVES", {})
         twist = reduction.LocalData.twist
 
         def wrong_d(record, d):

@@ -179,8 +179,12 @@ def _table_state():
 
 
 def test_twist_counts_points_only_at_2(monkeypatch):
+    # a fresh 21a1 record, so that its twist by 1037 is new and decides its
+    # own primes under the spy
+    monkeypatch.setattr(reduction, "_TABLE_CURVES", {})
     X = local_data(curve_by_label("21a1"))
-    dirichlet_coefficients(X.twist(1037), 3000)  # the table now reaches 3000
+    dirichlet_coefficients(X.twist(13), 3000)  # the table now reaches 3000
+    assert 1037 not in X._twists
     counted = []
     real = reduction.count_points
     monkeypatch.setattr(
