@@ -4,8 +4,9 @@ human-readable text by default and a single JSON document under --json.
 It only parses, dispatches and prints; the library owns the argument rules
 (ArgumentError).  The CLI checks only --curve and --d, which it parses, and
 the options each --lemma form needs.  The rule on a twist parameter d is
-rootnum's: root-number --twist and the sweep over d <= --dmax
-(rootnum.twist_sweep) both apply it.
+rootnum's: root-number --twist (rootnum.twist_root_number_formula) and the
+sweep over d <= --dmax (rootnum.twist_sweep) both apply it, and both read
+the curve's conductor and root number from its record.
 
 Exit codes, one per status: 0 ok (and any verification passed); 1
 check-failed, a check ran to completion and failed; 2 unsupported-input, a
@@ -46,8 +47,8 @@ from .fieldsearch import (
 from .galois import serre_check
 from .lseries import DEFAULT_MARGIN, EVIDENCE_NOTE, l_value_at_1
 from .numtheory import factor
-from .reduction import classify, local_data
-from .rootnum import global_root_number, twist_formula, twist_sweep
+from .reduction import classify, conductor, local_data
+from .rootnum import global_root_number, twist_root_number_formula, twist_sweep
 
 STATUS_OK = "ok"
 STATUS_CHECK_FAILED = "check-failed"
@@ -183,24 +184,24 @@ def _cmd_root_number(args) -> CommandResult:
         return CommandResult(STATUS_OK, payload, text)
     d = args.twist
     data = local_data(model)
-    base = twist_formula(data)
-    formula = base.sign(d)
-    symbol = formula * base.root_number  # (d/N), as w(E) = +-1
+    formula = twist_root_number_formula(data, d)
+    N, w = conductor(data), global_root_number(data).value
+    symbol = formula * w  # (d/N), as w(E) = +-1
     direct = global_root_number(data.twist(d))
     agree = direct.value == formula
     payload = {
         "curve": name,
         "twist": d,
-        "conductor": base.conductor,
+        "conductor": N,
         "jacobi_symbol": symbol,
-        "base_root_number": base.root_number,
+        "base_root_number": w,
         "formula_sign": formula,
         "direct_sign": direct.value,
         "agree": agree,
     }
     text = [
-        f"twist root number, formula path: w(E^({d})) = ({d}/{base.conductor}) * w(E) "
-        f"= {symbol:+d} * {base.root_number:+d} = {_sign_str(formula)}",
+        f"twist root number, formula path: w(E^({d})) = ({d}/{N}) * w(E) "
+        f"= {symbol:+d} * {w:+d} = {_sign_str(formula)}",
         f"  direct local product on the twisted curve: {_sign_str(direct.value)}"
         + ("  [agrees]" if agree else "  [MISMATCH]"),
     ]
@@ -210,18 +211,18 @@ def _cmd_root_number(args) -> CommandResult:
 
 def _cmd_twist_root_check(args) -> CommandResult:
     model, name = _resolve_curve(args)
-    base, signs = twist_sweep(model, args.dmax)
+    N, signs = twist_sweep(model, args.dmax)
     mismatches = [{"d": d, "formula": f, "direct": g} for d, f, g in signs if f != g]
     payload = {
         "curve": name,
-        "conductor": base.conductor,
+        "conductor": N,
         "dmax": args.dmax,
         "instances": len(signs),
         "mismatches": mismatches,
     }
     ok = not mismatches
     text = [
-        f"twist root-number equivalence for {name} (N = {base.conductor}), squarefree "
+        f"twist root-number equivalence for {name} (N = {N}), squarefree "
         f"d = 1 mod 4, gcd(d, N) = 1, d <= {args.dmax}:",
         f"  {len(signs)} twists checked, {len(mismatches)} mismatches"
         + ("" if ok else f": {mismatches}"),

@@ -145,7 +145,7 @@ def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
     2,3-minimal).  Otherwise we fall back to clearing denominators of the
     short model by the least scaling (x, y) -> (u^2 x, u^3 y).
     """
-    if not isinstance(d, int) or d == 0:
+    if isinstance(d, bool) or not isinstance(d, int) or d == 0:
         raise NotSquarefreeError("twist parameter must be a nonzero integer")
     if not is_squarefree(d):
         raise NotSquarefreeError(f"twist parameter {d} is not squarefree")

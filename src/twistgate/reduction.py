@@ -28,7 +28,9 @@ Each curve X of the loaded curve table has one record per process, which
 local_data() hands to every caller, so X's table lasts for the process.
 X.twist(d) is the record of the quadratic twist X^d, made once per d and
 kept by X, so X's twists, their reduction data and their L-value sums
-(lseries) last for the process too.  The twist is linked to X as its
+(lseries) last for the process too.  A record also remembers its
+conductor (LocalData.conductor) and global root number (rootnum), each
+decided once and kept only once complete.  The twist is linked to X as its
 base: LocalData.traces then takes a_p(X^d) = (d/p) a_p(X) from X's table at
 the odd primes p not dividing Delta(X^d), vectorized over p, and reads p = 2
 and the other primes from at(p) on X^d itself, so reduction kinds and errors
@@ -62,6 +64,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -82,6 +85,9 @@ from .errors import (
     UnsupportedReductionError,
 )
 from .numtheory import factor, is_prime, jacobi, primes_up_to, valuation
+
+if TYPE_CHECKING:
+    from .rootnum import RootNumber
 
 POINT_COUNT_BOUND = 10**6
 # _reduction decides good primes from BSGS_FROM on by _trace_bsgs: measured
@@ -200,9 +206,7 @@ def classify(E: WeierstrassModel | LocalData, p: int) -> ReductionData:
     """
     _check_prime(p)
     model = E.model if isinstance(E, LocalData) else E
-    if p >= 5:
-        model = minimalize_at(model, p)
-    return _reduction(model, p)
+    return _reduction(minimalize_at(model, p) if p >= 5 else model, p)
 
 
 def _reduction(model: WeierstrassModel, p: int) -> ReductionData:
@@ -550,10 +554,14 @@ class LocalData:
     error first.  a_p at the good odd primes, which only traces reads, is
     kept in the table of traces_up_to instead.  A record made by X.twist(d)
     keeps (X, d) as its base, set there only, and X keeps the record under d
-    in _twists.  _sums is lseries.l_value_at_1's memo: (value, tail bound,
-    terms summed) per (terms, t).  A twist record takes about 2.1 KB and a
-    sum about 0.4 KB, and a record's memos grow only with the distinct d,
-    terms and t asked of it."""
+    in _twists.  The record is the one owner of its conductor and global
+    root number: conductor is decided once, and _root_number is
+    rootnum.global_root_number's memo, written there only; neither is kept
+    after a raise.  _sums is lseries.l_value_at_1's memo: (value, tail
+    bound, terms summed) per (terms, t).  A twist record takes about 2.6 KB
+    with its root number (twist_sweep(15a1, 10^4): 1 263 records, 3.27 MB
+    under tracemalloc) and a sum about 0.4 KB, and a record's memos grow
+    only with the distinct d, terms and t asked of it."""
 
     model: WeierstrassModel
     _decided: dict[int, ReductionData] = field(
@@ -571,6 +579,7 @@ class LocalData:
     _sums: dict[tuple[int, float], tuple[Decimal, Decimal, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _root_number: RootNumber | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def inv(self) -> CurveInvariants:
@@ -585,9 +594,22 @@ class LocalData:
         """Reduction data at the prime p: classify(self, p), remembered."""
         data = self._decided.get(p)
         if data is None:
-            data = classify(self, p)
-            self._decided[p] = data
+            data = self._decided[p] = classify(self, p)
         return data
+
+    @cached_property
+    def conductor(self) -> int:
+        """Conductor: product of bad primes, squared at additive primes
+        (p >= 5); the module's conductor() documents its errors."""
+        N = 1
+        for p in self.delta_primes:
+            kind = self.at(p).kind
+            if kind.is_additive and p == 3:
+                raise UnsupportedReductionError(
+                    "additive reduction at 3: conductor exponent unsupported"
+                )
+            N *= p * p if kind.is_additive else p if kind.is_multiplicative else 1
+        return N
 
     def traces_up_to(self, bound: int) -> np.ndarray:
         """a_p at the good odd primes p <= bound, indexed by p (0 elsewhere),
@@ -713,18 +735,7 @@ def conductor(E: WeierstrassModel | LocalData) -> int:
     formula is only valid without wild ramification, so additive reduction
     at 2 or 3 raises UnsupportedReductionError.  The model must be minimal
     at 2 (multiplicative reduction at 2 is still detected safely because a
-    non-minimal model has v2(c4) >= 4).
+    non-minimal model has v2(c4) >= 4).  Decided once per record
+    (LocalData.conductor); a raise leaves nothing remembered.
     """
-    data = local_data(E)
-    N = 1
-    for p in data.delta_primes:
-        kind = data.at(p).kind
-        if kind.is_multiplicative:
-            N *= p
-        elif kind.is_additive:
-            if p == 3:
-                raise UnsupportedReductionError(
-                    "additive reduction at 3: conductor exponent unsupported"
-                )
-            N *= p * p
-    return N
+    return local_data(E).conductor

@@ -13,14 +13,19 @@ The kind at each prime comes from the model's LocalData record
 (reduction.py), which also decides the reduction at 2; every function here
 takes a model or its record.  Uncovered places (additive or non-minimal
 reduction at 2, additive potentially good at 3) raise UnsupportedPlaceError
-rather than guessing.
+rather than guessing.  The record is the one owner of a curve's conductor
+and global root number: each is decided once per record and remembered on
+it (LocalData.conductor, and _root_number, written by global_root_number
+alone), only once complete, so a raise leaves nothing behind.
 
 The one rule on a twist parameter d against a modulus n (N in the twist
-formula, 3p in fieldsearch) is twist_parameter_failure: d must be positive,
-squarefree, 1 mod 4 and prime to n.  twist_formula decides the formula's
-hypotheses on E once per curve; its sign(d) is the part decided per d.
-twist_sweep checks the formula against the direct product for every valid
-d <= dmax, within the work bound MAX_TWIST_DMAX.
+formula, 3p in fieldsearch) is twist_parameter_failure: d must be a
+positive int (not a bool), squarefree, 1 mod 4 and prime to n.
+twist_root_number_formula is the one entry of the formula
+w(E^(d)) = (d/N) w(E): it decides E's hypotheses, then the rule on d, and
+reads N and w(E) from E's record.  twist_sweep checks it against the
+direct product on each twist's own model for every valid d <= dmax, within
+the work bound MAX_TWIST_DMAX.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .errors import (
     WorkBoundError,
 )
 from .numtheory import Factorization, factor, is_prime, jacobi, valuation
-from .reduction import LocalData, ReductionKind, conductor, local_data
+from .reduction import LocalData, ReductionKind, local_data
 
 INFINITE_PLACE = "inf"
 
@@ -124,25 +129,30 @@ def global_root_number(E: WeierstrassModel | LocalData) -> RootNumber:
     """Product of local root numbers over the infinite place and bad primes.
 
     Primes that become good after p-minimalization contribute +1 and are
-    omitted from the ledger.
+    omitted from the ledger.  Remembered on E's record once complete, so
+    each record is decided once; an error leaves nothing remembered.
     """
     data = local_data(E)
-    ledger: list[tuple[object, int, str]] = [(INFINITE_PLACE, -1, CASE_ARCHIMEDEAN)]
-    value = -1
-    for p in data.delta_primes:
-        sign, case = _local_factor(data, p)
-        if case == CASE_GOOD:
-            continue
-        ledger.append((p, sign, case))
-        value *= sign
-    return RootNumber(value, tuple(ledger))
+    if data._root_number is None:
+        ledger: list[tuple[object, int, str]] = [(INFINITE_PLACE, -1, CASE_ARCHIMEDEAN)]
+        value = -1
+        for p in data.delta_primes:
+            sign, case = _local_factor(data, p)
+            if case == CASE_GOOD:
+                continue
+            ledger.append((p, sign, case))
+            value *= sign
+        # the record is frozen; stored only once complete, so a raise leaves nothing
+        object.__setattr__(data, "_root_number", RootNumber(value, tuple(ledger)))
+    return data._root_number
 
 
 def twist_parameter_failure(d: int, n: int, factored: Factorization | None = None) -> str | None:
-    """The first condition d fails against n, of "positive", "squarefree",
-    "mod4" and "coprime" in this order, or None.  4 | d fails squarefreeness
-    unfactored; a caller holding d's Factorization passes it as factored."""
-    if not isinstance(d, int) or d <= 0:
+    """The first condition d fails against n, of "positive" (which a bool
+    fails), "squarefree", "mod4" and "coprime" in this order, or None.
+    4 | d fails squarefreeness unfactored; a caller holding d's
+    Factorization passes it as factored."""
+    if isinstance(d, bool) or not isinstance(d, int) or d <= 0:
         return "positive"
     if factored is not None and factored.value != d:
         raise ArgumentError(f"factorization of {factored.value} passed for d = {d}")
@@ -168,28 +178,11 @@ _VIOLATION = {
 }
 
 
-@dataclass(frozen=True)
-class TwistFormula:
-    """The part of w(E^(d)) = (d/N) w(E) that twist_formula decides once per
-    curve: the odd conductor N and w(E) of a semistable E."""
-
-    conductor: int
-    root_number: int
-
-    def sign(self, d: int, factored: Factorization | None = None) -> int:
-        """(d/N) w(E); HypothesisViolationError naming the first condition d fails."""
-        failure = twist_parameter_failure(d, self.conductor, factored)
-        if failure is not None:
-            raise HypothesisViolationError(_VIOLATION[failure].format(d=d, N=self.conductor))
-        return jacobi(d, self.conductor) * self.root_number
-
-
-def twist_formula(E: WeierstrassModel | LocalData) -> TwistFormula:
-    """E's part of the formula; HypothesisViolationError unless E is
-    semistable of odd conductor."""
-    data = local_data(E)
+def _formula_conductor(data: LocalData) -> int:
+    """N for semistable E of odd conductor N; HypothesisViolationError
+    naming the hypothesis E fails."""
     try:
-        N = conductor(data)
+        N = data.conductor
     except UnsupportedReductionError as exc:  # additive at 2 or 3
         raise HypothesisViolationError(f"E is not semistable: {exc}") from exc
     for p in data.delta_primes:
@@ -197,35 +190,43 @@ def twist_formula(E: WeierstrassModel | LocalData) -> TwistFormula:
             raise HypothesisViolationError(f"E is not semistable: additive reduction at {p}")
     if N % 2 == 0:
         raise HypothesisViolationError(f"conductor {N} is even")
-    return TwistFormula(N, global_root_number(data).value)
+    return N
 
 
-def twist_root_number_formula(E: WeierstrassModel | LocalData, d: int) -> int:
-    """jacobi(d, N) * w(E) for semistable E of odd conductor N, equal to the
-    global root number of the twist; HypothesisViolationError naming a failed
-    hypothesis.  A sweep over d is twist_sweep, which builds twist_formula(E)
-    once."""
-    return twist_formula(E).sign(d)
+def twist_root_number_formula(
+    E: WeierstrassModel | LocalData, d: int, factored: Factorization | None = None
+) -> int:
+    """(d/N) w(E), equal to the global root number of the twist E^(d), read
+    from E's remembered N and w(E).  HypothesisViolationError names the first
+    hypothesis that fails: E semistable of odd conductor N, then the rule on
+    d against N (twist_parameter_failure, which takes d's factored)."""
+    data = local_data(E)
+    N = _formula_conductor(data)
+    failure = twist_parameter_failure(d, N, factored)
+    if failure is not None:
+        raise HypothesisViolationError(_VIOLATION[failure].format(d=d, N=N))
+    return jacobi(d, N) * global_root_number(data).value
 
 
 def twist_sweep(
     E: WeierstrassModel | LocalData, dmax: int
-) -> tuple[TwistFormula, list[tuple[int, int, int]]]:
-    """E's TwistFormula and (d, formula sign, direct sign) for each valid
-    d <= dmax, ascending.  The direct sign classifies the twist's own model
-    at every prime; an error there is re-raised with its d named."""
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """E's conductor N and (d, formula sign, direct sign) for each valid
+    d <= dmax, ascending.  E's hypotheses are decided before any d.  The
+    direct sign classifies the twist's own model at every prime; an error
+    there is re-raised with its d named."""
     if dmax > MAX_TWIST_DMAX:
         raise WorkBoundError(f"--dmax must be at most {MAX_TWIST_DMAX}, got {dmax}")
     if dmax < 1:
         raise ArgumentError(f"--dmax must be at least 1, got {dmax}")
     data = local_data(E)
-    base = twist_formula(data)
+    N = _formula_conductor(data)
     signs = []
-    for factored in twist_parameters(dmax, base.conductor):
+    for factored in twist_parameters(dmax, N):
         d = factored.value
         try:
             direct = global_root_number(data.twist(d)).value
         except TwistgateError as exc:
             raise type(exc)(f"d = {d}: {exc}") from exc
-        signs.append((d, base.sign(d, factored), direct))
-    return base, signs
+        signs.append((d, twist_root_number_formula(data, d, factored), direct))
+    return N, signs

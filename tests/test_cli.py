@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import decimal
 import json
 import math
@@ -264,12 +263,12 @@ class TestTwistRootCheck:
         assert "at least 1" in doc["payload"]["error"]
 
     def test_a_wrong_formula_record_is_caught_by_the_direct_path(self, capsys, monkeypatch):
-        # the direct root number reads the twist's own model, not the record
-        formula = rootnum.twist_formula
+        # the direct root number reads the twist's own model, not the formula
+        formula = rootnum.twist_root_number_formula
         monkeypatch.setattr(
             rootnum,
-            "twist_formula",
-            lambda E: dataclasses.replace(formula(E), root_number=-formula(E).root_number),
+            "twist_root_number_formula",
+            lambda E, d, factored=None: -formula(E, d, factored),
         )
         result, doc = run_json(capsys, ["twist-root-check", "--label", "15a1", "--dmax", "60"])
         assert (result.exit_code, doc["status"]) == (1, STATUS_CHECK_FAILED)

@@ -119,6 +119,12 @@ class TestQuadraticTwist:
         with pytest.raises(NotSquarefreeError):
             quadratic_twist(e15, 0)
 
+    @pytest.mark.parametrize("d", [True, False])
+    def test_a_bool_is_refused(self, e15, d):
+        # True would otherwise pass as d = 1 and return e15's own model
+        with pytest.raises(NotSquarefreeError, match="nonzero integer"):
+            quadratic_twist(e15, d)
+
     @pytest.mark.parametrize("d", SQUAREFREE_D)
     def test_j_preserved_for_all_small_d(self, e15, e21, d):
         for model in (e15, e21):

@@ -157,6 +157,17 @@ class TestIsAdmissible:
     def test_nonpositive(self):
         assert is_admissible(5, [-7]).failed_condition == "positive"
 
+    def test_a_bool_is_not_positive(self):
+        # True is an int equal to 1; it must not pass as d = 1
+        for ds, index in (([True], 0), ([17, True], 1), ([False], 0)):
+            check = is_admissible(5, ds)
+            assert (check.ok, check.failed_condition, check.failed_index) == (
+                False,
+                "positive",
+                index,
+            ), ds
+            assert check.detail == f"d_{index + 1} = {ds[index]}"
+
     def test_unsupported_p(self):
         with pytest.raises(ValueError):
             is_admissible(11, [17])
@@ -358,7 +369,7 @@ class TestCheckHypothesis:
         assert report.per_character == ()
         assert report.admissibility.failed_condition == "jacobi"
 
-    @pytest.mark.parametrize("d", [17.9, "17"])
+    @pytest.mark.parametrize("d", [17.9, "17", True])
     def test_non_int_is_not_coerced(self, d):
         # int(17.9) and int("17") would be the admissible 17
         report = check_hypothesis(5, [d])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -23,10 +22,8 @@ from twistgate.rootnum import (
     INFINITE_PLACE,
     MAX_TWIST_DMAX,
     RootNumber,
-    TwistFormula,
     global_root_number,
     local_root_number,
-    twist_formula,
     twist_parameter_failure,
     twist_parameters,
     twist_root_number_formula,
@@ -180,6 +177,7 @@ class TestTwistFormula:
             (45, "not squarefree"),
             (65, "shares a factor"),
             (-3, "positive"),
+            (True, "positive"),
         ],
     )
     def test_bad_twist_parameters_named(self, e15, d, message):
@@ -197,19 +195,32 @@ class TestTwistFormula:
             twist_root_number_formula(twist, 5)
 
     def test_the_curve_half_is_decided_once_and_signs_every_d(self, e15, e21):
-        assert twist_formula(e15) == TwistFormula(15, 1)
-        assert twist_formula(e21) == TwistFormula(21, 1)
-        base = twist_formula(e15)
+        # N and w(E) are read from the curve's record; the rule and (d/N) per d
+        assert (conductor(e15), global_root_number(e15).value) == (15, 1)
+        assert (conductor(e21), global_root_number(e21).value) == (21, 1)
         for d in (1, 13, 17, 29, 41, 53):
-            assert base.sign(d) == base.sign(d, factor(d)) == twist_root_number_formula(e15, d)
+            assert (
+                twist_root_number_formula(e15, d)
+                == twist_root_number_formula(e15, d, factor(d))
+                == jacobi(d, 15)
+            )
+        with pytest.raises(ArgumentError, match="factorization of 13"):
+            twist_root_number_formula(e15, 17, factor(13))
 
     def test_curve_hypotheses_fail_before_any_d(self, e15):
-        with pytest.raises(HypothesisViolationError, match="even"):
-            twist_formula(WeierstrassModel(1, 0, 0, 0, 2))
-        with pytest.raises(HypothesisViolationError, match="semistable"):
-            twist_formula(WeierstrassModel(0, 0, 0, -1, 0))  # additive at 2
-        with pytest.raises(HypothesisViolationError, match="semistable"):
-            twist_formula(quadratic_twist(e15, 17))
+        # E's hypotheses are named before d's, whatever d breaks
+        for d in (17, 45, 7, 65, -3, True):
+            with pytest.raises(HypothesisViolationError, match="^conductor 1730 is even$"):
+                twist_root_number_formula(WeierstrassModel(1, 0, 0, 0, 2), d)
+            with pytest.raises(HypothesisViolationError, match="^E is not semistable"):
+                twist_root_number_formula(WeierstrassModel(0, 0, 0, -1, 0), d)  # additive at 2
+            with pytest.raises(HypothesisViolationError, match="^E is not semistable"):
+                twist_root_number_formula(quadratic_twist(e15, 17), d)
+        # the sweep decides them before any d, so no "d = " is put in front
+        with pytest.raises(HypothesisViolationError, match="^E is not semistable"):
+            twist_sweep(quadratic_twist(e15, 17), 60)
+        with pytest.raises(HypothesisViolationError, match="^E is not semistable"):
+            twist_sweep(WeierstrassModel(0, 0, 0, -1, 0), 60)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +250,9 @@ def test_rule_and_enumeration_match_the_naive_ordered_checks(n):
         if d > 0:
             assert twist_parameter_failure(d, n, factor(d)) == expected[d], d
     assert twist_parameter_failure(17.0, n) == "positive"
+    # a bool is an int, and True equals 1, which passes the rule
+    assert twist_parameter_failure(True, n) == twist_parameter_failure(False, n) == "positive"
+    assert twist_parameter_failure(True, n, factor(1)) == "positive"
     valid = twist_parameters(top, n)
     assert [f.value for f in valid] == [d for d in range(1, top + 1) if expected[d] is None]
     assert all(f == factor(f.value) for f in valid)
@@ -259,19 +273,20 @@ def test_rule_refuses_the_factorization_of_another_number():
 
 class TestTwistSweep:
     def test_the_60_sweep_checks_seven_d(self, e15):
-        base, signs = twist_sweep(e15, 60)
-        assert base == TwistFormula(15, 1)
+        N, signs = twist_sweep(e15, 60)
+        assert N == 15
         # of the d = 1 mod 4 up to 60, those prime to 15 and squarefree
         assert [d for d, _, _ in signs] == [1, 13, 17, 29, 37, 41, 53]
-        assert all(formula == direct for _, formula, direct in signs)
+        # w(15a1) = +1, so each formula sign is (d/15)
+        assert all(formula == jacobi(d, 15) == direct for d, formula, direct in signs)
 
     def test_the_twist_that_stops_a_sweep_is_named(self):
         # 37a1: X^21 has additive, potentially good reduction at 3
         e37 = WeierstrassModel(0, 0, 1, -1, 0)
         with pytest.raises(UnsupportedPlaceError, match=r"^d = 21: "):
             twist_sweep(e37, 21)
-        base, signs = twist_sweep(e37, 20)
-        assert (base.conductor, len(signs)) == (37, 4)
+        N, signs = twist_sweep(e37, 20)
+        assert (N, len(signs)) == (37, 4)
 
     def test_even_conductor_is_a_hypothesis_violation(self):
         with pytest.raises(HypothesisViolationError, match="even"):
@@ -288,12 +303,14 @@ class TestTwistSweep:
             twist_sweep(e15, MAX_TWIST_DMAX + 1)
 
     def test_a_wrong_formula_record_is_caught_by_the_direct_path(self, e15, monkeypatch):
-        # the direct root number reads the twist's own model, not the record
-        real = rootnum.twist_formula
+        # the direct root number reads the twist's own model, not the
+        # formula; a sweep made before the fault remembers nothing that hides it
+        twist_sweep(e15, 60)
+        real = rootnum.twist_root_number_formula
         monkeypatch.setattr(
             rootnum,
-            "twist_formula",
-            lambda E: dataclasses.replace(real(E), root_number=-real(E).root_number),
+            "twist_root_number_formula",
+            lambda E, d, factored=None: -real(E, d, factored),
         )
         _, signs = twist_sweep(e15, 60)
         assert len(signs) == 7
