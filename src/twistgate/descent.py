@@ -190,8 +190,8 @@ def quad_point_search(
     """
     if not isinstance(d, int) or d <= 1 or not is_squarefree(d):
         raise NotSquarefreeError(f"search needs a squarefree integer d > 1, got {d}")
-    if not 1 <= height <= MAX_SEARCH_HEIGHT:
-        raise ArgumentError(f"height must be between 1 and {MAX_SEARCH_HEIGHT}, got {height}")
+    if isinstance(height, bool) or not 1 <= height <= MAX_SEARCH_HEIGHT:
+        raise ArgumentError(f"height must be between 1 and {MAX_SEARCH_HEIGHT}, got {height!r}")
     A = _as_fraction(curve[0])
     B = _as_fraction(curve[1])
     D = lcm(A.denominator, B.denominator)
@@ -335,8 +335,8 @@ def enumerate_signed_modules(k: int, n: int, r: int) -> list[SignedModule]:
     k, n >= 1 and r >= 0, and LemmaSumSizeError when a bound
     (MAX_MODULE_SIZE, MAX_LEMMA_SUM_WORK) would be exceeded.
     """
-    if k < 1 or n < 1 or r < 0:
-        raise ArgumentError(f"need k, n >= 1 and r >= 0, got k={k} n={n} r={r}")
+    if any(isinstance(v, bool) for v in (k, n, r)) or k < 1 or n < 1 or r < 0:
+        raise ArgumentError(f"need k, n >= 1 and r >= 0, got k={k!r} n={n!r} r={r!r}")
     if k * n > MAX_MODULE_SIZE.bit_length() - 1:
         raise LemmaSumSizeError(f"(Z/2^{k})^{n} has more than {MAX_MODULE_SIZE} elements")
     pool = involutive_generator_pool(k, n)

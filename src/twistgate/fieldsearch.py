@@ -116,7 +116,8 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
     n3p = 3 * p
     factored, failures = [], []
     for i, d in enumerate(ds):
-        factored.append(factor(d) if isinstance(d, int) and d > 0 else None)
+        positive = isinstance(d, int) and not isinstance(d, bool) and d > 0
+        factored.append(factor(d) if positive else None)
         failures.append(twist_parameter_failure(d, n3p, factored[i]))
         if failures[i] in ("positive", "squarefree"):
             return _fail(failures[i], i, f"d_{i+1} = {d}")
@@ -175,10 +176,10 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     """
     if p not in SUPPORTED_P:
         raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p}")
-    if r < 1:
-        raise ArgumentError(f"rank r must be at least 1, got {r}")
-    if not 1 <= bound <= MAX_SEARCH_BOUND:
-        raise ArgumentError(f"bound must be between 1 and {MAX_SEARCH_BOUND}, got {bound}")
+    if isinstance(r, bool) or r < 1:
+        raise ArgumentError(f"rank r must be at least 1, got {r!r}")
+    if isinstance(bound, bool) or not 1 <= bound <= MAX_SEARCH_BOUND:
+        raise ArgumentError(f"bound must be between 1 and {MAX_SEARCH_BOUND}, got {bound!r}")
     n3p = 3 * p
     singles = [f for f in twist_parameters(bound, n3p) if jacobi(f.value, n3p) == 1]
     work = sum(math.comb(len(singles), k) for k in range(min(r, len(singles)) + 1))

@@ -15,8 +15,9 @@ bound and terms summed under its (terms, t), and takes the verdict from
 the margin on each call.  A twist X.twist(d) of a curve of the curve table
 is kept by X for the process, so its sums are computed once per process;
 a bare model gets a new record, and so new sums, on every call.  The memo
-keeps no coefficients: about 2.1 KB per twist record and 0.4 KB per sum,
-and it grows only with the distinct (d, terms, t) asked of a table curve.
+keeps no coefficients; LocalData states what a twist record and a sum
+take, and it grows only with the distinct (d, terms, t) asked of a table
+curve.
 
 The value is computed from the symmetric-point identity
 
@@ -246,8 +247,8 @@ def l_value_at_1(
     on every call; so a record that lasts for the process, a twist of a
     curve of the curve table, sums each series once per process.
     """
-    if not 0 < t < math.inf:  # nan fails both comparisons
-        raise ArgumentError(f"evaluation point t must be positive and finite, got {t}")
+    if isinstance(t, bool) or not 0 < t < math.inf:  # nan fails both comparisons
+        raise ArgumentError(f"evaluation point t must be positive and finite, got {t!r}")
     check_margin(margin_factor)
     data = local_data(E)
     N = conductor(data)

@@ -19,11 +19,13 @@ group operations), below it and wherever that cannot decide by a point
 count (O(p)), each result checked by ReductionData.  It alone refuses a
 model visibly non-minimal at 2 or 3, where nothing minimalizes, and a good
 prime above BSGS_BOUND.  Every record keeps a table of a_p at its good odd
-primes, which grows on demand in traces_up_to: the new primes from
-BSGS_FROM on are decided together by the same method in numpy int64 lanes,
-one lane per prime (_lane_traces), and the primes below BSGS_FROM and the
-lanes left undecided by _reduction.  at(p) keeps only the primes it is
-asked for, 2 and the primes of Delta in LocalData.traces.
+primes, which grows on demand in traces_up_to: when there are LANES_FROM or
+more new primes from BSGS_FROM on, _trace_bsgs's first point decides them
+together in numpy int64 lanes, one lane per prime (_lane_traces), wherever
+it leaves one group order; _reduction decides the rest (the primes below
+BSGS_FROM, fewer new primes than LANES_FROM, and the lanes left undecided).
+at(p) keeps only the primes it is asked for, 2 and the primes of Delta in
+LocalData.traces.
 Each curve X of the loaded curve table has one record per process, which
 local_data() hands to every caller, so X's table lasts for the process.
 X.twist(d) is the record of the quadratic twist X^d, made once per d and
@@ -102,17 +104,21 @@ BSGS_POINTS = 16
 # 0.74-0.90 s and 47 MB peak process memory (one core of a 2-core Xeon host).
 BSGS_BOUND = 10**18
 # LocalData.traces_up_to decides its new good primes from BSGS_FROM on by
-# _lane_traces, one numpy int64 lane per prime, when there are LANES_FROM or
-# more; fewer, and the lanes left undecided, go to _reduction one by one.
-# Each lane's prime is below LANE_PRIME_BOUND, so that every product of two
-# residues stays below 2^62.  Measured on one core of a 2-core Xeon host:
+# _lane_traces, which takes _trace_bsgs's first point in one numpy int64
+# lane per prime, when there are LANES_FROM or more; fewer, and the lanes
+# whose first point leaves more than one group order, go to _reduction one
+# by one.  Below 2 * 10^4 that is 1 lane in 12 on curves with rational
+# torsion (15a1: 181 of 2 212) and 1 in 27 on the lvalue-fresh curves
+# without ([0,-1,1,-29,-30]: 95 of 2 211).  Each lane's prime is below
+# LANE_PRIME_BOUND, so that every product of two residues stays below
+# 2^62.  Measured on one core of a 2-core Xeon host:
 # - a point on a batch of lanes costs 2-4 ms however few the lanes, the
 #   time _trace_bsgs takes for 30 (p ~ 10^5) to 100 (p ~ 10^3) primes, and
 #   lvalue-fresh's table fills took least time at LANES_FROM = 32-64;
 # - BSGS_LANES = 1024 lanes a batch and MATCH_BLOCK = 2^15 elements a
 #   comparison block keep the peak memory of 15a1's table to 38 312 within
-#   1.4 MB of the scalar loop's (2048 lanes: 3.1 MB, 2^16 elements: 2.5 MB),
-#   and fill it in 0.14 s against 0.34 s.
+#   1.4 MB of the scalar loop's (2048 lanes: 3.1 MB, 2^16 elements: 2.5 MB);
+#   the lanes fill it in 0.08-0.10 s against the scalar loop's 0.24 s.
 LANE_PRIME_BOUND = 2**31
 LANES_FROM = 64
 BSGS_LANES = 1024
@@ -461,29 +467,17 @@ def _lane_orders(P, a, p, H):
     return np.bincount(at, minlength=len(p)), least, greatest
 
 
-def _progressions(count, least, greatest, base, size):
-    """lanes x size mask: base + i is set in a lane iff it is one of the
-    count terms of the lane's progression from least to greatest."""
-    step = np.maximum((greatest - least) // np.maximum(count - 1, 1), 1)[:, None]
-    N = base[:, None] + np.arange(size)
-    return (N >= least[:, None]) & (N <= greatest[:, None]) & ((N - least[:, None]) % step == 0)
-
-
 def _lane_traces(inv: CurveInvariants, primes) -> tuple[np.ndarray, np.ndarray]:
     """a_p of E at good primes 5 <= p < LANE_PRIME_BOUND by _trace_bsgs's
     method in numpy int64 lanes, one lane per prime, in batches of at most
     BSGS_LANES lanes of nearly equal size; returns a_p and whether each lane
     was decided (the a_p of a lane not decided is meaningless).
 
-    Each lane takes _trace_bsgs's points, in its order, and each point's
-    orders (_lane_orders), N -> 2p + 2 - N when t is not a square mod p.  A
-    lane is decided when the intersection of its points' sets is one
-    number, which is then #E, proven as in _trace_bsgs; an empty
-    intersection raises InvariantError.  The first point's set is kept as
-    its count, least and greatest term; lanes it leaves undecided keep
-    their candidates as a dense mask of the Hasse interval for the further
-    points.  Lanes still undecided after BSGS_POINTS points, or once fewer
-    than LANES_FROM are left, come back undecided."""
+    Each lane takes _trace_bsgs's first point only, and its orders
+    (_lane_orders), N -> 2p + 2 - N when t is not a square mod p.  A lane is
+    decided when that set is one number, which is then #E, proven as in
+    _trace_bsgs; an empty set raises InvariantError.  Every other lane comes
+    back undecided, for _trace_bsgs to take its further points."""
     ps = np.asarray(primes, dtype=np.int64)
     if len(ps) and int(ps.max()) >= LANE_PRIME_BOUND:
         raise PrimeTooLargeError(f"lanes hold primes below 2^31, not p = {int(ps.max())}")
@@ -497,51 +491,22 @@ def _lane_batch(inv: CurveInvariants, p: np.ndarray) -> tuple[np.ndarray, np.nda
     A = _residues(-27 * inv.c4, p)
     B = _residues(-54 * inv.c6, p)
     H = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
-    x0 = np.where(A == 0, 0, -1)
-    points = np.zeros(len(p), dtype=np.int64)
-    active = np.arange(len(p))
-    mask = None
-    for _ in range(BSGS_POINTS):
-        if len(active) < LANES_FROM:
-            break
-        pa, Aa, Ha = p[active], A[active], H[active]
-        # the next x0 with t = f(x0) != 0, as in _trace_bsgs
-        x, t = x0[active], np.zeros_like(pa)
-        while not t.all():
-            x = np.where(t == 0, x + 1, x)
-            t = (x * x % pa * x % pa + Aa * x % pa + B[active]) % pa
-        x0[active] = x
-        tt = t * t % pa
-        P = (t * x % pa, tt, np.ones_like(pa))
-        count, least, greatest = _lane_orders(P, Aa * tt % pa, pa, Ha)
-        if ((greatest - least) % np.maximum(count - 1, 1)).any():
-            raise InvariantError("a point's orders in the Hasse interval are not a progression")
-        twisted = _legendre(t, pa) == -1
-        least, greatest = (
-            np.where(twisted, 2 * pa + 2 - greatest, least),
-            np.where(twisted, 2 * pa + 2 - least, greatest),
-        )
-        base = pa + 1 - Ha
-        if mask is None:
-            n, first = count, least
-        else:
-            mask &= _progressions(count, least, greatest, base, mask.shape[1])
-            n, first = mask.sum(axis=1), base + mask.argmax(axis=1)
-        if not n.all():
-            q = int(pa[n == 0][0])
-            raise InvariantError(f"no group order in the Hasse interval at p = {q}")
-        one = n == 1
-        points[active[one]] = first[one]
-        rest = ~one
-        active = active[rest]
-        if mask is None:
-            size = 2 * int(H.max()) + 1
-            mask = _progressions(count[rest], least[rest], greatest[rest], base[rest], size)
-        else:
-            mask = mask[rest]
-    decided = np.ones(len(p), dtype=bool)
-    decided[active] = False
-    return p + 1 - points, decided
+    # the first x0 with t = f(x0) != 0, from 0, or from 1 when A = 0, as in
+    # _trace_bsgs
+    x, t = np.where(A == 0, 0, -1), np.zeros_like(p)
+    while not t.all():
+        x = np.where(t == 0, x + 1, x)
+        t = (x * x % p * x % p + A * x % p + B) % p
+    tt = t * t % p
+    P = (t * x % p, tt, np.ones_like(p))
+    count, least, greatest = _lane_orders(P, A * tt % p, p, H)
+    if ((greatest - least) % np.maximum(count - 1, 1)).any():
+        raise InvariantError("a point's orders in the Hasse interval are not a progression")
+    if not count.all():
+        q = int(p[count == 0][0])
+        raise InvariantError(f"no group order in the Hasse interval at p = {q}")
+    points = np.where(_legendre(t, p) == -1, 2 * p + 2 - least, least)
+    return p + 1 - points, count == 1
 
 
 @dataclass(frozen=True)
@@ -614,8 +579,9 @@ class LocalData:
     def traces_up_to(self, bound: int) -> np.ndarray:
         """a_p at the good odd primes p <= bound, indexed by p (0 elsewhere),
         each decided once, as callers ask for larger primes: the new primes
-        from BSGS_FROM on together by _lane_traces, and those below it and
-        the lanes it leaves undecided by _reduction."""
+        from BSGS_FROM on together by _lane_traces when there are LANES_FROM
+        or more, and the others and the lanes it leaves undecided by
+        _reduction."""
         known = len(self._a_p) - 1
         if bound > known:
             grown = np.zeros(bound + 1, dtype=np.int32)
@@ -624,9 +590,11 @@ class LocalData:
             new = np.array(primes[bisect_right(primes, known) :], dtype=np.int64)
             new = new[_residues(self.inv.delta, new) != 0]
             lanes = new[new >= BSGS_FROM]
-            a_p, decided = _lane_traces(self.inv, lanes)
-            grown[lanes[decided]] = a_p[decided]
-            for p in np.concatenate([new[new < BSGS_FROM], lanes[~decided]]).tolist():
+            if len(lanes) >= LANES_FROM:
+                a_p, decided = _lane_traces(self.inv, lanes)
+                grown[lanes[decided]] = a_p[decided]
+                new = np.setdiff1d(new, lanes[decided], assume_unique=True)
+            for p in new.tolist():
                 grown[p] = _reduction(self.model, p).a_p
             # the record is frozen; the table is a memo, like _decided
             object.__setattr__(self, "_a_p", grown)

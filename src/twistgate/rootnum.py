@@ -217,8 +217,8 @@ def twist_sweep(
     there is re-raised with its d named."""
     if dmax > MAX_TWIST_DMAX:
         raise WorkBoundError(f"--dmax must be at most {MAX_TWIST_DMAX}, got {dmax}")
-    if dmax < 1:
-        raise ArgumentError(f"--dmax must be at least 1, got {dmax}")
+    if isinstance(dmax, bool) or dmax < 1:
+        raise ArgumentError(f"--dmax must be at least 1, got {dmax!r}")
     data = local_data(E)
     N = _formula_conductor(data)
     signs = []

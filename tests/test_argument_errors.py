@@ -11,6 +11,7 @@ from twistgate.fieldsearch import is_admissible, search
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
 from twistgate.numtheory import factor
 from twistgate.reduction import classify, count_points
+from twistgate.rootnum import twist_sweep
 
 CALLS = {
     "classify at 4": lambda E: classify(E, 4),
@@ -26,6 +27,7 @@ CALLS = {
     "l_value_at_1 at t = 1e-300": lambda E: l_value_at_1(E, t=1e-300),
     "l_value_at_1 at t = 1e300": lambda E: l_value_at_1(E, t=1e300),
     "l_value_at_1 at t = 1e-45": lambda E: l_value_at_1(E, t=1e-45),
+    "l_value_at_1 at t = True": lambda E: l_value_at_1(E, t=True),
     "search of rank 0": lambda E: search(5, 0, 10),
     "search to bound 0": lambda E: search(5, 1, 0),
     "quad_point_search to height 0": lambda E: quad_point_search(short_form(E), 17, 0),
@@ -33,6 +35,12 @@ CALLS = {
     "factor of 0": lambda E: factor(0),
     "modules of (Z/2^0)^1": lambda E: enumerate_signed_modules(0, 1, 1),
     "modules with -1 involutions": lambda E: enumerate_signed_modules(1, 1, -1),
+    # True would otherwise be read as 1
+    "twist_sweep to dmax = True": lambda E: twist_sweep(E, True),
+    "search of rank True": lambda E: search(5, True, 50),
+    "search to bound True": lambda E: search(5, 1, True),
+    "quad_point_search to height True": lambda E: quad_point_search(short_form(E), 17, True),
+    "modules of (Z/2^True)^1": lambda E: enumerate_signed_modules(True, 1, 1),
 }
 
 

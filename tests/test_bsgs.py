@@ -164,43 +164,56 @@ def test_j_zero_starts_past_the_point_of_order_three(monkeypatch):
     assert len(calls) < 1.5 * len(good)
 
 
-def lane_oracle(E, primes):
-    """(p, lane a_p, _trace_bsgs a_p) wherever the lanes and _trace_bsgs
-    differ at the good primes among primes, or a lane is left undecided."""
+def lane_oracle(E, primes, monkeypatch):
+    """The good primes among primes, and (p, lane a_p, _trace_bsgs a_p,
+    point count, orders of _trace_bsgs's first point) wherever a decided
+    lane differs from _trace_bsgs or the point count, or a lane is left
+    undecided although that first point leaves one order, or decided
+    although it leaves more."""
     inv = LocalData(E).inv
     good = [p for p in primes if inv.delta % p]
     a_p, decided = _lane_traces(inv, good)
+    sizes = []
+    real = reduction._hasse_orders
+
+    def orders(P, a, p, H):
+        found = real(P, a, p, H)
+        sizes.append(len(found))
+        return found
+
+    monkeypatch.setattr(reduction, "_hasse_orders", orders)
     wrong = []
     for p, lane, ok in zip(good, a_p.tolist(), decided.tolist()):
+        sizes.clear()
         data = _trace_bsgs(inv, p)
-        if not ok or data is None or data.a_p != lane:
-            wrong.append((p, lane if ok else None, data and data.a_p))
-    return good, a_p, wrong
+        if ok != (sizes[0] == 1) or (ok and not lane == data.a_p == p + 1 - count_points(E, p)):
+            wrong.append((p, lane if ok else None, data and data.a_p, count_points(E, p), sizes[0]))
+    return good, wrong
 
 
 @pytest.mark.parametrize("name", LANE_CURVES)
 def test_lanes_match_bsgs_and_the_point_count_at_every_good_prime(name, monkeypatch):
-    # with no fallback the lanes take every point _trace_bsgs would
-    monkeypatch.setattr(reduction, "LANES_FROM", 1)
     E = LANE_CURVES[name]
-    good, a_p, wrong = lane_oracle(E, [p for p in primes_up_to(20_000) if p >= BSGS_FROM])
+    _, wrong = lane_oracle(E, [p for p in primes_up_to(20_000) if p >= BSGS_FROM], monkeypatch)
     assert wrong == []
-    assert [p + 1 - count_points(E, p) for p in good] == a_p.tolist()
+    # the table takes the lanes' decisions and _reduction's for the rest
+    record = LocalData(E)
+    table = record.traces_up_to(20_000)
+    odd = [p for p in primes_up_to(20_000)[1:] if record.inv.delta % p]
+    assert [int(table[p]) for p in odd] == [p + 1 - count_points(E, p) for p in odd]
 
 
 @pytest.mark.parametrize("E", FRESH_CURVES, ids=str)
 def test_lanes_match_bsgs_at_sampled_primes_up_to_a_million_across_batches(E, monkeypatch):
-    monkeypatch.setattr(reduction, "LANES_FROM", 1)
     monkeypatch.setattr(reduction, "BSGS_LANES", 7)
     primes = [largest_prime_below(25_000 * k) for k in range(1, 41)]
-    good, a_p, wrong = lane_oracle(E, primes)
+    good, wrong = lane_oracle(E, primes, monkeypatch)
     assert len(good) > 5 * 7 and wrong == []
 
 
-def test_lanes_at_the_largest_prime_they_hold(monkeypatch):
+def test_lanes_at_the_largest_prime_they_hold():
     # 2^31 - 1: every product of two residues is within a factor 4 of 2^63;
     # in one batch with it, the giant steps of the small primes start at O
-    monkeypatch.setattr(reduction, "LANES_FROM", 1)
     p = 2**31 - 1
     assert is_prime(p)
     for E in [curve_by_label("15a1"), *FRESH_CURVES]:
@@ -222,29 +235,9 @@ def test_lanes_refuse_a_prime_from_2_to_the_31_on():
 
 
 def test_an_empty_candidate_set_in_a_lane_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(reduction, "LANES_FROM", 1)
     no_orders = lambda P, a, p, H: (np.zeros(len(p), dtype=np.int64), p + 1, p + 1)
     monkeypatch.setattr(reduction, "_lane_orders", no_orders)
     with pytest.raises(InvariantError):
         _lane_traces(LocalData(curve_by_label("15a1")).inv, [1009, 1013])
     with pytest.raises(InvariantError):
         LocalData(curve_by_label("15a1")).traces_up_to(2000)
-
-
-def test_disjoint_candidate_sets_in_a_lane_are_an_internal_error(monkeypatch):
-    # two orders for the first point, then one outside them for the second
-    monkeypatch.setattr(reduction, "LANES_FROM", 1)
-    calls = []
-
-    def orders(P, a, p, H):
-        calls.append(len(p))
-        ones = np.ones(len(p), dtype=np.int64)
-        if len(calls) == 1:
-            return 2 * ones, p + 1 - H, p + 2 - H
-        return ones, p + 1 + H, p + 1 + H
-
-    monkeypatch.setattr(reduction, "_lane_orders", orders)
-    monkeypatch.setattr(reduction, "_legendre", lambda t, p: np.ones(len(p), dtype=np.int64))
-    with pytest.raises(InvariantError):
-        _lane_traces(LocalData(curve_by_label("15a1")).inv, [1009])
-    assert calls == [1, 1]

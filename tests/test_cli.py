@@ -149,15 +149,19 @@ class TestReduction:
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
         assert "prime" in doc["payload"]["error"]
 
-    def test_a_good_prime_above_the_enumeration_bound(self, capsys):
+    # 2^31 + 11 is above the range of the a_p lanes, where _trace_bsgs alone
+    # decides
+    @pytest.mark.parametrize(
+        "p, a_p", [(AUX_ABOVE_THE_BOUND, 1724), (2**31 + 11, -53700)], ids=["1000003", "2^31+11"]
+    )
+    def test_a_good_prime_above_the_enumeration_bound(self, capsys, p, a_p):
         # baby-step giant-step decides; a point count would refuse p > 10^6
-        p = AUX_ABOVE_THE_BOUND
         result, doc = run_json(capsys, ["reduction", "--label", "15a1", "--p", str(p)])
         assert (result.exit_code, doc["status"]) == (0, STATUS_OK)
         payload = doc["payload"]
         assert payload["kind"] == "good"
         assert payload["a_p"] ** 2 <= 4 * p
-        assert (payload["points"], payload["a_p"]) == (POINTS_ABOVE_THE_BOUND, 1724)
+        assert (payload["points"], payload["a_p"]) == (p + 1 - a_p, a_p)
         # checked apart from baby-step giant-step: #E kills 20 random points
         # of 15a1's short form y^2 = x^3 + A x + B
         n = payload["points"]

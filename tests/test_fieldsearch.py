@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from twistgate import fieldsearch
+from twistgate import fieldsearch, rootnum
 from twistgate.errors import InvariantError, TwistgateError, WorkBoundError
 from twistgate.fieldsearch import (
     MAX_SEARCH_WORK,
@@ -167,6 +167,16 @@ class TestIsAdmissible:
                 index,
             ), ds
             assert check.detail == f"d_{index + 1} = {ds[index]}"
+
+    def test_a_bool_is_not_factored(self, monkeypatch):
+        # numtheory.factor, under the names is_admissible and the
+        # twist-parameter rule call it by
+        calls = []
+        real = fieldsearch.factor
+        for module in (fieldsearch, rootnum):
+            monkeypatch.setattr(module, "factor", lambda n: calls.append(n) or real(n))
+        assert is_admissible(5, [True]).failed_condition == "positive"
+        assert calls == []
 
     def test_unsupported_p(self):
         with pytest.raises(ValueError):
