@@ -16,7 +16,7 @@ estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .curve import curve_by_label
 from .descent import characters
@@ -29,7 +29,7 @@ from .lseries import (
     check_margin,
     l_value_at_1,
 )
-from .numtheory import Factorization, factor, jacobi, squarefree_part
+from .numtheory import Factorization, factor, jacobi
 from .reduction import conductor, local_data
 from .rootnum import RootNumber, global_root_number, twist_root_number_formula
 from .rootnum import twist_parameter_failure, twist_parameters
@@ -61,20 +61,31 @@ class AdmissibilityCheck:
 
 @dataclass(frozen=True)
 class AdmissibleTuple:
+    """An admissible (d_1, ..., d_r) for p, rechecked in full on
+    construction.  factored holds the d_i's factorizations: a caller that
+    holds them passes them in (is_admissible reads them), else the recheck
+    factors each d_i; kept for character_discriminant, not compared."""
+
     p: int
     ds: tuple[int, ...]
+    factored: tuple[Factorization, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        check = is_admissible(self.p, self.ds)
+        check, factored = _admissibility(self.p, self.ds, self.factored)
         if not check.ok:
             raise ArgumentError(
                 f"tuple {self.ds} is not admissible for p = {self.p}: "
                 f"{check.failed_condition} (index {check.failed_index})"
             )
+        # the tuple is frozen; factored is completed here and nowhere else
+        object.__setattr__(self, "factored", factored)
 
     @property
     def r(self) -> int:
         return len(self.ds)
+
+
+_ADMISSIBLE = AdmissibilityCheck(True)
 
 
 def _fail(condition: str, index: int | None, detail: str | None = None) -> AdmissibilityCheck:
@@ -99,25 +110,45 @@ def _reduce(mask: int, basis: list[int]) -> int:
     return mask
 
 
-def is_admissible(p: int, ds) -> AdmissibilityCheck:
+def is_admissible(p: int, ds, factored=None) -> AdmissibilityCheck:
     """Check the tuple conditions in order, naming the first failure.
 
     Named first: a d_i not positive or not squarefree, then one not 1 mod 4,
     then one sharing a factor with 3p.  Independence modulo squares is
     decided by the GF(2) echelon of search, each row carrying below its
     prime bits one bit per d_i it combines, so a d_i that reduces to no
-    prime bits names a subset with a square product.
+    prime bits names a subset with a square product.  A caller holding the
+    d_i's factorizations passes them as factored, one Factorization per d_i
+    in order, read in place of factoring; values that are not the d_i raise
+    ArgumentError.
     """
+    return _admissibility(p, ds, factored)[0]
+
+
+def _admissibility(p: int, ds, factored=None) -> tuple[AdmissibilityCheck, tuple]:
+    """is_admissible's check and the factorizations it read, one per d_i
+    (None at a d_i it did not factor), complete when the check passes."""
     if p not in SUPPORTED_P:
         raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p}")
     ds = list(ds)
+    if factored is None:
+        factored = [None] * len(ds)
+    elif [f.value for f in factored] != ds:
+        raise ArgumentError(f"factorizations of {[f.value for f in factored]} passed for {ds}")
+    check = _first_failure(p, ds, factored) or _ADMISSIBLE
+    return check, tuple(factored)
+
+
+def _first_failure(p: int, ds: list, factored: list) -> AdmissibilityCheck | None:
+    """The first failed condition of is_admissible, or None; factors each
+    positive int d_i that factored holds None for, in place."""
     if not ds:
         return _fail("empty", None)
     n3p = 3 * p
-    factored, failures = [], []
+    failures = []
     for i, d in enumerate(ds):
-        positive = isinstance(d, int) and not isinstance(d, bool) and d > 0
-        factored.append(factor(d) if positive else None)
+        if factored[i] is None and isinstance(d, int) and not isinstance(d, bool) and d > 0:
+            factored[i] = factor(d)
         failures.append(twist_parameter_failure(d, n3p, factored[i]))
         if failures[i] in ("positive", "squarefree"):
             return _fail(failures[i], i, f"d_{i+1} = {d}")
@@ -139,7 +170,7 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
             named = ",".join(str(j + 1) for j in range(n) if reduced >> j & 1)
             return _fail("subset-square", None, f"product of d_{named} is a perfect square")
         basis.append(reduced)
-    return AdmissibilityCheck(True)
+    return None
 
 
 def character_discriminant(tup: AdmissibleTuple, signs) -> int:
@@ -154,14 +185,22 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
         raise ArgumentError(f"character has length {len(signs)}, tuple has rank {tup.r}")
     if any(s not in (1, -1) for s in signs):
         raise ArgumentError("character entries must be +1 or -1")
-    prod = 1
-    for d, s in zip(tup.ds, signs):
+    return _character(tup.p, tup.ds, tup.factored, signs).value
+
+
+def _character(p: int, ds, factored, signs) -> Factorization:
+    """The factorization of character_discriminant for the admissible ds
+    and their factorizations: the d_i are squarefree, so its primes are the
+    symmetric difference of the prime sets of the d_i with sign -1.  The
+    closure is checked on it, read by the rule in place of factoring."""
+    primes: set[int] = set()
+    for f, s in zip(factored, signs):
         if s == -1:
-            prod *= d
-    d_s = squarefree_part(prod)
-    n3p = 3 * tup.p
-    if twist_parameter_failure(d_s, n3p) is not None or jacobi(d_s, n3p) != 1:
-        raise InvariantError(f"character discriminant {d_s} of {tup.ds} is not admissible")
+            primes.symmetric_difference_update(f.primes())
+    d_s = Factorization(math.prod(primes), tuple((q, 1) for q in sorted(primes)))
+    n3p = 3 * p
+    if twist_parameter_failure(d_s.value, n3p, d_s) is not None or jacobi(d_s.value, n3p) != 1:
+        raise InvariantError(f"character discriminant {d_s.value} of {ds} is not admissible")
     return d_s
 
 
@@ -171,6 +210,8 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     Candidates are pruned by GF(2) independence of their prime-exponent
     vectors while recursing, and every produced tuple passes the full
     is_admissible recheck, whose independence test is the same echelon.
+    The candidates come with their factorizations from twist_parameters,
+    and each tuple's recheck reads them, so a search factors nothing.
     WorkBoundError, before recursing, when the subsets of at most r
     candidates number more than MAX_SEARCH_WORK.
     """
@@ -192,16 +233,17 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     masks = [_odd_exponent_mask(f, prime_bits) for f in singles]
     results: list[AdmissibleTuple] = []
 
-    def extend(start: int, chosen: list[int], basis: list[int]):
+    def extend(start: int, chosen: list[Factorization], basis: list[int]):
         if len(chosen) == r:
-            tup = AdmissibleTuple(p, tuple(chosen))  # full recheck
+            # full recheck, reading the singles' factorizations
+            tup = AdmissibleTuple(p, tuple(f.value for f in chosen), tuple(chosen))
             results.append(tup)
             return
         for idx in range(start, len(singles)):
             reduced = _reduce(masks[idx], basis)
             if reduced == 0:
                 continue  # some subset product would be a square
-            chosen.append(singles[idx].value)
+            chosen.append(singles[idx])
             basis.append(reduced)
             extend(idx + 1, chosen, basis)
             basis.pop()
@@ -248,11 +290,14 @@ def check_hypothesis(p: int, ds, margin_factor: float = DEFAULT_MARGIN) -> Hypot
 
     margin_factor is checked first, admissible tuple or not (MarginError
     below 1 or not finite).  The d_i are taken as given: a value that is
-    not a positive int fails admissibility.
+    not a positive int fails admissibility.  Admissibility is checked
+    once, factoring each d_i once; each character's factorization is the
+    symmetric difference of the prime sets of its d_i, and its closure
+    check, its twist and its formula sign read it.
     """
     check_margin(margin_factor)
     ds = tuple(ds)
-    adm = is_admissible(p, ds)
+    adm, factored = _admissibility(p, ds)
     if not adm.ok:
         return HypothesisReport(
             p,
@@ -263,17 +308,17 @@ def check_hypothesis(p: int, ds, margin_factor: float = DEFAULT_MARGIN) -> Hypot
             False,
             f"admissibility failed: {adm.failed_condition} ({adm.detail})",
         )
-    tup = AdmissibleTuple(p, ds)
     X = local_data(curve_by_label(CURVE_FOR_P[p]))
     N = conductor(X)
     if N != 3 * p:
         raise CurveTableError(f"table curve {CURVE_FOR_P[p]} has conductor {N}, expected {3 * p}")
     per: list[CharacterResult] = []
-    for signs in characters(tup.r):
-        d_s = character_discriminant(tup, signs)
-        twist = X.twist(d_s)
+    for signs in characters(len(ds)):
+        factored_s = _character(p, ds, factored, signs)
+        d_s = factored_s.value
+        twist = X.twist(d_s, factored_s)
         direct = global_root_number(twist)
-        formula = twist_root_number_formula(X, d_s)
+        formula = twist_root_number_formula(X, d_s, factored_s)
         if direct.value != formula:
             raise InvariantError(
                 f"twist formula sign {formula} disagrees with local product "

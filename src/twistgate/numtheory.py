@@ -7,6 +7,13 @@ is_prime, primes_up_to and factor all read it.  Factoring has a hard cofactor
 bound: the inputs this package meets (twist parameters below 10^4,
 discriminants and conductors below ~10^23 whose prime factors are small) all
 factor instantly, and anything else is out of desk scale on purpose.
+
+The twist parameters of a sweep or a search, all at most SMALL_FACTOR_BOUND =
+10^4, are factored by small_factorization from one table of smallest prime
+factors, derived on first use from the sieve's primes up to 100 (20 KB,
+kept for the process); each result is a Factorization, certified as any
+other.  factor stays the one factoring by division and the tests' oracle of
+the table.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ from .errors import (
 
 TRIAL_DIVISION_BOUND = 10**6
 COFACTOR_BOUND = 10**12
+# Largest n that small_factorization reads from its table; it covers
+# rootnum.MAX_TWIST_DMAX and fieldsearch.MAX_SEARCH_BOUND.
+SMALL_FACTOR_BOUND = 10**4
 
 # Deterministic below psi_13; without 41, psi_12 = 318665857834031151167461
 # passes (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -141,6 +151,37 @@ def factor(n: int) -> Factorization:
         raise CompositeResidueError(f"cofactor {m} exceeds 10^12 and is not a certified prime")
     if m > 1:
         out.append((m, 1))
+    return Factorization(n, tuple(out))
+
+
+@functools.cache
+def _smallest_prime_factors() -> array:
+    """The smallest prime factor of each n in [0, SMALL_FACTOR_BOUND] (n
+    itself at 0, 1 and the primes), 2 bytes each; built on first use from
+    the sieve's primes, never written after."""
+    n = SMALL_FACTOR_BOUND
+    table = array("H", range(n + 1))
+    # larger primes first, so that the smallest prime of each n is written last
+    for p in reversed(primes_up_to(math.isqrt(n))):
+        table[p * p :: p] = array("H", [p]) * len(range(p * p, n + 1, p))
+    return table
+
+
+def small_factorization(n: int) -> Factorization:
+    """The Factorization of 1 <= n <= SMALL_FACTOR_BOUND, read from the
+    table of smallest prime factors; ArgumentError for any other n."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= SMALL_FACTOR_BOUND:
+        raise ArgumentError(f"small_factorization reads 1 to {SMALL_FACTOR_BOUND}, not {n!r}")
+    table = _smallest_prime_factors()
+    out: list[tuple[int, int]] = []
+    m = n
+    while m > 1:
+        p = table[m]
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
     return Factorization(n, tuple(out))
 
 

@@ -86,7 +86,7 @@ from .errors import (
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
-from .numtheory import factor, is_prime, jacobi, primes_up_to, valuation
+from .numtheory import Factorization, factor, is_prime, jacobi, primes_up_to, valuation
 
 if TYPE_CHECKING:
     from .rootnum import RootNumber
@@ -523,10 +523,15 @@ class LocalData:
     root number: conductor is decided once, and _root_number is
     rootnum.global_root_number's memo, written there only; neither is kept
     after a raise.  _sums is lseries.l_value_at_1's memo: (value, tail
-    bound, terms summed) per (terms, t).  A twist record takes about 2.6 KB
-    with its root number (twist_sweep(15a1, 10^4): 1 263 records, 3.27 MB
+    bound, terms summed) per (terms, t).  A twist record takes about 2.5 KB
+    with its root number (twist_sweep(15a1, 10^4): 1 263 records, 3.21 MB
     under tracemalloc) and a sum about 0.4 KB, and a record's memos grow
-    only with the distinct d, terms and t asked of it."""
+    only with the distinct d, terms and t asked of it.  delta_primes is
+    factored on first use, except on a record made by twist(), which sets
+    it from its candidates without factoring Delta.  twist(d, factored)
+    reads d's factorization when the caller holds one: twist_sweep's and
+    check_hypothesis's come from numtheory's table of small factorizations
+    (20 KB, built once per process) and from the d_i."""
 
     model: WeierstrassModel
     _decided: dict[int, ReductionData] = field(
@@ -552,7 +557,8 @@ class LocalData:
 
     @cached_property
     def delta_primes(self) -> tuple[int, ...]:
-        """Primes dividing the discriminant of the model, ascending."""
+        """Primes dividing the discriminant of the model, ascending; set by
+        twist() on a record it makes, factored here on any other."""
         return factor(abs(self.inv.delta)).primes()
 
     def at(self, p: int) -> ReductionData:
@@ -581,7 +587,9 @@ class LocalData:
         each decided once, as callers ask for larger primes: the new primes
         from BSGS_FROM on together by _lane_traces when there are LANES_FROM
         or more, and the others and the lanes it leaves undecided by
-        _reduction."""
+        _reduction.  ArgumentError for a bound that is not an int."""
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise ArgumentError(f"traces_up_to expects an int bound, got {bound!r}")
         known = len(self._a_p) - 1
         if bound > known:
             grown = np.zeros(bound + 1, dtype=np.int32)
@@ -600,20 +608,40 @@ class LocalData:
             object.__setattr__(self, "_a_p", grown)
         return self._a_p
 
-    def twist(self, d: int) -> LocalData:
+    def twist(self, d: int, factored: Factorization | None = None) -> LocalData:
         """The record of quadratic_twist(model, d), with this record as its
         base; this record itself when the twist's model is its model.  Made
         once per d and remembered, so the twists of a record that lasts for
-        the process last with it."""
+        the process last with it.  A caller holding the Factorization of |d|
+        passes it as factored (quadratic_twist reads it).  The new record's
+        delta_primes are found among 2, 3 and the primes of this record's
+        Delta and of d, as Delta(X^d) = d^6 u^12 Delta(X) with u made of 2s
+        and 3s: those that divide Delta(X^d), certified by dividing them out
+        of it (InvariantError if a cofactor is left)."""
         record = self._twists.get(d)
         if record is None:
-            model = quadratic_twist(self.model, d)
+            model = quadratic_twist(self.model, d, factored)
             if model == self.model:
                 record = self
             else:
                 record = LocalData(model)
-                # the record is frozen; the base is set here and nowhere else
+                delta = record.inv.delta
+                m = abs(delta)
+                primes = []
+                for q in sorted({2, 3, *self.delta_primes, *(factored or factor(abs(d))).primes()}):
+                    if m % q == 0:
+                        primes.append(q)
+                        while m % q == 0:
+                            m //= q
+                if m != 1:
+                    raise InvariantError(
+                        f"Delta = {delta} of the twist by {d} has a prime factor "
+                        f"outside 2, 3 and the primes of {self.inv.delta} and {d}"
+                    )
+                # the record is frozen; its base and delta_primes are set
+                # here and nowhere else
                 object.__setattr__(record, "_base", (self, d))
+                object.__setattr__(record, "delta_primes", tuple(primes))
             self._twists[d] = record
         return record
 

@@ -25,7 +25,9 @@ twist_root_number_formula is the one entry of the formula
 w(E^(d)) = (d/N) w(E): it decides E's hypotheses, then the rule on d, and
 reads N and w(E) from E's record.  twist_sweep checks it against the
 direct product on each twist's own model for every valid d <= dmax, within
-the work bound MAX_TWIST_DMAX.
+the work bound MAX_TWIST_DMAX.  twist_parameters reads the factorizations
+of the d from numtheory's table of small factorizations, and twist_sweep
+hands each to the twist and to the formula, so a sweep factors no d.
 """
 
 from __future__ import annotations
@@ -43,7 +45,15 @@ from .errors import (
     UnsupportedReductionError,
     WorkBoundError,
 )
-from .numtheory import Factorization, factor, is_prime, jacobi, valuation
+from .numtheory import (
+    SMALL_FACTOR_BOUND,
+    Factorization,
+    factor,
+    is_prime,
+    jacobi,
+    small_factorization,
+    valuation,
+)
 from .reduction import LocalData, ReductionKind, local_data
 
 INFINITE_PLACE = "inf"
@@ -165,8 +175,12 @@ def twist_parameter_failure(d: int, n: int, factored: Factorization | None = Non
 
 def twist_parameters(bound: int, n: int) -> list[Factorization]:
     """The factorizations of the d <= bound that pass the rule against n,
-    ascending.  Only d = 1 mod 4 prime to n can pass; no other d is factored."""
-    candidates = (factor(d) for d in range(1, bound + 1, 4) if math.gcd(d, n) == 1)
+    ascending.  Only d = 1 mod 4 prime to n can pass; no other d is factored,
+    and those are read from numtheory's table of smallest prime factors, so
+    bound must be an int of at most SMALL_FACTOR_BOUND (ArgumentError)."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound > SMALL_FACTOR_BOUND:
+        raise ArgumentError(f"bound must be an int of at most {SMALL_FACTOR_BOUND}, got {bound!r}")
+    candidates = (small_factorization(d) for d in range(1, bound + 1, 4) if math.gcd(d, n) == 1)
     return [f for f in candidates if twist_parameter_failure(f.value, n, f) is None]
 
 
@@ -225,7 +239,7 @@ def twist_sweep(
     for factored in twist_parameters(dmax, N):
         d = factored.value
         try:
-            direct = global_root_number(data.twist(d)).value
+            direct = global_root_number(data.twist(d, factored)).value
         except TwistgateError as exc:
             raise type(exc)(f"d = {d}: {exc}") from exc
         signs.append((d, twist_root_number_formula(data, d, factored), direct))

@@ -10,8 +10,8 @@ from twistgate.errors import ArgumentError, TwistgateError
 from twistgate.fieldsearch import is_admissible, search
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
 from twistgate.numtheory import factor
-from twistgate.reduction import classify, count_points
-from twistgate.rootnum import twist_sweep
+from twistgate.reduction import LocalData, classify, count_points
+from twistgate.rootnum import twist_parameters, twist_sweep
 
 CALLS = {
     "classify at 4": lambda E: classify(E, 4),
@@ -41,6 +41,10 @@ CALLS = {
     "search to bound True": lambda E: search(5, 1, True),
     "quad_point_search to height True": lambda E: quad_point_search(short_form(E), 17, True),
     "modules of (Z/2^True)^1": lambda E: enumerate_signed_modules(True, 1, 1),
+    "twist parameters to bound True": lambda E: twist_parameters(True, 15),
+    "a_p table to bound True": lambda E: LocalData(E).traces_up_to(True),
+    # not an int
+    "twist parameters to bound 2.5": lambda E: twist_parameters(2.5, 15),
 }
 
 

@@ -563,7 +563,9 @@ class TestInternalError:
         # local product
         formula = fieldsearch.twist_root_number_formula
         monkeypatch.setattr(
-            fieldsearch, "twist_root_number_formula", lambda X, d: -formula(X, d)
+            fieldsearch,
+            "twist_root_number_formula",
+            lambda X, d, factored=None: -formula(X, d, factored),
         )
         result = run(["check-hypothesis", "--p", "5", "--d", "17", "--json"])
         captured = capsys.readouterr()

@@ -6,10 +6,11 @@ computes no local factor again, while a raise leaves nothing behind.
 """
 
 import json
+import sys
 
 import pytest
 
-from twistgate import fieldsearch, reduction, rootnum
+from twistgate import fieldsearch, numtheory, reduction, rootnum
 from twistgate.cli import run
 from twistgate.curve import WeierstrassModel, curve_by_label
 from twistgate.errors import (
@@ -18,7 +19,7 @@ from twistgate.errors import (
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
-from twistgate.fieldsearch import check_hypothesis
+from twistgate.fieldsearch import check_hypothesis, search
 from twistgate.reduction import LocalData, conductor, local_data
 from twistgate.rootnum import global_root_number, twist_root_number_formula, twist_sweep
 
@@ -71,6 +72,36 @@ def test_a_repeated_twisted_root_number_decides_no_local_factor(
     run(argv)
     assert json.loads(capsys.readouterr().out) == first
     assert local_factors == []
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The values numtheory.factor is called on, under every name a
+    twistgate module binds it by."""
+    calls = []
+    real = numtheory.factor
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("twistgate"):
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, lambda n: calls.append(n) or real(n))
+    return calls
+
+
+def test_warm_operations_factor_only_what_they_were_given(fresh_table, factor_calls):
+    # each integer is factored once per operation, or read from numtheory's
+    # table of small factorizations: a warm search and sweep factor nothing,
+    # a warm hypothesis check each d_i once
+    for run_op, most in (
+        (lambda: search(7, 2, 600), 0),
+        (lambda: twist_sweep(curve_by_label("15a1"), 2000), 0),
+        (lambda: check_hypothesis(5, (17, 61)), 2),
+    ):
+        first = run_op()
+        factor_calls.clear()
+        assert run_op() == first
+        assert len(factor_calls) <= most, factor_calls
+    assert len(first.per_character) == 4
 
 
 def test_n_and_w_are_read_from_the_record(fresh_table, monkeypatch):

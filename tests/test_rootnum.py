@@ -262,6 +262,21 @@ def test_rule_and_enumeration_match_the_naive_ordered_checks(n):
         ], bound
 
 
+@pytest.mark.parametrize("n", [15, 21, 1155])
+def test_table_fed_enumeration_matches_factor(n):
+    # factor is the oracle of numtheory's table of smallest prime factors:
+    # the list to SMALL_FACTOR_BOUND = 10^4, d by d, then every bound to
+    # 1000 and a stride of bounds beyond, each the prefix of that list
+    top = 10**4
+    factored = map(factor, range(1, top + 1))
+    naive = [f for f in factored if twist_parameter_failure(f.value, n, f) is None]
+    assert twist_parameters(top, n) == naive
+    for bound in [*range(1001), *range(1001, top, 37), top]:
+        assert twist_parameters(bound, n) == [f for f in naive if f.value <= bound], bound
+    with pytest.raises(ArgumentError):
+        twist_parameters(top + 1, n)
+
+
 def test_rule_refuses_the_factorization_of_another_number():
     with pytest.raises(ArgumentError, match="factorization of 13"):
         twist_parameter_failure(17, 15, factor(13))

@@ -8,6 +8,7 @@ that the derivation's exact check is a raise, not an assert, and a second
 fault in the character closure of the hypothesis pipeline.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -15,17 +16,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistgate import fieldsearch, reduction
+from twistgate import reduction
 from twistgate.curve import WeierstrassModel, curve_by_label, invariants, quadratic_twist
 from twistgate.errors import InvariantError
 from twistgate.fieldsearch import AdmissibleTuple, character_discriminant, check_hypothesis
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
-from twistgate.numtheory import jacobi, primes_up_to
-from twistgate.reduction import LocalData, count_points, local_data
+from twistgate.numtheory import factor, jacobi, primes_up_to
+from twistgate.reduction import LocalData, conductor, count_points, local_data
+from twistgate.rootnum import twist_parameters
 
 # d = 1 mod 4 keeps every twist minimal at 2 and 3 (d = -1 or 2 would be
 # additive at 2, which raises).
 ORACLE_D = (1, 13, -7, -11, 1037)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def scale_model(E, u):
@@ -79,15 +82,14 @@ def legendre_fault_caught():
 
 def closure_fault_caught():
     """The name of the character-closure check, if it raises InvariantError
-    for a discriminant of 3 mod 4."""
-    squarefree_part = fieldsearch.squarefree_part
-    fieldsearch.squarefree_part = lambda n: 3 * squarefree_part(n)
+    for a discriminant of 3 mod 4: the tuple (17,) keeps 51 = 3 * 17 as the
+    factorization its characters are derived from."""
+    tup = AdmissibleTuple(5, (17,))
+    object.__setattr__(tup, "factored", (factor(51),))
     try:
-        character_discriminant(AdmissibleTuple(5, (17,)), (-1,))
+        character_discriminant(tup, (-1,))
     except InvariantError:
         return "character-closure"
-    finally:
-        fieldsearch.squarefree_part = squarefree_part
     return "none"
 
 
@@ -132,6 +134,45 @@ def test_base_discriminant_divides_the_twist_discriminant():
         X = local_data(curve_by_label(label))
         for d in ORACLE_D:
             assert X.twist(d).inv.delta % X.inv.delta == 0
+
+
+def pool_twists(label):
+    """The d of the benchmark pools' twists of label: its sweeps to 2000 and
+    its root-number --twist operations."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    ds = {f.value for f in twist_parameters(2000, conductor(curve_by_label(label)))}
+    for op in reference["workloads"]["exact-mix"]["pool"]:
+        argv = op["argv"]
+        if "--twist" in argv and argv[argv.index("--label") + 1] == label:
+            ds.add(int(argv[argv.index("--twist") + 1]))
+    return sorted(ds)
+
+
+@pytest.mark.parametrize("label", ["15a1", "21a1"])
+def test_twist_delta_primes_match_factor(label):
+    # factor is the oracle of the candidate set; 7 and 3 take
+    # quadratic_twist's fallback, u = 6 and u = 2, and 2 divides Delta(X^7)
+    # but not Delta(X)
+    X = LocalData(curve_by_label(label))
+    ds = pool_twists(label)
+    assert len(ds) > 250
+    for d in (*ORACLE_D, 7, 3, *ds):
+        twist = X.twist(d)
+        if twist is not X:
+            assert "delta_primes" in vars(twist), d  # set by twist()
+        assert twist.delta_primes == factor(abs(twist.inv.delta)).primes(), d
+    inv = X.twist(7).inv
+    assert inv.c4 == 6**4 * 7**2 * X.inv.c4 and 2 in X.twist(7).delta_primes
+    assert 2 not in X.delta_primes
+
+
+def test_a_twist_delta_with_an_uncertified_prime_is_an_internal_error():
+    # a base record that has lost the prime 5 of Delta(15a1) leaves 5 in the
+    # cofactor of Delta(X^13)
+    X = LocalData(curve_by_label("15a1"))
+    object.__setattr__(X, "delta_primes", (3,))
+    with pytest.raises(InvariantError, match="prime factor outside"):
+        X.twist(13)
 
 
 def test_derivation_checks_survive_optimized_mode():
