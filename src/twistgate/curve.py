@@ -37,7 +37,7 @@ from .errors import (
     SingularCurveError,
     UnsupportedPrimeError,
 )
-from .numtheory import Factorization, factor, is_prime, valuation
+from .numtheory import factor, is_prime, is_squarefree, valuation
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,7 @@ def model_from_c4c6(c4: int, c6: int) -> WeierstrassModel | None:
     return None
 
 
-def quadratic_twist(
-    E: WeierstrassModel, d: int, factored: Factorization | None = None
-) -> WeierstrassModel:
+def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
     """Integral model of the quadratic twist of E by squarefree d.
 
     The twist of y^2 = x^3 + A x + B is y^2 = x^3 + A d^2 x + B d^3, i.e. it
@@ -146,15 +144,11 @@ def quadratic_twist(
     d = 1 mod 4 twists of 2,3-minimal curves, and the result is then again
     2,3-minimal).  Otherwise we fall back to clearing denominators of the
     short model by the least scaling (x, y) -> (u^2 x, u^3 y), u made of 2s
-    and 3s.  A caller holding the Factorization of |d| passes it as
-    factored, read in place of factoring d; one of another number raises
-    ArgumentError.
+    and 3s.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d == 0:
         raise NotSquarefreeError("twist parameter must be a nonzero integer")
-    if factored is not None and factored.value != abs(d):
-        raise ArgumentError(f"factorization of {factored.value} passed for d = {d}")
-    if any(e > 1 for _, e in (factored or factor(abs(d))).factors):
+    if not is_squarefree(d):
         raise NotSquarefreeError(f"twist parameter {d} is not squarefree")
     inv = invariants(E)
     model = model_from_c4c6(inv.c4 * d * d, inv.c6 * d**3)

@@ -16,7 +16,7 @@ estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curve import curve_by_label
 from .descent import characters
@@ -62,30 +62,22 @@ class AdmissibilityCheck:
 @dataclass(frozen=True)
 class AdmissibleTuple:
     """An admissible (d_1, ..., d_r) for p, rechecked in full on
-    construction.  factored holds the d_i's factorizations: a caller that
-    holds them passes them in (is_admissible reads them), else the recheck
-    factors each d_i; kept for character_discriminant, not compared."""
+    construction."""
 
     p: int
     ds: tuple[int, ...]
-    factored: tuple[Factorization, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        check, factored = _admissibility(self.p, self.ds, self.factored)
+        check = is_admissible(self.p, self.ds)
         if not check.ok:
             raise ArgumentError(
                 f"tuple {self.ds} is not admissible for p = {self.p}: "
                 f"{check.failed_condition} (index {check.failed_index})"
             )
-        # the tuple is frozen; factored is completed here and nowhere else
-        object.__setattr__(self, "factored", factored)
 
     @property
     def r(self) -> int:
         return len(self.ds)
-
-
-_ADMISSIBLE = AdmissibilityCheck(True)
 
 
 def _fail(condition: str, index: int | None, detail: str | None = None) -> AdmissibilityCheck:
@@ -93,9 +85,9 @@ def _fail(condition: str, index: int | None, detail: str | None = None) -> Admis
 
 
 def _odd_exponent_mask(d: Factorization, prime_bits: dict[int, int]) -> int:
-    """GF(2) vector of the factored positive d modulo squares: one bit per
-    prime dividing d to an odd power, bit positions assigned in prime_bits
-    as primes appear."""
+    """GF(2) vector of a Factorization d modulo squares: one bit per prime
+    dividing d to an odd power, bit positions assigned in prime_bits as
+    primes appear."""
     mask = 0
     for q, e in d.factors:
         if e % 2:
@@ -110,46 +102,24 @@ def _reduce(mask: int, basis: list[int]) -> int:
     return mask
 
 
-def is_admissible(p: int, ds, factored=None) -> AdmissibilityCheck:
+def is_admissible(p: int, ds) -> AdmissibilityCheck:
     """Check the tuple conditions in order, naming the first failure.
 
     Named first: a d_i not positive or not squarefree, then one not 1 mod 4,
     then one sharing a factor with 3p.  Independence modulo squares is
     decided by the GF(2) echelon of search, each row carrying below its
     prime bits one bit per d_i it combines, so a d_i that reduces to no
-    prime bits names a subset with a square product.  A caller holding the
-    d_i's factorizations passes them as factored, one Factorization per d_i
-    in order, read in place of factoring; values that are not the d_i raise
-    ArgumentError.
+    prime bits names a subset with a square product.
     """
-    return _admissibility(p, ds, factored)[0]
-
-
-def _admissibility(p: int, ds, factored=None) -> tuple[AdmissibilityCheck, tuple]:
-    """is_admissible's check and the factorizations it read, one per d_i
-    (None at a d_i it did not factor), complete when the check passes."""
     if p not in SUPPORTED_P:
         raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p}")
     ds = list(ds)
-    if factored is None:
-        factored = [None] * len(ds)
-    elif [f.value for f in factored] != ds:
-        raise ArgumentError(f"factorizations of {[f.value for f in factored]} passed for {ds}")
-    check = _first_failure(p, ds, factored) or _ADMISSIBLE
-    return check, tuple(factored)
-
-
-def _first_failure(p: int, ds: list, factored: list) -> AdmissibilityCheck | None:
-    """The first failed condition of is_admissible, or None; factors each
-    positive int d_i that factored holds None for, in place."""
     if not ds:
         return _fail("empty", None)
     n3p = 3 * p
     failures = []
     for i, d in enumerate(ds):
-        if factored[i] is None and isinstance(d, int) and not isinstance(d, bool) and d > 0:
-            factored[i] = factor(d)
-        failures.append(twist_parameter_failure(d, n3p, factored[i]))
+        failures.append(twist_parameter_failure(d, n3p))
         if failures[i] in ("positive", "squarefree"):
             return _fail(failures[i], i, f"d_{i+1} = {d}")
     if "mod4" in failures:
@@ -164,13 +134,13 @@ def _first_failure(p: int, ds: list, factored: list) -> AdmissibilityCheck | Non
     n = len(ds)
     prime_bits: dict[int, int] = {}
     basis: list[int] = []
-    for i, d in enumerate(factored):
-        reduced = _reduce(_odd_exponent_mask(d, prime_bits) << n | 1 << i, basis)
+    for i, d in enumerate(ds):
+        reduced = _reduce(_odd_exponent_mask(factor(d), prime_bits) << n | 1 << i, basis)
         if reduced >> n == 0:
             named = ",".join(str(j + 1) for j in range(n) if reduced >> j & 1)
             return _fail("subset-square", None, f"product of d_{named} is a perfect square")
         basis.append(reduced)
-    return None
+    return AdmissibilityCheck(True)
 
 
 def character_discriminant(tup: AdmissibleTuple, signs) -> int:
@@ -185,22 +155,21 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
         raise ArgumentError(f"character has length {len(signs)}, tuple has rank {tup.r}")
     if any(s not in (1, -1) for s in signs):
         raise ArgumentError("character entries must be +1 or -1")
-    return _character(tup.p, tup.ds, tup.factored, signs).value
+    return _character(tup.p, tup.ds, signs)
 
 
-def _character(p: int, ds, factored, signs) -> Factorization:
-    """The factorization of character_discriminant for the admissible ds
-    and their factorizations: the d_i are squarefree, so its primes are the
-    symmetric difference of the prime sets of the d_i with sign -1.  The
-    closure is checked on it, read by the rule in place of factoring."""
+def _character(p: int, ds, signs) -> int:
+    """character_discriminant for the admissible ds: the d_i are
+    squarefree, so its primes are the symmetric difference of the prime
+    sets of the d_i with sign -1.  The closure is checked on it."""
     primes: set[int] = set()
-    for f, s in zip(factored, signs):
+    for d, s in zip(ds, signs):
         if s == -1:
-            primes.symmetric_difference_update(f.primes())
-    d_s = Factorization(math.prod(primes), tuple((q, 1) for q in sorted(primes)))
+            primes.symmetric_difference_update(factor(d).primes())
+    d_s = math.prod(primes)
     n3p = 3 * p
-    if twist_parameter_failure(d_s.value, n3p, d_s) is not None or jacobi(d_s.value, n3p) != 1:
-        raise InvariantError(f"character discriminant {d_s.value} of {ds} is not admissible")
+    if twist_parameter_failure(d_s, n3p) is not None or jacobi(d_s, n3p) != 1:
+        raise InvariantError(f"character discriminant {d_s} of {ds} is not admissible")
     return d_s
 
 
@@ -210,8 +179,6 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     Candidates are pruned by GF(2) independence of their prime-exponent
     vectors while recursing, and every produced tuple passes the full
     is_admissible recheck, whose independence test is the same echelon.
-    The candidates come with their factorizations from twist_parameters,
-    and each tuple's recheck reads them, so a search factors nothing.
     WorkBoundError, before recursing, when the subsets of at most r
     candidates number more than MAX_SEARCH_WORK.
     """
@@ -222,7 +189,7 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     if isinstance(bound, bool) or not 1 <= bound <= MAX_SEARCH_BOUND:
         raise ArgumentError(f"bound must be between 1 and {MAX_SEARCH_BOUND}, got {bound!r}")
     n3p = 3 * p
-    singles = [f for f in twist_parameters(bound, n3p) if jacobi(f.value, n3p) == 1]
+    singles = [factor(d) for d in twist_parameters(bound, n3p) if jacobi(d, n3p) == 1]
     work = sum(math.comb(len(singles), k) for k in range(min(r, len(singles)) + 1))
     if work > MAX_SEARCH_WORK:
         raise WorkBoundError(
@@ -233,17 +200,16 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     masks = [_odd_exponent_mask(f, prime_bits) for f in singles]
     results: list[AdmissibleTuple] = []
 
-    def extend(start: int, chosen: list[Factorization], basis: list[int]):
+    def extend(start: int, chosen: list[int], basis: list[int]):
         if len(chosen) == r:
-            # full recheck, reading the singles' factorizations
-            tup = AdmissibleTuple(p, tuple(f.value for f in chosen), tuple(chosen))
+            tup = AdmissibleTuple(p, tuple(chosen))  # full recheck
             results.append(tup)
             return
         for idx in range(start, len(singles)):
             reduced = _reduce(masks[idx], basis)
             if reduced == 0:
                 continue  # some subset product would be a square
-            chosen.append(singles[idx])
+            chosen.append(singles[idx].value)
             basis.append(reduced)
             extend(idx + 1, chosen, basis)
             basis.pop()
@@ -290,14 +256,11 @@ def check_hypothesis(p: int, ds, margin_factor: float = DEFAULT_MARGIN) -> Hypot
 
     margin_factor is checked first, admissible tuple or not (MarginError
     below 1 or not finite).  The d_i are taken as given: a value that is
-    not a positive int fails admissibility.  Admissibility is checked
-    once, factoring each d_i once; each character's factorization is the
-    symmetric difference of the prime sets of its d_i, and its closure
-    check, its twist and its formula sign read it.
+    not a positive int fails admissibility.
     """
     check_margin(margin_factor)
     ds = tuple(ds)
-    adm, factored = _admissibility(p, ds)
+    adm = is_admissible(p, ds)
     if not adm.ok:
         return HypothesisReport(
             p,
@@ -314,11 +277,10 @@ def check_hypothesis(p: int, ds, margin_factor: float = DEFAULT_MARGIN) -> Hypot
         raise CurveTableError(f"table curve {CURVE_FOR_P[p]} has conductor {N}, expected {3 * p}")
     per: list[CharacterResult] = []
     for signs in characters(len(ds)):
-        factored_s = _character(p, ds, factored, signs)
-        d_s = factored_s.value
-        twist = X.twist(d_s, factored_s)
+        d_s = _character(p, ds, signs)
+        twist = X.twist(d_s)
         direct = global_root_number(twist)
-        formula = twist_root_number_formula(X, d_s, factored_s)
+        formula = twist_root_number_formula(X, d_s)
         if direct.value != formula:
             raise InvariantError(
                 f"twist formula sign {formula} disagrees with local product "

@@ -8,12 +8,10 @@ bound: the inputs this package meets (twist parameters below 10^4,
 discriminants and conductors below ~10^23 whose prime factors are small) all
 factor instantly, and anything else is out of desk scale on purpose.
 
-The twist parameters of a sweep or a search, all at most SMALL_FACTOR_BOUND =
-10^4, are factored by small_factorization from one table of smallest prime
-factors, derived on first use from the sieve's primes up to 100 (20 KB,
-kept for the process); each result is a Factorization, certified as any
-other.  factor stays the one factoring by division and the tests' oracle of
-the table.
+factor is the one owner of factorizations: it keeps the Factorization of
+each n <= SMALL_FACTOR_BOUND = 10^4, which covers every twist parameter of
+a sweep or a search, for the process, so each is divided out and certified
+once; a larger n is divided out on each call and not kept.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .errors import (
 
 TRIAL_DIVISION_BOUND = 10**6
 COFACTOR_BOUND = 10**12
-# Largest n that small_factorization reads from its table; it covers
+# Largest n whose Factorization factor keeps; it covers
 # rootnum.MAX_TWIST_DMAX and fieldsearch.MAX_SEARCH_BOUND.
 SMALL_FACTOR_BOUND = 10**4
 
@@ -126,15 +124,31 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+# factor's Factorization of each n <= SMALL_FACTOR_BOUND it was asked for
+_FACTORED: dict[int, Factorization] = {}
+
+
 def factor(n: int) -> Factorization:
-    """Factor a positive integer by trial division by the sieve's primes.
+    """Factor a positive integer (not a bool) by trial division by the
+    sieve's primes; for n <= SMALL_FACTOR_BOUND once per process, the
+    result kept and returned again.
 
     A cofactor left past them is prime up to 10^12; above, it must be
     proven prime by is_prime (deterministic below psi_13 ~ 3.3e24), else
     CompositeResidueError signals that the input is out of desk scale.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ArgumentError("factor expects a positive integer")
+    known = _FACTORED.get(n)
+    if known is None:
+        known = _trial_division(n)
+        if n <= SMALL_FACTOR_BOUND:
+            _FACTORED[n] = known
+    return known
+
+
+def _trial_division(n: int) -> Factorization:
+    """factor's division of the positive int n, certified by Factorization."""
     m = n
     out: list[tuple[int, int]] = []
     for p in _small_primes()[1]:
@@ -151,37 +165,6 @@ def factor(n: int) -> Factorization:
         raise CompositeResidueError(f"cofactor {m} exceeds 10^12 and is not a certified prime")
     if m > 1:
         out.append((m, 1))
-    return Factorization(n, tuple(out))
-
-
-@functools.cache
-def _smallest_prime_factors() -> array:
-    """The smallest prime factor of each n in [0, SMALL_FACTOR_BOUND] (n
-    itself at 0, 1 and the primes), 2 bytes each; built on first use from
-    the sieve's primes, never written after."""
-    n = SMALL_FACTOR_BOUND
-    table = array("H", range(n + 1))
-    # larger primes first, so that the smallest prime of each n is written last
-    for p in reversed(primes_up_to(math.isqrt(n))):
-        table[p * p :: p] = array("H", [p]) * len(range(p * p, n + 1, p))
-    return table
-
-
-def small_factorization(n: int) -> Factorization:
-    """The Factorization of 1 <= n <= SMALL_FACTOR_BOUND, read from the
-    table of smallest prime factors; ArgumentError for any other n."""
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= SMALL_FACTOR_BOUND:
-        raise ArgumentError(f"small_factorization reads 1 to {SMALL_FACTOR_BOUND}, not {n!r}")
-    table = _smallest_prime_factors()
-    out: list[tuple[int, int]] = []
-    m = n
-    while m > 1:
-        p = table[m]
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
     return Factorization(n, tuple(out))
 
 

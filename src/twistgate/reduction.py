@@ -86,7 +86,7 @@ from .errors import (
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
-from .numtheory import Factorization, factor, is_prime, jacobi, primes_up_to, valuation
+from .numtheory import factor, is_prime, jacobi, primes_up_to, valuation
 
 if TYPE_CHECKING:
     from .rootnum import RootNumber
@@ -527,11 +527,8 @@ class LocalData:
     with its root number (twist_sweep(15a1, 10^4): 1 263 records, 3.21 MB
     under tracemalloc) and a sum about 0.4 KB, and a record's memos grow
     only with the distinct d, terms and t asked of it.  delta_primes is
-    factored on first use, except on a record made by twist(), which sets
-    it from its candidates without factoring Delta.  twist(d, factored)
-    reads d's factorization when the caller holds one: twist_sweep's and
-    check_hypothesis's come from numtheory's table of small factorizations
-    (20 KB, built once per process) and from the d_i."""
+    read from factor(|Delta|) on first use, except on a record made by
+    twist(), which sets it from its candidates without factoring Delta."""
 
     model: WeierstrassModel
     _decided: dict[int, ReductionData] = field(
@@ -558,7 +555,7 @@ class LocalData:
     @cached_property
     def delta_primes(self) -> tuple[int, ...]:
         """Primes dividing the discriminant of the model, ascending; set by
-        twist() on a record it makes, factored here on any other."""
+        twist() on a record it makes, read from factor(|Delta|) on any other."""
         return factor(abs(self.inv.delta)).primes()
 
     def at(self, p: int) -> ReductionData:
@@ -608,19 +605,18 @@ class LocalData:
             object.__setattr__(self, "_a_p", grown)
         return self._a_p
 
-    def twist(self, d: int, factored: Factorization | None = None) -> LocalData:
+    def twist(self, d: int) -> LocalData:
         """The record of quadratic_twist(model, d), with this record as its
         base; this record itself when the twist's model is its model.  Made
         once per d and remembered, so the twists of a record that lasts for
-        the process last with it.  A caller holding the Factorization of |d|
-        passes it as factored (quadratic_twist reads it).  The new record's
-        delta_primes are found among 2, 3 and the primes of this record's
-        Delta and of d, as Delta(X^d) = d^6 u^12 Delta(X) with u made of 2s
-        and 3s: those that divide Delta(X^d), certified by dividing them out
-        of it (InvariantError if a cofactor is left)."""
+        the process last with it.  The new record's delta_primes are found
+        among 2, 3 and the primes of this record's Delta and of d, as
+        Delta(X^d) = d^6 u^12 Delta(X) with u made of 2s and 3s: those that
+        divide Delta(X^d), certified by dividing them out of it
+        (InvariantError if a cofactor is left)."""
         record = self._twists.get(d)
         if record is None:
-            model = quadratic_twist(self.model, d, factored)
+            model = quadratic_twist(self.model, d)
             if model == self.model:
                 record = self
             else:
@@ -628,7 +624,7 @@ class LocalData:
                 delta = record.inv.delta
                 m = abs(delta)
                 primes = []
-                for q in sorted({2, 3, *self.delta_primes, *(factored or factor(abs(d))).primes()}):
+                for q in sorted({2, 3, *self.delta_primes, *factor(abs(d)).primes()}):
                     if m % q == 0:
                         primes.append(q)
                         while m % q == 0:

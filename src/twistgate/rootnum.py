@@ -25,9 +25,7 @@ twist_root_number_formula is the one entry of the formula
 w(E^(d)) = (d/N) w(E): it decides E's hypotheses, then the rule on d, and
 reads N and w(E) from E's record.  twist_sweep checks it against the
 direct product on each twist's own model for every valid d <= dmax, within
-the work bound MAX_TWIST_DMAX.  twist_parameters reads the factorizations
-of the d from numtheory's table of small factorizations, and twist_sweep
-hands each to the twist and to the formula, so a sweep factors no d.
+the work bound MAX_TWIST_DMAX.
 """
 
 from __future__ import annotations
@@ -45,15 +43,7 @@ from .errors import (
     UnsupportedReductionError,
     WorkBoundError,
 )
-from .numtheory import (
-    SMALL_FACTOR_BOUND,
-    Factorization,
-    factor,
-    is_prime,
-    jacobi,
-    small_factorization,
-    valuation,
-)
+from .numtheory import SMALL_FACTOR_BOUND, factor, is_prime, jacobi, valuation
 from .reduction import LocalData, ReductionKind, local_data
 
 INFINITE_PLACE = "inf"
@@ -157,31 +147,28 @@ def global_root_number(E: WeierstrassModel | LocalData) -> RootNumber:
     return data._root_number
 
 
-def twist_parameter_failure(d: int, n: int, factored: Factorization | None = None) -> str | None:
+def twist_parameter_failure(d: int, n: int) -> str | None:
     """The first condition d fails against n, of "positive" (which a bool
     fails), "squarefree", "mod4" and "coprime" in this order, or None.
-    4 | d fails squarefreeness unfactored; a caller holding d's
-    Factorization passes it as factored."""
+    4 | d fails squarefreeness without factoring d."""
     if isinstance(d, bool) or not isinstance(d, int) or d <= 0:
         return "positive"
-    if factored is not None and factored.value != d:
-        raise ArgumentError(f"factorization of {factored.value} passed for d = {d}")
-    if d % 4 == 0 or any(e > 1 for _, e in (factored or factor(d)).factors):
+    if d % 4 == 0 or any(e > 1 for _, e in factor(d).factors):
         return "squarefree"
     if d % 4 != 1:
         return "mod4"
     return None if math.gcd(d, n) == 1 else "coprime"
 
 
-def twist_parameters(bound: int, n: int) -> list[Factorization]:
-    """The factorizations of the d <= bound that pass the rule against n,
-    ascending.  Only d = 1 mod 4 prime to n can pass; no other d is factored,
-    and those are read from numtheory's table of smallest prime factors, so
-    bound must be an int of at most SMALL_FACTOR_BOUND (ArgumentError)."""
+def twist_parameters(bound: int, n: int) -> list[int]:
+    """The d <= bound that pass the rule against n, ascending.  Only d = 1
+    mod 4 prime to n can pass, and no other d goes to factor; bound must be an
+    int of at most SMALL_FACTOR_BOUND, up to which numtheory.factor keeps
+    each factorization (ArgumentError)."""
     if isinstance(bound, bool) or not isinstance(bound, int) or bound > SMALL_FACTOR_BOUND:
         raise ArgumentError(f"bound must be an int of at most {SMALL_FACTOR_BOUND}, got {bound!r}")
-    candidates = (small_factorization(d) for d in range(1, bound + 1, 4) if math.gcd(d, n) == 1)
-    return [f for f in candidates if twist_parameter_failure(f.value, n, f) is None]
+    candidates = (d for d in range(1, bound + 1, 4) if math.gcd(d, n) == 1)
+    return [d for d in candidates if twist_parameter_failure(d, n) is None]
 
 
 _VIOLATION = {
@@ -207,16 +194,14 @@ def _formula_conductor(data: LocalData) -> int:
     return N
 
 
-def twist_root_number_formula(
-    E: WeierstrassModel | LocalData, d: int, factored: Factorization | None = None
-) -> int:
+def twist_root_number_formula(E: WeierstrassModel | LocalData, d: int) -> int:
     """(d/N) w(E), equal to the global root number of the twist E^(d), read
     from E's remembered N and w(E).  HypothesisViolationError names the first
     hypothesis that fails: E semistable of odd conductor N, then the rule on
-    d against N (twist_parameter_failure, which takes d's factored)."""
+    d against N (twist_parameter_failure)."""
     data = local_data(E)
     N = _formula_conductor(data)
-    failure = twist_parameter_failure(d, N, factored)
+    failure = twist_parameter_failure(d, N)
     if failure is not None:
         raise HypothesisViolationError(_VIOLATION[failure].format(d=d, N=N))
     return jacobi(d, N) * global_root_number(data).value
@@ -236,11 +221,10 @@ def twist_sweep(
     data = local_data(E)
     N = _formula_conductor(data)
     signs = []
-    for factored in twist_parameters(dmax, N):
-        d = factored.value
+    for d in twist_parameters(dmax, N):
         try:
-            direct = global_root_number(data.twist(d, factored)).value
+            direct = global_root_number(data.twist(d)).value
         except TwistgateError as exc:
             raise type(exc)(f"d = {d}: {exc}") from exc
-        signs.append((d, twist_root_number_formula(data, d, factored), direct))
+        signs.append((d, twist_root_number_formula(data, d), direct))
     return N, signs

@@ -33,6 +33,8 @@ CALLS = {
     "quad_point_search to height 0": lambda E: quad_point_search(short_form(E), 17, 0),
     "is_admissible for p = 11": lambda E: is_admissible(11, [17]),
     "factor of 0": lambda E: factor(0),
+    # True would otherwise be kept as the factorization of 1
+    "factor of True": lambda E: factor(True),
     "modules of (Z/2^0)^1": lambda E: enumerate_signed_modules(0, 1, 1),
     "modules with -1 involutions": lambda E: enumerate_signed_modules(1, 1, -1),
     # True would otherwise be read as 1

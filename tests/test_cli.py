@@ -272,7 +272,7 @@ class TestTwistRootCheck:
         monkeypatch.setattr(
             rootnum,
             "twist_root_number_formula",
-            lambda E, d, factored=None: -formula(E, d, factored),
+            lambda E, d: -formula(E, d),
         )
         result, doc = run_json(capsys, ["twist-root-check", "--label", "15a1", "--dmax", "60"])
         assert (result.exit_code, doc["status"]) == (1, STATUS_CHECK_FAILED)
@@ -565,7 +565,7 @@ class TestInternalError:
         monkeypatch.setattr(
             fieldsearch,
             "twist_root_number_formula",
-            lambda X, d, factored=None: -formula(X, d, factored),
+            lambda X, d: -formula(X, d),
         )
         result = run(["check-hypothesis", "--p", "5", "--d", "17", "--json"])
         captured = capsys.readouterr()

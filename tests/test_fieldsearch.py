@@ -17,7 +17,7 @@ from twistgate.fieldsearch import (
     search,
 )
 from twistgate.lseries import VERDICT_NONZERO
-from twistgate.numtheory import factor, jacobi
+from twistgate.numtheory import jacobi
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +177,6 @@ class TestIsAdmissible:
             monkeypatch.setattr(module, "factor", lambda n: calls.append(n) or real(n))
         assert is_admissible(5, [True]).failed_condition == "positive"
         assert calls == []
-
-    def test_passed_factorizations_must_be_of_the_d_i(self):
-        assert is_admissible(5, [17, 61], [factor(17), factor(61)]).ok
-        for factored in ([factor(17), factor(13)], [factor(17)], [factor(61), factor(17)]):
-            with pytest.raises(ArgumentError):
-                is_admissible(5, [17, 61], factored)
-        # a non-positive d_i has no factorization to pass
-        with pytest.raises(ArgumentError):
-            is_admissible(5, [-17], [factor(17)])
 
     def test_unsupported_p(self):
         with pytest.raises(ValueError):
@@ -353,18 +344,12 @@ class TestSearch:
         assert [t.ds for t in search(7, 2, 120)] == oracle_search(7, 2, 120)
 
     def test_a_corrupted_single_fails_the_recheck(self, monkeypatch):
-        # 17 claims the factor 13^2, which its GF(2) mask does not see: the
-        # recheck reads the factorization and refuses 17 as not squarefree
-        real = fieldsearch.twist_parameters
-
-        def corrupted(bound, n):
-            singles = real(bound, n)
-            for f in singles:
-                if f.value == 17:
-                    object.__setattr__(f, "factors", ((13, 2), (17, 1)))
-            return singles
-
-        monkeypatch.setattr(fieldsearch, "twist_parameters", corrupted)
+        # search is handed 13^2 * 17 as the factorization of 17, with 17's
+        # GF(2) mask: the recheck refuses the single it makes as not
+        # squarefree.  factor is patched in fieldsearch only, so the
+        # process's kept factorizations stay intact
+        real = fieldsearch.factor
+        monkeypatch.setattr(fieldsearch, "factor", lambda n: real(13 * 13 * n if n == 17 else n))
         with pytest.raises(ArgumentError, match="squarefree"):
             search(5, 2, 100)
 
@@ -424,7 +409,7 @@ class TestCheckHypothesis:
         monkeypatch.setattr(
             fieldsearch,
             "twist_root_number_formula",
-            lambda X, d, factored=None: -formula(X, d, factored),
+            lambda X, d: -formula(X, d),
         )
         with pytest.raises(InvariantError) as excinfo:
             check_hypothesis(5, [17])

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from twistgate import numtheory
+from twistgate.curve import curve_by_label, invariants
 from twistgate.errors import (
     CompositeResidueError,
     EvenModulusError,
@@ -15,6 +17,7 @@ from twistgate.errors import (
     ZeroInputError,
 )
 from twistgate.numtheory import (
+    SMALL_FACTOR_BOUND,
     Factorization,
     factor,
     is_prime,
@@ -131,6 +134,22 @@ class TestFactor:
                     factor(n)
             else:
                 assert factor(n).factors == want, n
+
+    def test_keeps_each_factorization_to_the_small_bound(self):
+        # the wheel is the oracle of every kept factorization, and a second
+        # call returns the kept object
+        for n in range(1, SMALL_FACTOR_BOUND + 1):
+            assert factor(n).factors == factor_by_wheel(n), n
+            assert factor(n) is factor(n), n
+
+    def test_keeps_nothing_above_the_small_bound(self):
+        # |Delta(15a1)| = 3^4 5^4 is divided out on each call and not kept,
+        # so the memo holds at most one entry per n <= 10^4
+        delta = abs(invariants(curve_by_label("15a1")).delta)
+        assert delta > SMALL_FACTOR_BOUND
+        assert factor(delta) == factor(delta) and factor(delta) is not factor(delta)
+        assert all(1 <= n <= SMALL_FACTOR_BOUND for n in numtheory._FACTORED)
+        assert len(numtheory._FACTORED) <= SMALL_FACTOR_BOUND
 
     def test_random_roundtrip(self):
         rng = random.Random(7)

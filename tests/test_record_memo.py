@@ -6,7 +6,6 @@ computes no local factor again, while a raise leaves nothing behind.
 """
 
 import json
-import sys
 
 import pytest
 
@@ -75,32 +74,28 @@ def test_a_repeated_twisted_root_number_decides_no_local_factor(
 
 
 @pytest.fixture
-def factor_calls(monkeypatch):
-    """The values numtheory.factor is called on, under every name a
-    twistgate module binds it by."""
+def trial_divisions(monkeypatch):
+    """The values numtheory.factor divides out, which are the ones it does
+    not keep or has not met before."""
     calls = []
-    real = numtheory.factor
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("twistgate"):
-            for name, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, name, lambda n: calls.append(n) or real(n))
+    real = numtheory._trial_division
+    monkeypatch.setattr(numtheory, "_trial_division", lambda n: calls.append(n) or real(n))
     return calls
 
 
-def test_warm_operations_factor_only_what_they_were_given(fresh_table, factor_calls):
-    # each integer is factored once per operation, or read from numtheory's
-    # table of small factorizations: a warm search and sweep factor nothing,
-    # a warm hypothesis check each d_i once
-    for run_op, most in (
-        (lambda: search(7, 2, 600), 0),
-        (lambda: twist_sweep(curve_by_label("15a1"), 2000), 0),
-        (lambda: check_hypothesis(5, (17, 61)), 2),
+def test_warm_operations_factor_only_what_they_were_given(fresh_table, trial_divisions, capsys):
+    # factor keeps each factorization of n <= 10^4: a warm search, sweep,
+    # hypothesis check and twisted root number divide nothing out
+    for run_op in (
+        lambda: search(7, 2, 600),
+        lambda: twist_sweep(curve_by_label("15a1"), 2000),
+        lambda: run(["root-number", "--label", "15a1", "--twist", "13", "--json"]),
+        lambda: check_hypothesis(5, (17, 61)),
     ):
         first = run_op()
-        factor_calls.clear()
+        trial_divisions.clear()
         assert run_op() == first
-        assert len(factor_calls) <= most, factor_calls
+        assert trial_divisions == [], trial_divisions
     assert len(first.per_character) == 4
 
 
@@ -179,7 +174,7 @@ def test_a_broken_formula_is_still_caught_once_remembered(monkeypatch):
     check_hypothesis(5, (17, 61))
     real = twist_root_number_formula
     monkeypatch.setattr(
-        fieldsearch, "twist_root_number_formula", lambda E, d, factored=None: -real(E, d, factored)
+        fieldsearch, "twist_root_number_formula", lambda E, d: -real(E, d)
     )
     with pytest.raises(InvariantError, match="disagrees"):
         check_hypothesis(5, (17, 61))

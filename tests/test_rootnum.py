@@ -11,7 +11,7 @@ from twistgate.errors import (
     UnsupportedPlaceError,
     WorkBoundError,
 )
-from twistgate.numtheory import factor, jacobi, primes_up_to, squarefree_part
+from twistgate.numtheory import SMALL_FACTOR_BOUND, jacobi, primes_up_to, squarefree_part
 from twistgate.reduction import conductor
 from twistgate.rootnum import (
     CASE_ADD_POT_GOOD,
@@ -199,13 +199,7 @@ class TestTwistFormula:
         assert (conductor(e15), global_root_number(e15).value) == (15, 1)
         assert (conductor(e21), global_root_number(e21).value) == (21, 1)
         for d in (1, 13, 17, 29, 41, 53):
-            assert (
-                twist_root_number_formula(e15, d)
-                == twist_root_number_formula(e15, d, factor(d))
-                == jacobi(d, 15)
-            )
-        with pytest.raises(ArgumentError, match="factorization of 13"):
-            twist_root_number_formula(e15, 17, factor(13))
+            assert twist_root_number_formula(e15, d) == jacobi(d, 15)
 
     def test_curve_hypotheses_fail_before_any_d(self, e15):
         # E's hypotheses are named before d's, whatever d breaks
@@ -239,47 +233,26 @@ def naive_failure(d, n, squarefree):
     return None
 
 
-@pytest.mark.parametrize("n", [15, 21, 35, 1729])
+@pytest.mark.parametrize("n", [15, 21, 35, 1155, 1729])
 def test_rule_and_enumeration_match_the_naive_ordered_checks(n):
-    top = 5000
+    # d by d to SMALL_FACTOR_BOUND = 10^4, the largest bound of the
+    # enumeration; then every bound to 1000 and a stride of bounds beyond,
+    # each the prefix of the naive list
+    top = SMALL_FACTOR_BOUND
     expected = {}
     for d in range(-20, top + 1):
         squarefree = d > 0 and all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
         expected[d] = naive_failure(d, n, squarefree)
         assert twist_parameter_failure(d, n) == expected[d], d
-        if d > 0:
-            assert twist_parameter_failure(d, n, factor(d)) == expected[d], d
     assert twist_parameter_failure(17.0, n) == "positive"
     # a bool is an int, and True equals 1, which passes the rule
     assert twist_parameter_failure(True, n) == twist_parameter_failure(False, n) == "positive"
-    assert twist_parameter_failure(True, n, factor(1)) == "positive"
-    valid = twist_parameters(top, n)
-    assert [f.value for f in valid] == [d for d in range(1, top + 1) if expected[d] is None]
-    assert all(f == factor(f.value) for f in valid)
-    for bound in (-1, 0, 1, 4, 5, 99):
-        assert [f.value for f in twist_parameters(bound, n)] == [
-            d for d in range(1, bound + 1) if expected[d] is None
-        ], bound
-
-
-@pytest.mark.parametrize("n", [15, 21, 1155])
-def test_table_fed_enumeration_matches_factor(n):
-    # factor is the oracle of numtheory's table of smallest prime factors:
-    # the list to SMALL_FACTOR_BOUND = 10^4, d by d, then every bound to
-    # 1000 and a stride of bounds beyond, each the prefix of that list
-    top = 10**4
-    factored = map(factor, range(1, top + 1))
-    naive = [f for f in factored if twist_parameter_failure(f.value, n, f) is None]
+    naive = [d for d in range(1, top + 1) if expected[d] is None]
     assert twist_parameters(top, n) == naive
-    for bound in [*range(1001), *range(1001, top, 37), top]:
-        assert twist_parameters(bound, n) == [f for f in naive if f.value <= bound], bound
+    for bound in [-1, *range(1001), *range(1001, top, 37), top]:
+        assert twist_parameters(bound, n) == [d for d in naive if d <= bound], bound
     with pytest.raises(ArgumentError):
         twist_parameters(top + 1, n)
-
-
-def test_rule_refuses_the_factorization_of_another_number():
-    with pytest.raises(ArgumentError, match="factorization of 13"):
-        twist_parameter_failure(17, 15, factor(13))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +298,7 @@ class TestTwistSweep:
         monkeypatch.setattr(
             rootnum,
             "twist_root_number_formula",
-            lambda E, d, factored=None: -real(E, d, factored),
+            lambda E, d: -real(E, d),
         )
         _, signs = twist_sweep(e15, 60)
         assert len(signs) == 7
