@@ -11,7 +11,7 @@ from twistgate.errors import (
     UnsupportedPlaceError,
     WorkBoundError,
 )
-from twistgate.numtheory import SMALL_FACTOR_BOUND, jacobi, primes_up_to, squarefree_part
+from twistgate.numtheory import SMALL_FACTOR_BOUND, factor, jacobi, primes_up_to, squarefree_part
 from twistgate.reduction import conductor
 from twistgate.rootnum import (
     CASE_ADD_POT_GOOD,
@@ -233,12 +233,9 @@ def naive_failure(d, n, squarefree):
     return None
 
 
-@pytest.mark.parametrize("n", [15, 21, 35, 1155, 1729])
+@pytest.mark.parametrize("n", [15, 21, 35, 1729])
 def test_rule_and_enumeration_match_the_naive_ordered_checks(n):
-    # d by d to SMALL_FACTOR_BOUND = 10^4, the largest bound of the
-    # enumeration; then every bound to 1000 and a stride of bounds beyond,
-    # each the prefix of the naive list
-    top = SMALL_FACTOR_BOUND
+    top = 5000
     expected = {}
     for d in range(-20, top + 1):
         squarefree = d > 0 and all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
@@ -247,7 +244,29 @@ def test_rule_and_enumeration_match_the_naive_ordered_checks(n):
     assert twist_parameter_failure(17.0, n) == "positive"
     # a bool is an int, and True equals 1, which passes the rule
     assert twist_parameter_failure(True, n) == twist_parameter_failure(False, n) == "positive"
-    naive = [d for d in range(1, top + 1) if expected[d] is None]
+    for bound in (-1, 0, 1, 4, 5, 99, top):
+        assert twist_parameters(bound, n) == [
+            d for d in range(1, bound + 1) if expected[d] is None
+        ], bound
+
+
+@pytest.mark.parametrize("n", [15, 21, 1155])
+def test_table_fed_enumeration_matches_factor(n):
+    # the enumeration reads the factorizations factor keeps to
+    # SMALL_FACTOR_BOUND = 10^4; each kept one is checked against a fresh
+    # trial division, and the list to 10^4, d by d, against the ordered
+    # checks read off it; then every bound to 1000 and a stride of bounds
+    # beyond, each the prefix of that list
+    top = SMALL_FACTOR_BOUND
+    primes = primes_up_to(top)
+    naive = []
+    for d in range(1, top + 1):
+        f = factor(d)
+        assert f.value == d and math.prod(p**e for p, e in f.factors) == d, d
+        assert [p for p, _ in f.factors] == [p for p in primes if d % p == 0], d
+        squarefree = all(e == 1 for _, e in f.factors)
+        if naive_failure(d, n, squarefree) is None:
+            naive.append(d)
     assert twist_parameters(top, n) == naive
     for bound in [-1, *range(1001), *range(1001, top, 37), top]:
         assert twist_parameters(bound, n) == [d for d in naive if d <= bound], bound
