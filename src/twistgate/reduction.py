@@ -21,9 +21,11 @@ model visibly non-minimal at 2 or 3, where nothing minimalizes, and a good
 prime above BSGS_BOUND.  Every record keeps a table of a_p at its good odd
 primes, which grows on demand in traces_up_to: when there are LANES_FROM or
 more new primes from BSGS_FROM on, _trace_bsgs's first point decides them
-together in numpy int64 lanes, one lane per prime (_lane_traces), wherever
-it leaves one group order; _reduction decides the rest (the primes below
-BSGS_FROM, fewer new primes than LANES_FROM, and the lanes left undecided).
+together in numpy int64 lanes, one lane per prime, which match their steps
+by affine x (_lane_traces), wherever it leaves one group order; _reduction decides the rest: the primes below
+BSGS_FROM, fewer new primes than LANES_FROM, and the stragglers, the lanes
+left undecided, each with the candidates for #E that its lane proved, so
+that _trace_bsgs starts at its second point.
 at(p) keeps only the primes it is asked for, 2 and the primes of Delta in
 LocalData.traces.
 Each curve X of the loaded curve table has one record per process, which
@@ -105,20 +107,22 @@ BSGS_POINTS = 16
 BSGS_BOUND = 10**18
 # LocalData.traces_up_to decides its new good primes from BSGS_FROM on by
 # _lane_traces, which takes _trace_bsgs's first point in one numpy int64
-# lane per prime, when there are LANES_FROM or more; fewer, and the lanes
-# whose first point leaves more than one group order, go to _reduction one
-# by one.  Below 2 * 10^4 that is 1 lane in 12 on curves with rational
-# torsion (15a1: 181 of 2 212) and 1 in 27 on the lvalue-fresh curves
-# without ([0,-1,1,-29,-30]: 95 of 2 211).  Each lane's prime is below
-# LANE_PRIME_BOUND, so that every product of two residues stays below
-# 2^62.  Measured on one core of a 2-core Xeon host:
+# lane per prime, when there are LANES_FROM or more; fewer go to _reduction
+# one by one, and so do the stragglers, the lanes whose first point leaves
+# more than one group order, each with those orders, so that _trace_bsgs
+# starts at its second point.  Below 2 * 10^4 the stragglers are 1 lane in
+# 12 on curves with rational torsion (15a1: 181 of 2 212) and 1 in 23 on
+# the lvalue-fresh curves without ([0,-1,1,-29,-30]: 95 of 2 211).  Each
+# lane's prime is below LANE_PRIME_BOUND, so that every product of two
+# residues stays below 2^62.  Measured on one core of a 2-core Xeon host:
 # - a point on a batch of lanes costs 2-4 ms however few the lanes, the
 #   time _trace_bsgs takes for 30 (p ~ 10^5) to 100 (p ~ 10^3) primes, and
 #   lvalue-fresh's table fills took least time at LANES_FROM = 32-64;
-# - BSGS_LANES = 1024 lanes a batch and MATCH_BLOCK = 2^15 elements a
-#   comparison block keep the peak memory of 15a1's table to 38 312 within
-#   1.4 MB of the scalar loop's (2048 lanes: 3.1 MB, 2^16 elements: 2.5 MB);
-#   the lanes fill it in 0.08-0.10 s against the scalar loop's 0.24 s.
+# - BSGS_LANES = 1024 lanes a batch and MATCH_BLOCK = 2^15 byte-wide x
+#   comparisons a block keep the peak memory of 15a1's table to 38 312
+#   within 2.5 MB of the scalar loop's (2048 lanes: 5.1 MB; 2^16
+#   comparisons were no faster); the lanes fill it in 0.08-0.10 s against
+#   the scalar loop's 0.25-0.27 s, and its table to 10^6 in 2.4-2.8 s.
 LANE_PRIME_BOUND = 2**31
 LANES_FROM = 64
 BSGS_LANES = 1024
@@ -215,10 +219,13 @@ def classify(E: WeierstrassModel | LocalData, p: int) -> ReductionData:
     return _reduction(minimalize_at(model, p) if p >= 5 else model, p)
 
 
-def _reduction(model: WeierstrassModel, p: int) -> ReductionData:
+def _reduction(
+    model: WeierstrassModel, p: int, candidates: set[int] | None = None
+) -> ReductionData:
     """Reduction data at p of a model minimal at p, decided here only.  A
     good prime above BSGS_BOUND raises PrimeTooLargeError; one from BSGS_FROM
-    on goes to _trace_bsgs; the other good primes, those it cannot decide,
+    on goes to _trace_bsgs, with the candidates for #E that a lane's first
+    point left, if given; the other good primes, those it cannot decide,
     and 2 are point-counted.  At 2, odd Delta is good, odd c4 multiplicative
     (and minimal), and anything else raises.  At 3 a visibly non-minimal
     model (v3(Delta) >= 12 and v3(c4) >= 4) raises NonMinimalModelError.  At
@@ -226,7 +233,11 @@ def _reduction(model: WeierstrassModel, p: int) -> ReductionData:
     inv = invariants(model)
     if p > BSGS_BOUND and inv.delta % p:
         raise PrimeTooLargeError(f"good prime p = {p} exceeds BSGS_BOUND = {BSGS_BOUND}")
-    if p >= BSGS_FROM and inv.delta % p and (data := _trace_bsgs(inv, p)) is not None:
+    if (
+        p >= BSGS_FROM
+        and inv.delta % p
+        and (data := _trace_bsgs(inv, p, candidates)) is not None
+    ):
         return data
     if p == 2 and inv.delta % 2 == 0 and inv.c4 % 2 == 0:
         raise UnsupportedReductionAtTwoError("additive (or non-minimal) reduction at 2")
@@ -316,11 +327,16 @@ def _hasse_orders(P, a: int, p: int, H: int) -> set[int]:
     return {p + 1 - s for s in found if -H <= s <= H}
 
 
-def _trace_bsgs(inv: CurveInvariants, p: int) -> ReductionData | None:
+def _trace_bsgs(
+    inv: CurveInvariants, p: int, candidates: set[int] | None = None
+) -> ReductionData | None:
     """Reduction data at a good prime p >= 5 by Shanks-Mestre baby-step
     giant-step (Cohen, A Course in Computational Algebraic Number Theory,
     7.4.3), in O(p^(1/4)) group operations; None when BSGS_POINTS points
-    leave more than one candidate.
+    leave more than one candidate.  Given candidates, the values of #E that
+    the first point leaves (as _lane_traces hands on a straggler), it skips
+    that point and intersects from them, starting at the second; called
+    without, it takes every point itself.
 
     E is y^2 = f(x) = x^3 + A x + B with A = -27 c4, B = -54 c6.  For
     x0 = 0, 1, ... with t = f(x0) != 0, P = (t x0, t^2) lies on
@@ -335,13 +351,14 @@ def _trace_bsgs(inv: CurveInvariants, p: int) -> ReductionData | None:
     A = -27 * inv.c4 % p
     B = -54 * inv.c6 % p
     H = math.isqrt(4 * p)
-    candidates = None
     x0 = 0 if A == 0 else -1
-    for _ in range(BSGS_POINTS):
+    for point in range(BSGS_POINTS):
         t = 0
         while not t:
             x0 += 1
             t = (x0 * x0 * x0 + A * x0 + B) % p
+        if point == 0 and candidates is not None:
+            continue
         orders = _hasse_orders((t * x0 % p, t * t % p), A * t * t % p, p, H)
         if pow(t, (p - 1) // 2, p) != 1:
             orders = {2 * p + 2 - n for n in orders}
@@ -418,42 +435,46 @@ def _lane_orders(P, a, p, H):
     for all.  These N are the multiples of ord(P) in range, a progression
     that the three numbers describe.
 
-    Baby steps jP, 0 <= j <= m, form an (m + 1) x lanes table; giant steps
-    R_k = k (2m + 1) P run over the k whose window k (2m + 1) - m ..
-    k (2m + 1) + m meets [p + 1 - H, p + 1 + H], and are matched against
-    the table MATCH_BLOCK elements at a time, by cross-multiplying
-    coordinates.  R_k = jP gives N = k (2m + 1) - j, and R_k = -jP gives
-    k (2m + 1) + j.  Every such N is found: O (j = 0) is in the table, so a
-    giant step that lands on O matches it (its two signs give one N, counted
-    once), and a baby step with y = 0 equals its own negative, so it matches
-    both signs."""
+    Baby steps jP, 0 <= j <= m, and giant steps R_k = k (2m + 1) P, over
+    the k whose window k (2m + 1) - m .. k (2m + 1) + m meets
+    [p + 1 - H, p + 1 + H], are brought to affine (x, y) together, by one
+    simultaneous inversion per lane (_lane_inverses), with O at
+    (x, y) = (p, 0), outside F_p.  Each block of giant steps is then
+    compared with the baby table by x, MATCH_BLOCK comparisons at a time.
+    R_k = jP gives N = k (2m + 1) - j, and R_k = -jP gives k (2m + 1) + j.
+    Every such N is found: O (j = 0) is in the table, so a giant step that
+    lands on O matches it (its two signs give one N, counted once), and a
+    baby step with y = 0 equals its own negative, so it matches both
+    signs."""
     m = math.isqrt(int(H.max())) + 1
     width = 2 * m + 1
-    babies = np.empty((3, m + 1, len(p)), dtype=np.int64)
-    babies[:, 0] = np.array([0, 1, 0])[:, None]
-    babies[:, 1] = P
-    babies[:, 2] = _lane_double(P, a, p)
-    for j in range(3, m + 1):
-        babies[:, j] = _lane_add(babies[:, j - 1], P, a, p)
-    BX, BY, BZ = babies
-    stride = _lane_add(babies[:, m], _lane_add(babies[:, m], P, a, p), a, p)
     k = (p + 1 - H - m + width - 1) // width
     steps = int(((p + 1 + H + m) // width - k).max()) + 1
-    giants = np.empty((3, steps, 1, len(p)), dtype=np.int64)
-    giants[:, 0, 0] = _lane_multiple(k, stride, a, p)
-    for i in range(1, steps):
-        giants[:, i, 0] = _lane_add(giants[:, i - 1, 0], stride, a, p)
-    GX, GY, GZ = giants
-    block = max(1, MATCH_BLOCK // BX.size)
+    # rows 0..m are the baby steps, the rest the giant steps
+    chain = np.empty((3, m + 1 + steps, len(p)), dtype=np.int64)
+    chain[:, 0] = np.array([0, 1, 0])[:, None]
+    chain[:, 1] = P
+    chain[:, 2] = _lane_double(P, a, p)
+    for j in range(3, m + 1):
+        chain[:, j] = _lane_add(chain[:, j - 1], P, a, p)
+    stride = _lane_add(chain[:, m], _lane_add(chain[:, m], P, a, p), a, p)
+    chain[:, m + 1] = _lane_multiple(k, stride, a, p)
+    for i in range(m + 2, m + 1 + steps):
+        chain[:, i] = _lane_add(chain[:, i - 1], stride, a, p)
+    X, Y, Z = chain
+    inverse = _lane_inverses(Z, p)
+    x = np.where(Z == 0, p, X * inverse % p)
+    y = Y * inverse % p
+    bx, by, gx, gy = x[: m + 1], y[: m + 1], x[m + 1 :, None], y[m + 1 :]
+    block = max(1, MATCH_BLOCK // bx.size)
     N, at = [], []
     for i0 in range(0, steps, block):
-        gx, gy, gz = (c[i0 : i0 + block] for c in (GX, GY, GZ))
-        i, j, lane = np.nonzero((gx * BZ - BX * gz) % p == 0)
+        i, j, lane = np.nonzero(gx[i0 : i0 + block] == bx)
         pl = p[lane]
-        yR = gy[i, 0, lane] * BZ[j, lane] % pl
-        yB = BY[j, lane] * gz[i, 0, lane] % pl
+        yR = gy[i0 + i, lane]
+        yB = by[j, lane]
         centre = (k[lane] + i0 + i) * width
-        plus = (yR - yB) % pl == 0
+        plus = yR == yB
         minus = ((yR + yB) % pl == 0) & (j > 0)
         N += [centre[plus] - j[plus], centre[minus] + j[minus]]
         at += [lane[plus], lane[minus]]
@@ -467,26 +488,49 @@ def _lane_orders(P, a, p, H):
     return np.bincount(at, minlength=len(p)), least, greatest
 
 
-def _lane_traces(inv: CurveInvariants, primes) -> tuple[np.ndarray, np.ndarray]:
+def _lane_inverses(z, p):
+    """z^-1 mod p for each entry of z, a steps x lanes array of residues
+    mod each lane's prime p, with 0 for 0: Montgomery's simultaneous
+    inversion along the steps (Math. Comp. 48 (1987), 243-264), so one
+    Fermat inverse per lane and three products per entry, each of two
+    residues below 2^31."""
+    zero = z == 0
+    nonzero = np.where(zero, 1, z)
+    prefix = np.empty_like(nonzero)
+    product = np.ones(len(p), dtype=np.int64)
+    for i, row in enumerate(nonzero):
+        prefix[i] = product
+        product = product * row % p
+    inverse = _lane_power(product, p - 2, p)
+    for i in reversed(range(len(nonzero))):
+        prefix[i] = prefix[i] * inverse % p
+        inverse = inverse * nonzero[i] % p
+    prefix[zero] = 0
+    return prefix
+
+
+def _lane_traces(inv: CurveInvariants, primes) -> tuple[np.ndarray, dict[int, set[int]]]:
     """a_p of E at good primes 5 <= p < LANE_PRIME_BOUND by _trace_bsgs's
     method in numpy int64 lanes, one lane per prime, in batches of at most
-    BSGS_LANES lanes of nearly equal size; returns a_p and whether each lane
-    was decided (the a_p of a lane not decided is meaningless).
+    BSGS_LANES lanes of nearly equal size; returns a_p in each lane and the
+    stragglers, the primes of the lanes not decided (whose a_p is
+    meaningless), each with its candidates for #E.
 
     Each lane takes _trace_bsgs's first point only, and its orders
     (_lane_orders), N -> 2p + 2 - N when t is not a square mod p.  A lane is
     decided when that set is one number, which is then #E, proven as in
-    _trace_bsgs; an empty set raises InvariantError.  Every other lane comes
-    back undecided, for _trace_bsgs to take its further points."""
+    _trace_bsgs; an empty set raises InvariantError.  A straggler's set, the
+    proven progression mapped to #E, is what _trace_bsgs(inv, p, candidates)
+    starts from at the second point."""
     ps = np.asarray(primes, dtype=np.int64)
     if len(ps) and int(ps.max()) >= LANE_PRIME_BOUND:
         raise PrimeTooLargeError(f"lanes hold primes below 2^31, not p = {int(ps.max())}")
     batches = np.array_split(ps, max(1, -(-len(ps) // BSGS_LANES)))
-    a_p, decided = zip(*(_lane_batch(inv, batch) for batch in batches))
-    return np.concatenate(a_p), np.concatenate(decided)
+    a_p, stragglers = zip(*(_lane_batch(inv, batch) for batch in batches))
+    return np.concatenate(a_p), {q: c for batch in stragglers for q, c in batch.items()}
 
 
-def _lane_batch(inv: CurveInvariants, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lane_batch(inv: CurveInvariants, p: np.ndarray) -> tuple[np.ndarray, dict[int, set[int]]]:
     """_lane_traces on one batch of lanes."""
     A = _residues(-27 * inv.c4, p)
     B = _residues(-54 * inv.c6, p)
@@ -500,13 +544,21 @@ def _lane_batch(inv: CurveInvariants, p: np.ndarray) -> tuple[np.ndarray, np.nda
     tt = t * t % p
     P = (t * x % p, tt, np.ones_like(p))
     count, least, greatest = _lane_orders(P, A * tt % p, p, H)
-    if ((greatest - least) % np.maximum(count - 1, 1)).any():
+    gaps = np.maximum(count - 1, 1)
+    if ((greatest - least) % gaps).any():
         raise InvariantError("a point's orders in the Hasse interval are not a progression")
     if not count.all():
         q = int(p[count == 0][0])
         raise InvariantError(f"no group order in the Hasse interval at p = {q}")
-    points = np.where(_legendre(t, p) == -1, 2 * p + 2 - least, least)
-    return p + 1 - points, count == 1
+    # #E's candidates, from the least: the progression, mirrored on the twist
+    points = np.where(_legendre(t, p) == -1, 2 * p + 2 - greatest, least)
+    step = (greatest - least) // gaps
+    undecided = count > 1
+    stragglers = {
+        q: set(range(n, n + c * s, s))
+        for q, n, c, s in zip(*(v[undecided].tolist() for v in (p, points, count, step)))
+    }
+    return p + 1 - points, stragglers
 
 
 @dataclass(frozen=True)
@@ -583,8 +635,9 @@ class LocalData:
         """a_p at the good odd primes p <= bound, indexed by p (0 elsewhere),
         each decided once, as callers ask for larger primes: the new primes
         from BSGS_FROM on together by _lane_traces when there are LANES_FROM
-        or more, and the others and the lanes it leaves undecided by
-        _reduction.  ArgumentError for a bound that is not an int."""
+        or more, and the others by _reduction, the stragglers _lane_traces
+        leaves with their candidates.  ArgumentError for a bound that is not
+        an int."""
         if isinstance(bound, bool) or not isinstance(bound, int):
             raise ArgumentError(f"traces_up_to expects an int bound, got {bound!r}")
         known = len(self._a_p) - 1
@@ -595,12 +648,15 @@ class LocalData:
             new = np.array(primes[bisect_right(primes, known) :], dtype=np.int64)
             new = new[_residues(self.inv.delta, new) != 0]
             lanes = new[new >= BSGS_FROM]
+            stragglers = {}
             if len(lanes) >= LANES_FROM:
-                a_p, decided = _lane_traces(self.inv, lanes)
-                grown[lanes[decided]] = a_p[decided]
-                new = np.setdiff1d(new, lanes[decided], assume_unique=True)
+                a_p, stragglers = _lane_traces(self.inv, lanes)
+                grown[lanes] = a_p
+                new = new[new < BSGS_FROM]
             for p in new.tolist():
                 grown[p] = _reduction(self.model, p).a_p
+            for p, candidates in stragglers.items():
+                grown[p] = _reduction(self.model, p, candidates).a_p
             # the record is frozen; the table is a memo, like _decided
             object.__setattr__(self, "_a_p", grown)
         return self._a_p
@@ -705,18 +761,22 @@ def _residues(n: int, primes: np.ndarray) -> np.ndarray:
     return (-r) % primes if n < 0 else r
 
 
-def _legendre(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Legendre symbols (a/p) at odd primes p < 2^31, a given mod p, by
-    Euler's criterion a^((p-1)/2) mod p, squaring and multiplying on all p
-    at once."""
+def _lane_power(base: np.ndarray, e: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """base^e mod p at each prime p < 2^31, e >= 0 per prime, squaring and
+    multiplying on all p at once."""
     power = np.ones(len(primes), dtype=np.int64)
-    square = residues
-    e = (primes - 1) // 2
     while e.any():
         odd = (e & 1).astype(bool)
-        power = np.where(odd, power * square % primes, power)
-        square = square * square % primes
-        e >>= 1
+        power = np.where(odd, power * base % primes, power)
+        base = base * base % primes
+        e = e >> 1
+    return power
+
+
+def _legendre(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Legendre symbols (a/p) at odd primes p < 2^31, a given mod p, by
+    Euler's criterion a^((p-1)/2) mod p."""
+    power = _lane_power(residues, (primes - 1) // 2, primes)
     return np.where(power == primes - 1, -1, power)
 
 

@@ -10,6 +10,8 @@ j = 1728 and full rational 2-torsion, so that points of small order occur,
 among them baby steps at the point at infinity and at y = 0.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from twistgate.reduction import (
     LocalData,
     ReductionData,
     ReductionKind,
+    _lane_inverses,
     _lane_traces,
     _trace_bsgs,
     classify,
@@ -89,16 +92,25 @@ def test_bsgs_matches_the_point_count_at_sampled_primes_up_to_a_million(E):
             assert classify(E, p) == counted and record.at(p) == counted, p
 
 
+def hasse_interval(p):
+    """Every N with |p + 1 - N| <= 2 sqrt(p)."""
+    H = math.isqrt(4 * p)
+    return set(range(p + 1 - H, p + 2 + H))
+
+
 def undecided_lanes(inv, primes):
-    """_lane_traces leaving every lane undecided."""
-    return np.zeros(len(primes), dtype=np.int64), np.zeros(len(primes), dtype=bool)
+    """_lane_traces leaving every lane undecided, with the whole Hasse
+    interval as its candidates."""
+    stragglers = {p: hasse_interval(p) for p in np.asarray(primes).tolist()}
+    return np.zeros(len(primes), dtype=np.int64), stragglers
 
 
 def spy(monkeypatch, name):
-    """The primes each call of reduction.<name>(E, p) is given, in order."""
+    """The primes each call of reduction.<name>(E, p, ...) is given, in
+    order."""
     calls = []
     real = getattr(reduction, name)
-    monkeypatch.setattr(reduction, name, lambda E, p: calls.append(p) or real(E, p))
+    monkeypatch.setattr(reduction, name, lambda E, p, *rest: calls.append(p) or real(E, p, *rest))
     return calls
 
 
@@ -119,7 +131,9 @@ def test_forced_fallback_leaves_the_table_unchanged(monkeypatch):
     table = LocalData(E).traces_up_to(3000).copy()
     monkeypatch.setattr(reduction, "_lane_traces", undecided_lanes)
     asked = []
-    monkeypatch.setattr(reduction, "_trace_bsgs", lambda inv, p: asked.append(p))
+    monkeypatch.setattr(
+        reduction, "_trace_bsgs", lambda inv, p, candidates=None: asked.append(p)
+    )
     counted = spy(monkeypatch, "count_points")
     fallback = LocalData(E).traces_up_to(3000)
     good = [p for p in primes_up_to(3000) if p > 2 and LocalData(E).inv.delta % p]
@@ -129,16 +143,24 @@ def test_forced_fallback_leaves_the_table_unchanged(monkeypatch):
 
 
 def test_the_lanes_decide_most_of_the_table(monkeypatch):
-    reduced = spy(monkeypatch, "_reduction")
+    reduced = []
+    real = reduction._reduction
+    monkeypatch.setattr(
+        reduction,
+        "_reduction",
+        lambda E, p, candidates=None: reduced.append((p, candidates)) or real(E, p, candidates),
+    )
     record = LocalData(FRESH_CURVES[0])
     record.traces_up_to(20_000)
     lanes = [p for p in primes_up_to(20_000) if p >= BSGS_FROM and record.inv.delta % p]
-    undecided = [p for p in reduced if p >= BSGS_FROM]
-    assert len(undecided) < 0.1 * len(lanes)
+    undecided = [(p, c) for p, c in reduced if p >= BSGS_FROM]
+    assert 0 < len(undecided) < 0.1 * len(lanes)
+    # every straggler reaches _reduction with the candidates its lane left
+    assert all(c is not None and len(c) > 1 for _, c in undecided)
 
 
 def test_forced_fallback_above_the_enumeration_bound_still_refuses(monkeypatch):
-    monkeypatch.setattr(reduction, "_trace_bsgs", lambda inv, p: None)
+    monkeypatch.setattr(reduction, "_trace_bsgs", lambda inv, p, candidates=None: None)
     with pytest.raises(PrimeTooLargeError):
         classify(curve_by_label("15a1"), 1000003)
 
@@ -172,7 +194,8 @@ def lane_oracle(E, primes, monkeypatch):
     although it leaves more."""
     inv = LocalData(E).inv
     good = [p for p in primes if inv.delta % p]
-    a_p, decided = _lane_traces(inv, good)
+    a_p, stragglers = _lane_traces(inv, good)
+    decided = [p not in stragglers for p in good]
     sizes = []
     real = reduction._hasse_orders
 
@@ -183,7 +206,7 @@ def lane_oracle(E, primes, monkeypatch):
 
     monkeypatch.setattr(reduction, "_hasse_orders", orders)
     wrong = []
-    for p, lane, ok in zip(good, a_p.tolist(), decided.tolist()):
+    for p, lane, ok in zip(good, a_p.tolist(), decided):
         sizes.clear()
         data = _trace_bsgs(inv, p)
         if ok != (sizes[0] == 1) or (ok and not lane == data.a_p == p + 1 - count_points(E, p)):
@@ -219,11 +242,12 @@ def test_lanes_at_the_largest_prime_they_hold():
     for E in [curve_by_label("15a1"), *FRESH_CURVES]:
         inv = LocalData(E).inv
         small = [q for q in primes_up_to(300)[2:] if inv.delta % q]
-        a_p, decided = _lane_traces(inv, [*small, p])
-        assert decided[-1] and a_p[-1] == _trace_bsgs(inv, p).a_p
-        assert decided[:-1].sum() > len(small) / 2
-        for q, a, ok in zip(small, a_p.tolist(), decided.tolist()):
-            assert not ok or a == q + 1 - count_points(E, q), q
+        a_p, stragglers = _lane_traces(inv, [*small, p])
+        assert p not in stragglers and a_p[-1] == _trace_bsgs(inv, p).a_p
+        assert len(stragglers) < len(small) / 2
+        for q, a in zip(small, a_p.tolist()):
+            points = count_points(E, q)
+            assert points in stragglers[q] if q in stragglers else a == q + 1 - points, q
 
 
 def test_lanes_refuse_a_prime_from_2_to_the_31_on():
@@ -241,3 +265,85 @@ def test_an_empty_candidate_set_in_a_lane_is_an_internal_error(monkeypatch):
         _lane_traces(LocalData(curve_by_label("15a1")).inv, [1009, 1013])
     with pytest.raises(InvariantError):
         LocalData(curve_by_label("15a1")).traces_up_to(2000)
+
+
+def first_point(inv, p):
+    """_trace_bsgs's first point P on E_t, and the values of #E its orders
+    in the Hasse interval leave (_hasse_orders, N -> 2p + 2 - N when t is
+    not a square mod p)."""
+    A, B = -27 * inv.c4 % p, -54 * inv.c6 % p
+    x0 = 1 if A == 0 else 0
+    while not (t := (x0**3 + A * x0 + B) % p):
+        x0 += 1
+    P = (t * x0 % p, t * t % p)
+    orders = reduction._hasse_orders(P, A * t * t % p, p, math.isqrt(4 * p))
+    square = pow(t, (p - 1) // 2, p) == 1
+    return P, orders if square else {2 * p + 2 - n for n in orders}
+
+
+@pytest.mark.parametrize("name", LANE_CURVES)
+def test_stragglers_hand_on_the_first_points_orders(name, monkeypatch):
+    E = LANE_CURVES[name]
+    inv = LocalData(E).inv
+    good = [p for p in primes_up_to(20_000) if p >= BSGS_FROM and inv.delta % p]
+    _, stragglers = _lane_traces(inv, good)
+    assert stragglers
+    firsts = []
+    real = reduction._hasse_orders
+    monkeypatch.setattr(
+        reduction, "_hasse_orders", lambda P, a, p, H: firsts.append(P) or real(P, a, p, H)
+    )
+    wrong = []
+    for p, candidates in stragglers.items():
+        firsts.clear()
+        _trace_bsgs(inv, p)
+        P, first = first_point(inv, p)
+        if firsts[0] != P or candidates != first or count_points(E, p) not in candidates:
+            wrong.append((p, sorted(candidates), sorted(first)))
+    assert wrong == []
+
+
+def test_lane_inverses_match_pow_entry_by_entry():
+    primes = np.array([5, 7, 233, 1009, 999_983, 2**31 - 1], dtype=np.int64)
+    rng = np.random.default_rng(27)
+    z = rng.integers(0, primes, size=(9, len(primes)))
+    z[rng.random(z.shape) < 0.2] = 0
+    # residues near 2^31 - 1 make every product of two near 2^62
+    z[:3, -1] = [2**31 - 2, 2**31 - 3, 2**30 + 1]
+    z[:, 0] = 0
+    inverses = _lane_inverses(z, primes)
+    assert inverses.dtype == np.int64
+    for (i, lane), value in np.ndenumerate(z):
+        p = int(primes[lane])
+        expected = 0 if value == 0 else pow(int(value), -1, p)
+        assert inverses[i, lane] == expected, (i, p, int(value))
+
+
+@pytest.mark.parametrize("E", [curve_by_label("15a1"), FRESH_CURVES[0]], ids=str)
+def test_a_straggler_never_repeats_the_lanes_first_point(E, monkeypatch):
+    inv = LocalData(E).inv
+    good = [p for p in primes_up_to(20_000) if p >= BSGS_FROM and inv.delta % p]
+    _, stragglers = _lane_traces(inv, good)
+    assert stragglers
+    calls = []
+    real = reduction._hasse_orders
+    monkeypatch.setattr(
+        reduction, "_hasse_orders", lambda P, a, p, H: calls.append(p) or real(P, a, p, H)
+    )
+    for p, candidates in stragglers.items():
+        calls.clear()
+        scratch = _trace_bsgs(inv, p)
+        from_scratch = len(calls)
+        calls.clear()
+        assert _trace_bsgs(inv, p, candidates) == scratch, p
+        assert len(calls) == from_scratch - 1, p
+
+
+def test_candidates_disjoint_from_the_next_points_orders_are_an_internal_error(monkeypatch):
+    # p + 1 is its own image under N -> 2p + 2 - N, so every point's orders
+    # are {p + 1} whether or not it lies on the twist
+    monkeypatch.setattr(reduction, "_hasse_orders", lambda P, a, p, H: {p + 1})
+    inv = LocalData(curve_by_label("15a1")).inv
+    assert _trace_bsgs(inv, 1009, {1009, 1010}).points == 1010
+    with pytest.raises(InvariantError):
+        _trace_bsgs(inv, 1009, {1009, 1011})
