@@ -36,7 +36,6 @@ from .errors import (
 )
 
 TRIAL_DIVISION_BOUND = 10**6
-COFACTOR_BOUND = 10**12
 # Largest n whose Factorization factor keeps; it covers
 # rootnum.MAX_TWIST_DMAX and fieldsearch.MAX_SEARCH_BOUND.
 SMALL_FACTOR_BOUND = 10**4
@@ -160,8 +159,9 @@ def _trial_division(n: int) -> Factorization:
                 m //= p
                 e += 1
             out.append((p, e))
-    # m > 10^12 only when the primes ran out
-    if m > COFACTOR_BOUND and not (m < _MR_DETERMINISTIC_BOUND and is_prime(m)):
+    # a cofactor with no prime factor up to TRIAL_DIVISION_BOUND is prime
+    # below that bound's square; above it only when is_prime proves it
+    if m > TRIAL_DIVISION_BOUND**2 and not (m < _MR_DETERMINISTIC_BOUND and is_prime(m)):
         raise CompositeResidueError(f"cofactor {m} exceeds 10^12 and is not a certified prime")
     if m > 1:
         out.append((m, 1))

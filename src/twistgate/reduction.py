@@ -19,13 +19,13 @@ group operations), below it and wherever that cannot decide by a point
 count (O(p)), each result checked by ReductionData.  It alone refuses a
 model visibly non-minimal at 2 or 3, where nothing minimalizes, and a good
 prime above BSGS_BOUND.  Every record keeps a table of a_p at its good odd
-primes, which grows on demand in traces_up_to: when there are LANES_FROM or
-more new primes from BSGS_FROM on, _trace_bsgs's first point decides them
-together in numpy int64 lanes, one lane per prime, which match their steps
-by affine x (_lane_traces), wherever it leaves one group order; _reduction decides the rest: the primes below
-BSGS_FROM, fewer new primes than LANES_FROM, and the stragglers, the lanes
-left undecided, each with the candidates for #E that its lane proved, so
-that _trace_bsgs starts at its second point.
+primes, which grows on demand in traces_up_to: _trace_bsgs's first point
+decides all its new primes from 5 on together in numpy int64 lanes, one
+lane per prime, which match their steps by affine x (_lane_traces),
+wherever it leaves one group order.  _reduction decides p = 3 and the
+stragglers, the lanes left undecided, each with the candidates for #E that
+its lane proved: from BSGS_FROM on _trace_bsgs starts at its second point;
+below, and where that cannot decide, the point count must lie among them.
 at(p) keeps only the primes it is asked for, 2 and the primes of Delta in
 LocalData.traces.
 Each curve X of the loaded curve table has one record per process, which
@@ -50,8 +50,9 @@ includes the singular point (and the point at infinity), so that
 
 and equals a_p with |a_p| <= 2 sqrt(p) at good primes.  Every ReductionData
 asserts this table literally; a lane's a_p lies in the Hasse interval by
-construction.  Points are counted only at 2 and at good primes below
-BSGS_FROM or where _trace_bsgs cannot decide.  At an odd bad
+construction.  Points are counted only at 2, at good primes below
+BSGS_FROM that classify is asked for, at p = 3 and the stragglers below
+BSGS_FROM of a table, and where _trace_bsgs cannot decide.  At an odd bad
 prime p the table is derived on the p-minimal model instead: the singular
 point is a node iff p does not divide c4, and the node's tangents are
 rational (split reduction) iff -c6 is a square mod p, so a_p = (-c6/p)
@@ -105,28 +106,22 @@ BSGS_POINTS = 16
 # _trace_bsgs keeps about (4p)^(1/4) baby steps, and at p = 10^18 + 3 it took
 # 0.74-0.90 s and 47 MB peak process memory (one core of a 2-core Xeon host).
 BSGS_BOUND = 10**18
-# LocalData.traces_up_to decides its new good primes from BSGS_FROM on by
+# LocalData.traces_up_to decides all its new good primes from 5 on by
 # _lane_traces, which takes _trace_bsgs's first point in one numpy int64
-# lane per prime, when there are LANES_FROM or more; fewer go to _reduction
-# one by one, and so do the stragglers, the lanes whose first point leaves
-# more than one group order, each with those orders, so that _trace_bsgs
-# starts at its second point.  Below 2 * 10^4 the stragglers are 1 lane in
-# 12 on curves with rational torsion (15a1: 181 of 2 212) and 1 in 23 on
-# the lvalue-fresh curves without ([0,-1,1,-29,-30]: 95 of 2 211).  Each
-# lane's prime is below LANE_PRIME_BOUND, so that every product of two
-# residues stays below 2^62.  Measured on one core of a 2-core Xeon host:
-# - a point on a batch of lanes costs 2-4 ms however few the lanes, the
-#   time _trace_bsgs takes for 30 (p ~ 10^5) to 100 (p ~ 10^3) primes, and
-#   lvalue-fresh's table fills took least time at LANES_FROM = 32-64;
-# - BSGS_LANES = 1024 lanes a batch and MATCH_BLOCK = 2^15 byte-wide x
-#   comparisons a block keep the peak memory of 15a1's table to 38 312
-#   within 2.5 MB of the scalar loop's (2048 lanes: 5.1 MB; 2^16
-#   comparisons were no faster); the lanes fill it in 0.08-0.10 s against
-#   the scalar loop's 0.25-0.27 s, and its table to 10^6 in 2.4-2.8 s.
+# lane per prime; the stragglers, the lanes whose first point leaves more
+# than one group order, go to _reduction, each with those orders.  Below
+# 2 * 10^4 the stragglers from BSGS_FROM on are 1 lane in 12 on curves with
+# rational torsion (15a1: 181 of 2 212) and 1 in 23 on the lvalue-fresh
+# curves without ([0,-1,1,-29,-30]: 95 of 2 211); below BSGS_FROM they are
+# 9-29 of a curve's 46-48 primes.  Each lane's prime is below
+# LANE_PRIME_BOUND, so that every product of two residues stays below 2^62.
+# A batch matches its giant with its baby steps in one comparison of
+# steps x (m + 1) x lanes bytes; BSGS_LANES = 1024 lanes a batch bound it:
+# on 15a1 a batch of the largest primes below 10^6 peaks at 6.5 MB under
+# tracemalloc (2048 lanes: 12.9 MB), and its table to 10^6 fills in 1.8-2.0 s
+# (one core of a 2-core Xeon host).
 LANE_PRIME_BOUND = 2**31
-LANES_FROM = 64
 BSGS_LANES = 1024
-MATCH_BLOCK = 2**15
 
 
 class ReductionKind(str, Enum):
@@ -226,7 +221,8 @@ def _reduction(
     good prime above BSGS_BOUND raises PrimeTooLargeError; one from BSGS_FROM
     on goes to _trace_bsgs, with the candidates for #E that a lane's first
     point left, if given; the other good primes, those it cannot decide,
-    and 2 are point-counted.  At 2, odd Delta is good, odd c4 multiplicative
+    and 2 are point-counted, and a count outside the candidates raises
+    InvariantError.  At 2, odd Delta is good, odd c4 multiplicative
     (and minimal), and anything else raises.  At 3 a visibly non-minimal
     model (v3(Delta) >= 12 and v3(c4) >= 4) raises NonMinimalModelError.  At
     an odd bad prime a node (p not dividing c4) has a_p = (-c6/p), a cusp 0."""
@@ -247,6 +243,8 @@ def _reduction(
         )
     if p == 2 or inv.delta % p:
         points = count_points(model, p)
+        if candidates is not None and points not in candidates:
+            raise InvariantError(f"#E = {points} at p = {p} is not among its lane's candidates")
         a_p = p + 1 - points
     else:
         a_p = jacobi(-inv.c6, p) if inv.c4 % p else 0
@@ -439,8 +437,8 @@ def _lane_orders(P, a, p, H):
     the k whose window k (2m + 1) - m .. k (2m + 1) + m meets
     [p + 1 - H, p + 1 + H], are brought to affine (x, y) together, by one
     simultaneous inversion per lane (_lane_inverses), with O at
-    (x, y) = (p, 0), outside F_p.  Each block of giant steps is then
-    compared with the baby table by x, MATCH_BLOCK comparisons at a time.
+    (x, y) = (p, 0), outside F_p.  The giant steps are then compared with
+    the baby table by x in one comparison, of steps x (m + 1) x lanes bytes.
     R_k = jP gives N = k (2m + 1) - j, and R_k = -jP gives k (2m + 1) + j.
     Every such N is found: O (j = 0) is in the table, so a giant step that
     lands on O matches it (its two signs give one N, counted once), and a
@@ -465,20 +463,13 @@ def _lane_orders(P, a, p, H):
     inverse = _lane_inverses(Z, p)
     x = np.where(Z == 0, p, X * inverse % p)
     y = Y * inverse % p
-    bx, by, gx, gy = x[: m + 1], y[: m + 1], x[m + 1 :, None], y[m + 1 :]
-    block = max(1, MATCH_BLOCK // bx.size)
-    N, at = [], []
-    for i0 in range(0, steps, block):
-        i, j, lane = np.nonzero(gx[i0 : i0 + block] == bx)
-        pl = p[lane]
-        yR = gy[i0 + i, lane]
-        yB = by[j, lane]
-        centre = (k[lane] + i0 + i) * width
-        plus = yR == yB
-        minus = ((yR + yB) % pl == 0) & (j > 0)
-        N += [centre[plus] - j[plus], centre[minus] + j[minus]]
-        at += [lane[plus], lane[minus]]
-    N, at = np.concatenate(N), np.concatenate(at)
+    i, j, lane = np.nonzero(x[m + 1 :, None] == x[: m + 1])
+    yR, yB = y[m + 1 + i, lane], y[j, lane]
+    centre = (k[lane] + i) * width
+    plus = yR == yB
+    minus = ((yR + yB) % p[lane] == 0) & (j > 0)
+    N = np.concatenate([centre[plus] - j[plus], centre[minus] + j[minus]])
+    at = np.concatenate([lane[plus], lane[minus]])
     keep = np.abs(p[at] + 1 - N) <= H[at]
     N, at = N[keep], at[keep]
     least = np.full(len(p), np.iinfo(np.int64).max)
@@ -510,22 +501,25 @@ def _lane_inverses(z, p):
 
 
 def _lane_traces(inv: CurveInvariants, primes) -> tuple[np.ndarray, dict[int, set[int]]]:
-    """a_p of E at good primes 5 <= p < LANE_PRIME_BOUND by _trace_bsgs's
-    method in numpy int64 lanes, one lane per prime, in batches of at most
-    BSGS_LANES lanes of nearly equal size; returns a_p in each lane and the
-    stragglers, the primes of the lanes not decided (whose a_p is
-    meaningless), each with its candidates for #E.
+    """a_p of E at good primes 5 <= p < LANE_PRIME_BOUND, however few, by
+    _trace_bsgs's method in numpy int64 lanes, one lane per prime, in
+    batches of at most BSGS_LANES lanes of nearly equal size; returns a_p in
+    each lane and the stragglers, the primes of the lanes not decided (whose
+    a_p is meaningless), each with its candidates for #E.
 
     Each lane takes _trace_bsgs's first point only, and its orders
     (_lane_orders), N -> 2p + 2 - N when t is not a square mod p.  A lane is
     decided when that set is one number, which is then #E, proven as in
     _trace_bsgs; an empty set raises InvariantError.  A straggler's set, the
-    proven progression mapped to #E, is what _trace_bsgs(inv, p, candidates)
-    starts from at the second point."""
+    proven progression mapped to #E, is what _reduction(model, p,
+    candidates) starts from: _trace_bsgs at the second point from
+    BSGS_FROM on, and a point count, which must lie in it, below."""
     ps = np.asarray(primes, dtype=np.int64)
-    if len(ps) and int(ps.max()) >= LANE_PRIME_BOUND:
+    if not len(ps):
+        return ps, {}
+    if int(ps.max()) >= LANE_PRIME_BOUND:
         raise PrimeTooLargeError(f"lanes hold primes below 2^31, not p = {int(ps.max())}")
-    batches = np.array_split(ps, max(1, -(-len(ps) // BSGS_LANES)))
+    batches = np.array_split(ps, -(-len(ps) // BSGS_LANES))
     a_p, stragglers = zip(*(_lane_batch(inv, batch) for batch in batches))
     return np.concatenate(a_p), {q: c for batch in stragglers for q, c in batch.items()}
 
@@ -633,11 +627,10 @@ class LocalData:
 
     def traces_up_to(self, bound: int) -> np.ndarray:
         """a_p at the good odd primes p <= bound, indexed by p (0 elsewhere),
-        each decided once, as callers ask for larger primes: the new primes
-        from BSGS_FROM on together by _lane_traces when there are LANES_FROM
-        or more, and the others by _reduction, the stragglers _lane_traces
-        leaves with their candidates.  ArgumentError for a bound that is not
-        an int."""
+        each decided once, as callers ask for larger primes: every new prime
+        from 5 on by _lane_traces, however few, and p = 3 and the stragglers
+        _lane_traces leaves, each with its candidates, by _reduction.
+        ArgumentError for a bound that is not an int."""
         if isinstance(bound, bool) or not isinstance(bound, int):
             raise ArgumentError(f"traces_up_to expects an int bound, got {bound!r}")
         known = len(self._a_p) - 1
@@ -647,14 +640,11 @@ class LocalData:
             primes = primes_up_to(bound)
             new = np.array(primes[bisect_right(primes, known) :], dtype=np.int64)
             new = new[_residues(self.inv.delta, new) != 0]
-            lanes = new[new >= BSGS_FROM]
-            stragglers = {}
-            if len(lanes) >= LANES_FROM:
-                a_p, stragglers = _lane_traces(self.inv, lanes)
-                grown[lanes] = a_p
-                new = new[new < BSGS_FROM]
-            for p in new.tolist():
-                grown[p] = _reduction(self.model, p).a_p
+            lanes = new[new >= 5]
+            a_p, stragglers = _lane_traces(self.inv, lanes)
+            grown[lanes] = a_p
+            if 3 in new:
+                grown[3] = _reduction(self.model, 3).a_p
             for p, candidates in stragglers.items():
                 grown[p] = _reduction(self.model, p, candidates).a_p
             # the record is frozen; the table is a memo, like _decided

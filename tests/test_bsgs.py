@@ -11,6 +11,7 @@ among them baby steps at the point at infinity and at y = 0.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,11 +153,48 @@ def test_the_lanes_decide_most_of_the_table(monkeypatch):
     )
     record = LocalData(FRESH_CURVES[0])
     record.traces_up_to(20_000)
-    lanes = [p for p in primes_up_to(20_000) if p >= BSGS_FROM and record.inv.delta % p]
-    undecided = [(p, c) for p, c in reduced if p >= BSGS_FROM]
+    lanes = [p for p in primes_up_to(20_000) if p >= 5 and record.inv.delta % p]
+    undecided = [(p, c) for p, c in reduced if p >= 5]
     assert 0 < len(undecided) < 0.1 * len(lanes)
     # every straggler reaches _reduction with the candidates its lane left
     assert all(c is not None and len(c) > 1 for _, c in undecided)
+
+
+def test_a_table_grown_by_a_few_primes_fills_them_in_lanes(monkeypatch):
+    E = FRESH_CURVES[0]
+    record = LocalData(E)
+    record.traces_up_to(2000)
+    calls = []
+    real = reduction._lane_traces
+    monkeypatch.setattr(
+        reduction, "_lane_traces", lambda inv, primes: calls.append(list(primes)) or real(inv, primes)
+    )
+    table = record.traces_up_to(2100)
+    new = [p for p in primes_up_to(2100) if p > 2000 and record.inv.delta % p]
+    assert calls == [new] and 10 <= len(new) < 64
+    assert [int(table[p]) for p in new] == [p + 1 - count_points(E, p) for p in new]
+    # no prime lies in (2100, 2110]: the lanes take none and the table grows
+    assert len(record.traces_up_to(2110)) == 2111 and calls == [new, []]
+
+
+@pytest.mark.parametrize("p", [229, 1009])
+def test_a_point_count_outside_the_lanes_candidates_is_an_internal_error(p, monkeypatch):
+    # a straggler is point-counted below BSGS_FROM and wherever _trace_bsgs
+    # does not decide, and its count must lie among the candidates its lane
+    # proved
+    E = curve_by_label("15a1")
+    points = count_points(E, p)
+    real = reduction._lane_traces
+    monkeypatch.setattr(reduction, "_trace_bsgs", lambda inv, q, candidates=None: None)
+
+    def wrong_candidates(inv, primes):
+        a_p, stragglers = real(inv, primes)
+        stragglers[p] = hasse_interval(p) - {points}
+        return a_p, stragglers
+
+    monkeypatch.setattr(reduction, "_lane_traces", wrong_candidates)
+    with pytest.raises(InvariantError):
+        LocalData(E).traces_up_to(1100)
 
 
 def test_forced_fallback_above_the_enumeration_bound_still_refuses(monkeypatch):
@@ -217,7 +255,7 @@ def lane_oracle(E, primes, monkeypatch):
 @pytest.mark.parametrize("name", LANE_CURVES)
 def test_lanes_match_bsgs_and_the_point_count_at_every_good_prime(name, monkeypatch):
     E = LANE_CURVES[name]
-    _, wrong = lane_oracle(E, [p for p in primes_up_to(20_000) if p >= BSGS_FROM], monkeypatch)
+    _, wrong = lane_oracle(E, [p for p in primes_up_to(20_000) if p >= 5], monkeypatch)
     assert wrong == []
     # the table takes the lanes' decisions and _reduction's for the rest
     record = LocalData(E)
@@ -248,6 +286,21 @@ def test_lanes_at_the_largest_prime_they_hold():
         for q, a in zip(small, a_p.tolist()):
             points = count_points(E, q)
             assert points in stragglers[q] if q in stragglers else a == q + 1 - points, q
+
+
+def test_a_full_batch_of_lanes_near_a_million_stays_small_in_memory():
+    # the batch matches its giant and baby steps in one comparison of
+    # steps x (m + 1) x lanes bytes
+    inv = LocalData(curve_by_label("15a1")).inv
+    primes = primes_up_to(10**6)[-reduction.BSGS_LANES :]
+    assert len(primes) == 1024 and all(inv.delta % p for p in primes)
+    tracemalloc.start()
+    try:
+        _lane_traces(inv, primes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
 
 
 def test_lanes_refuse_a_prime_from_2_to_the_31_on():
