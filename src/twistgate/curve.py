@@ -173,12 +173,13 @@ def minimalize_at(E: WeierstrassModel, p: int) -> WeierstrassModel:
     """p-minimal model for p >= 5, reached by (c4, c6) -> (c4/p^4, c6/p^6).
 
     Idempotent; leaves the (c4, c6, Delta) valuations at every other prime
-    untouched.  Minimalization at 2 and 3 is out of scope.
+    untouched.  Minimalization at 2 and 3 is out of scope
+    (UnsupportedPrimeError); a p that is not a prime int raises ArgumentError.
     """
+    if not isinstance(p, int) or not is_prime(p):
+        raise ArgumentError(f"{p!r} is not prime")
     if p in (2, 3):
         raise UnsupportedPrimeError(f"minimalization at p = {p} is not supported")
-    if not is_prime(p):
-        raise ArgumentError(f"{p} is not prime")
     inv = invariants(E)
     c4, c6, delta = inv.c4, inv.c6, inv.delta
     k = 0

@@ -190,7 +190,11 @@ def quad_point_search(
     """
     if not isinstance(d, int) or d <= 1 or not is_squarefree(d):
         raise NotSquarefreeError(f"search needs a squarefree integer d > 1, got {d}")
-    if isinstance(height, bool) or not 1 <= height <= MAX_SEARCH_HEIGHT:
+    if (
+        isinstance(height, bool)
+        or not isinstance(height, int)
+        or not 1 <= height <= MAX_SEARCH_HEIGHT
+    ):
         raise ArgumentError(f"height must be between 1 and {MAX_SEARCH_HEIGHT}, got {height!r}")
     A = _as_fraction(curve[0])
     B = _as_fraction(curve[1])
@@ -335,7 +339,8 @@ def enumerate_signed_modules(k: int, n: int, r: int) -> list[SignedModule]:
     k, n >= 1 and r >= 0, and LemmaSumSizeError when a bound
     (MAX_MODULE_SIZE, MAX_LEMMA_SUM_WORK) would be exceeded.
     """
-    if any(isinstance(v, bool) for v in (k, n, r)) or k < 1 or n < 1 or r < 0:
+    ints = all(isinstance(v, int) and not isinstance(v, bool) for v in (k, n, r))
+    if not ints or k < 1 or n < 1 or r < 0:
         raise ArgumentError(f"need k, n >= 1 and r >= 0, got k={k!r} n={n!r} r={r!r}")
     if k * n > MAX_MODULE_SIZE.bit_length() - 1:
         raise LemmaSumSizeError(f"(Z/2^{k})^{n} has more than {MAX_MODULE_SIZE} elements")
@@ -378,13 +383,11 @@ def lemma_sum_check(module: SignedModule) -> LemmaSumResult:
     group = module.group_elements()
     signs = characters(module.r)
     # values[s, sigma] = s(sigma) = (-1)^popcount(c & g), c and g the bits of
-    # the character's -1s and of sigma's generators, first factor most
-    # significant (group's order): row c of the Kronecker power below
-    table = np.ones((1, 1), dtype=np.int64)
-    for _ in range(module.r):
-        table = np.kron(table, np.array([[1, 1], [1, -1]], dtype=np.int64))
-    rows = [sum(1 << module.r - 1 - j for j, c in enumerate(chi) if c == -1) for chi in signs]
-    values = table[rows]
+    # the character's -1s and of sigma's generators, read from both lists
+    # as they are, so no row or column is reordered
+    c = np.array(signs, dtype=np.int64).reshape(len(signs), module.r) == -1
+    g = np.array([bits for bits, _ in group], dtype=np.int64).reshape(len(group), module.r)
+    values = 1 - 2 * (c @ g.T % 2)
     # transposed, so that a row vector times mats[sigma] is sigma(m); the
     # size bound keeps k <= 16, so no int64 product overflows
     mats = np.array([mat for _, mat in group], dtype=np.int64).transpose(0, 2, 1)

@@ -111,8 +111,8 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
     prime bits one bit per d_i it combines, so a d_i that reduces to no
     prime bits names a subset with a square product.
     """
-    if p not in SUPPORTED_P:
-        raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p}")
+    if not isinstance(p, int) or p not in SUPPORTED_P:
+        raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p!r}")
     ds = list(ds)
     if not ds:
         return _fail("empty", None)
@@ -182,11 +182,15 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     WorkBoundError, before recursing, when the subsets of at most r
     candidates number more than MAX_SEARCH_WORK.
     """
-    if p not in SUPPORTED_P:
-        raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p}")
-    if isinstance(r, bool) or r < 1:
+    if not isinstance(p, int) or p not in SUPPORTED_P:
+        raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p!r}")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise ArgumentError(f"rank r must be at least 1, got {r!r}")
-    if isinstance(bound, bool) or not 1 <= bound <= MAX_SEARCH_BOUND:
+    if (
+        isinstance(bound, bool)
+        or not isinstance(bound, int)
+        or not 1 <= bound <= MAX_SEARCH_BOUND
+    ):
         raise ArgumentError(f"bound must be between 1 and {MAX_SEARCH_BOUND}, got {bound!r}")
     n3p = 3 * p
     singles = [factor(d) for d in twist_parameters(bound, n3p) if jacobi(d, n3p) == 1]

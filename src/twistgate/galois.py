@@ -15,7 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import WeierstrassModel
-from .errors import BadAuxPrimeError, UnsupportedPrimeError, UnsupportedReductionAtTwoError
+from .errors import (
+    ArgumentError,
+    BadAuxPrimeError,
+    UnsupportedPrimeError,
+    UnsupportedReductionAtTwoError,
+)
 from .numtheory import factor, is_prime, primes_up_to
 from .reduction import LocalData, ReductionKind, local_data
 
@@ -73,6 +78,8 @@ def serre_check(
     data = local_data(E)
     if aux is None:
         aux = default_aux_prime(data)
+    if not isinstance(aux, int):
+        raise ArgumentError(f"auxiliary prime must be an int, got {aux!r}")
     if not is_prime(aux):
         raise BadAuxPrimeError(f"auxiliary prime {aux} is not prime")
     try:

@@ -122,8 +122,6 @@ def dirichlet_coefficients(E: WeierstrassModel | LocalData, M: int) -> list[int]
         raise ArgumentError("M must be a positive integer")
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"M = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
-    if M == 1:
-        return [0, 1]
     primes = primes_up_to(M)
     traces, good = local_data(E).traces(primes)
     # prime_power[p^k] = a_{p^k}

@@ -187,7 +187,10 @@ def is_squarefree(n: int) -> bool:
 
 
 def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n; 0 when gcd(a, n) > 1."""
+    """Jacobi symbol (a/n) for odd positive n; 0 when gcd(a, n) > 1.
+    ArgumentError when a or n is not an int."""
+    if not isinstance(a, int) or not isinstance(n, int):
+        raise ArgumentError(f"Jacobi symbol needs int arguments, got ({a!r}/{n!r})")
     if n <= 0:
         raise EvenModulusError("Jacobi symbol needs a positive modulus")
     if n % 2 == 0:

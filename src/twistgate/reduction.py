@@ -34,12 +34,14 @@ X.twist(d) is the record of the quadratic twist X^d, made once per d and
 kept by X, so X's twists, their reduction data and their L-value sums
 (lseries) last for the process too.  A record also remembers its
 conductor (LocalData.conductor) and global root number (rootnum), each
-decided once and kept only once complete.  The twist is linked to X as its
-base: LocalData.traces then takes a_p(X^d) = (d/p) a_p(X) from X's table at
-the odd primes p not dividing Delta(X^d), vectorized over p, and reads p = 2
-and the other primes from at(p) on X^d itself, so reduction kinds and errors
-are those of X^d.  A model that is not built by twist() counts its own
-points.
+decided once and kept only once complete.  A record is a plain object
+that holds these caches, written by plain assignment here, in lseries (the
+sums) and in rootnum (the root number); it compares and hashes by identity.
+The twist is linked to X as its base: LocalData.traces then takes
+a_p(X^d) = (d/p) a_p(X) from X's table at the odd primes p not dividing
+Delta(X^d), vectorized over p, and reads p = 2 and the other primes from
+at(p) on X^d itself, so reduction kinds and errors are those of X^d.  A
+model that is not built by twist() counts its own points.
 
 Point counts follow the convention that the count of a bad reduction
 includes the singular point (and the point at infinity), so that
@@ -65,11 +67,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from decimal import Decimal
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -90,9 +90,6 @@ from .errors import (
     UnsupportedReductionError,
 )
 from .numtheory import factor, is_prime, jacobi, primes_up_to, valuation
-
-if TYPE_CHECKING:
-    from .rootnum import RootNumber
 
 POINT_COUNT_BOUND = 10**6
 # _reduction decides good primes from BSGS_FROM on by _trace_bsgs: measured
@@ -555,44 +552,37 @@ def _lane_batch(inv: CurveInvariants, p: np.ndarray) -> tuple[np.ndarray, dict[i
     return p + 1 - points, stragglers
 
 
-@dataclass(frozen=True)
 class LocalData:
-    """Invariants, primes of Delta and ReductionData at each prime of a model,
-    built once per curve per operation and passed down, except that a curve
-    of the curve table has one record per process (see local_data), and so
-    do its twists.  at(p) decides p on first use and remembers it; walking
+    """A plain record of one model's caches: its invariants, the primes of
+    Delta and ReductionData at each prime, built once per curve per
+    operation and passed down, except that a curve of the curve table has
+    one record per process (see local_data), and so do its twists.  Records
+    compare and hash by identity: two records of one model are two caches.
+    at(p) decides p on first use and keeps it in _decided; walking
     delta_primes in ascending order, callers meet the first failing prime's
     error first.  a_p at the good odd primes, which only traces reads, is
-    kept in the table of traces_up_to instead.  A record made by X.twist(d)
-    keeps (X, d) as its base, set there only, and X keeps the record under d
-    in _twists.  The record is the one owner of its conductor and global
-    root number: conductor is decided once, and _root_number is
-    rootnum.global_root_number's memo, written there only; neither is kept
-    after a raise.  _sums is lseries.l_value_at_1's memo: (value, tail
-    bound, terms summed) per (terms, t).  A twist record takes about 2.5 KB
-    with its root number (twist_sweep(15a1, 10^4): 1 263 records, 3.21 MB
-    under tracemalloc) and a sum about 0.4 KB, and a record's memos grow
-    only with the distinct d, terms and t asked of it.  delta_primes is
-    read from factor(|Delta|) on first use, except on a record made by
-    twist(), which sets it from its candidates without factoring Delta."""
+    kept in the table _a_p of traces_up_to instead.  A record made by
+    X.twist(d) keeps (X, d) as its base, set there only, and X keeps the
+    record under d in _twists.  The record is the one owner of its
+    conductor and global root number: conductor is decided once, and
+    _root_number is written by rootnum.global_root_number alone; neither is
+    kept after a raise.  _sums is written by lseries.l_value_at_1 alone:
+    (value, tail bound, terms summed) per (terms, t).  A twist record takes
+    about 2.5 KB with its root number (twist_sweep(15a1, 10^4): 1 263
+    records, 3.21 MB under tracemalloc) and a sum about 0.4 KB, and a
+    record's caches grow only with the distinct d, terms and t asked of it.
+    delta_primes is read from factor(|Delta|) on first use, except on a
+    record made by twist(), which sets it from its candidates without
+    factoring Delta."""
 
-    model: WeierstrassModel
-    _decided: dict[int, ReductionData] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _a_p: np.ndarray = field(
-        default_factory=lambda: np.zeros(3, dtype=np.int32), init=False, repr=False, compare=False
-    )
-    _base: tuple[LocalData, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _twists: dict[int, LocalData] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _sums: dict[tuple[int, float], tuple[Decimal, Decimal, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _root_number: RootNumber | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, model: WeierstrassModel):
+        self.model = model
+        self._decided: dict[int, ReductionData] = {}
+        self._a_p = np.zeros(3, dtype=np.int32)
+        self._base: tuple[LocalData, int] | None = None
+        self._twists: dict[int, LocalData] = {}
+        self._sums: dict = {}
+        self._root_number = None
 
     @property
     def inv(self) -> CurveInvariants:
@@ -647,8 +637,7 @@ class LocalData:
                 grown[3] = _reduction(self.model, 3).a_p
             for p, candidates in stragglers.items():
                 grown[p] = _reduction(self.model, p, candidates).a_p
-            # the record is frozen; the table is a memo, like _decided
-            object.__setattr__(self, "_a_p", grown)
+            self._a_p = grown
         return self._a_p
 
     def twist(self, d: int) -> LocalData:
@@ -680,10 +669,8 @@ class LocalData:
                         f"Delta = {delta} of the twist by {d} has a prime factor "
                         f"outside 2, 3 and the primes of {self.inv.delta} and {d}"
                     )
-                # the record is frozen; its base and delta_primes are set
-                # here and nowhere else
-                object.__setattr__(record, "_base", (self, d))
-                object.__setattr__(record, "delta_primes", tuple(primes))
+                record._base = (self, d)
+                record.delta_primes = tuple(primes)
             self._twists[d] = record
         return record
 

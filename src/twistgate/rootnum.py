@@ -142,8 +142,8 @@ def global_root_number(E: WeierstrassModel | LocalData) -> RootNumber:
                 continue
             ledger.append((p, sign, case))
             value *= sign
-        # the record is frozen; stored only once complete, so a raise leaves nothing
-        object.__setattr__(data, "_root_number", RootNumber(value, tuple(ledger)))
+        # stored only once complete, so a raise leaves nothing
+        data._root_number = RootNumber(value, tuple(ledger))
     return data._root_number
 
 
@@ -214,10 +214,10 @@ def twist_sweep(
     d <= dmax, ascending.  E's hypotheses are decided before any d.  The
     direct sign classifies the twist's own model at every prime; an error
     there is re-raised with its d named."""
+    if isinstance(dmax, bool) or not isinstance(dmax, int) or dmax < 1:
+        raise ArgumentError(f"--dmax must be at least 1, got {dmax!r}")
     if dmax > MAX_TWIST_DMAX:
         raise WorkBoundError(f"--dmax must be at most {MAX_TWIST_DMAX}, got {dmax}")
-    if isinstance(dmax, bool) or dmax < 1:
-        raise ArgumentError(f"--dmax must be at least 1, got {dmax!r}")
     data = local_data(E)
     N = _formula_conductor(data)
     signs = []

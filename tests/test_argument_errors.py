@@ -4,12 +4,13 @@ unsupported-input) and a ValueError (what library callers catch)."""
 
 import pytest
 
-from twistgate.curve import short_form
+from twistgate.curve import minimalize_at, short_form
 from twistgate.descent import enumerate_signed_modules, quad_point_search
 from twistgate.errors import ArgumentError, TwistgateError
-from twistgate.fieldsearch import is_admissible, search
+from twistgate.fieldsearch import check_hypothesis, is_admissible, search
+from twistgate.galois import serre_check
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
-from twistgate.numtheory import factor
+from twistgate.numtheory import factor, jacobi
 from twistgate.reduction import LocalData, classify, count_points
 from twistgate.rootnum import twist_parameters, twist_sweep
 
@@ -45,8 +46,21 @@ CALLS = {
     "modules of (Z/2^True)^1": lambda E: enumerate_signed_modules(True, 1, 1),
     "twist parameters to bound True": lambda E: twist_parameters(True, 15),
     "a_p table to bound True": lambda E: LocalData(E).traces_up_to(True),
-    # not an int
+    # not an int: a float or a str would otherwise be used as a number, or
+    # end in a bare TypeError
     "twist parameters to bound 2.5": lambda E: twist_parameters(2.5, 15),
+    "jacobi of 1.5": lambda E: jacobi(1.5, 7),
+    "jacobi modulo 7.0": lambda E: jacobi(3, 7.0),
+    "is_admissible for p = 5.0": lambda E: is_admissible(5.0, [17]),
+    "check_hypothesis for p = 5.0": lambda E: check_hypothesis(5.0, (17,)),
+    "search for p = 5.0": lambda E: search(5.0, 1, 50),
+    "search of rank 2.0": lambda E: search(5, 2.0, 50),
+    "search to bound '50'": lambda E: search(5, 1, "50"),
+    "twist_sweep to dmax = '5'": lambda E: twist_sweep(E, "5"),
+    "quad_point_search to height 5.0": lambda E: quad_point_search(short_form(E), 17, 5.0),
+    "modules of (Z/2^1.0)^1": lambda E: enumerate_signed_modules(1.0, 1, 1),
+    "serre_check with aux 7.0": lambda E: serre_check(E, 3, 7.0),
+    "minimalize_at 7.0": lambda E: minimalize_at(E, 7.0),
 }
 
 

@@ -341,7 +341,7 @@ class TestSignedModule:
 
     @pytest.mark.parametrize("r", range(10))
     def test_character_table_is_the_product_table(self, monkeypatch, r):
-        # the Kronecker-power table, caught on its way into the components,
+        # the character table, caught on its way into the components,
         # against one product of signs per (character, group element)
         module = SignedModule(1, 1, (((1,),),) * r)
         tables = []

@@ -20,7 +20,11 @@ from twistgate.rootnum import global_root_number
 
 class TestDirichletCoefficients:
     def test_first_coefficient(self, e15):
-        assert dirichlet_coefficients(e15, 1)[1] == 1
+        # M = 1 takes the general fill, on a table curve, a record made by
+        # twist() and a fresh curve alike
+        assert dirichlet_coefficients(e15, 1) == [0, 1]
+        assert dirichlet_coefficients(LocalData(e15).twist(17), 1) == [0, 1]
+        assert dirichlet_coefficients(WeierstrassModel(0, -1, 1, -29, -30), 1) == [0, 1]
 
     def test_15a1_small_coefficients(self, e15):
         a = dirichlet_coefficients(e15, 10)

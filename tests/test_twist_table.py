@@ -131,6 +131,20 @@ def test_twist_links_to_its_base():
         LocalData(twist.model, _base=(X, -11))
 
 
+def test_records_compare_and_hash_by_identity():
+    # a record is a holder of caches: two records of one model are two
+    # caches, equal in what they compute but not to each other
+    model = curve_by_label("15a1")
+    assert LocalData(model) != LocalData(model)
+    assert len({LocalData(model), LocalData(model)}) == 2
+    X = LocalData(model)
+    assert X.twist(13) is X.twist(13)
+    fresh = LocalData(X.twist(13).model)
+    assert X.twist(13) != fresh
+    primes = primes_up_to(2000)
+    assert X.twist(13).traces(primes) == fresh.traces(primes)
+
+
 def test_base_discriminant_divides_the_twist_discriminant():
     # why LocalData.traces reads from at(p) only the primes of Delta(X^d)
     for label in ("15a1", "21a1"):
