@@ -1,6 +1,12 @@
 """Command-line surface: every library operation behind a subcommand, with
 human-readable text by default and a single JSON document under --json.
 
+The --json document has json.dumps(document, indent=2)'s layout byte for
+byte, written by a small writer here on the C string encoder that
+json.dumps itself uses (the stdlib's indented encoder is pure Python).  A
+handler returns its text as a function, so the lines are formatted only
+when they are printed, never under --json.
+
 It only parses, dispatches and prints; the library owns the argument rules
 (ArgumentError).  The CLI checks only --curve and --d, which it parses, and
 the options each --lemma form needs.  The rule on a twist parameter d is
@@ -19,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import json.encoder
+import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 from . import __version__
@@ -60,9 +68,13 @@ EXIT_CODE = {STATUS_OK: 0, STATUS_CHECK_FAILED: 1, STATUS_UNSUPPORTED: 2, STATUS
 
 @dataclass
 class CommandResult:
+    """A handler's status, its JSON payload, and its text: a function that
+    formats the lines, called only when they are printed.  Results compare
+    by status and payload, which the text is formatted from."""
+
     status: str
     payload: dict
-    text: list[str]
+    text: Callable[[], list[str]] = field(compare=False)
 
     @property
     def exit_code(self) -> int:
@@ -109,6 +121,41 @@ def _significant(x: Decimal, n: int) -> str:
     return f"{whole}.{frac.rstrip('0') or '0'}" + (f"e{exponent}" if exponent else "")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2) writes it, byte for byte, for
+    dicts with str keys, lists, tuples, str, int, float, bool and None;
+    TypeError for any other key or value."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return f"[{inner}{f',{inner}'.join(items)}{indent}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_json_key(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return f"{{{inner}{f',{inner}'.join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    raise TypeError(f"keys must be str, not {type(key).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -132,14 +179,17 @@ def _cmd_curve_info(args) -> CommandResult:
         "j_factored": f"({_factored(inv.j.numerator)}) / ({_factored(inv.j.denominator)})",
         "short_form": [str(A), str(B)],
     }
-    text = [
-        f"curve {name}: {model}",
-        f"  b2={inv.b2} b4={inv.b4} b6={inv.b6} b8={inv.b8}",
-        f"  c4 = {inv.c4}, c6 = {inv.c6}",
-        f"  Delta = {inv.delta} = {payload['delta_factored']}",
-        f"  j = {inv.j} = {payload['j_factored']}",
-        f"  short form: y^2 = x^3 + ({A}) x + ({B})",
-    ]
+
+    def text() -> list[str]:
+        return [
+            f"curve {name}: {model}",
+            f"  b2={inv.b2} b4={inv.b4} b6={inv.b6} b8={inv.b8}",
+            f"  c4 = {inv.c4}, c6 = {inv.c6}",
+            f"  Delta = {inv.delta} = {payload['delta_factored']}",
+            f"  j = {inv.j} = {payload['j_factored']}",
+            f"  short form: y^2 = x^3 + ({A}) x + ({B})",
+        ]
+
     return CommandResult(STATUS_OK, payload, text)
 
 
@@ -157,11 +207,14 @@ def _cmd_reduction(args) -> CommandResult:
         "a_p": data.a_p,
         "defect": data.p + 1 - data.points,
     }
-    text = [
-        f"reduction of {name} at {data.p}: {data.kind.value}",
-        f"  #X(F_{data.p}) = {data.points} (singular point included), "
-        f"p + 1 - #X = {data.a_p}",
-    ]
+
+    def text() -> list[str]:
+        return [
+            f"reduction of {name} at {data.p}: {data.kind.value}",
+            f"  #X(F_{data.p}) = {data.points} (singular point included), "
+            f"p + 1 - #X = {data.a_p}",
+        ]
+
     return CommandResult(STATUS_OK, payload, text)
 
 
@@ -177,10 +230,15 @@ def _cmd_root_number(args) -> CommandResult:
                 for place, sign, case in rn.local_factors
             ],
         }
-        text = [f"global root number of {name}: {_sign_str(rn.value)}"]
-        text.append("  local factors (Dokchitser-Dokchitser case table):")
-        for place, sign, case in rn.local_factors:
-            text.append(f"    place {place}: {_sign_str(sign)}  [{case}]")
+
+        def text() -> list[str]:
+            return [
+                f"global root number of {name}: {_sign_str(rn.value)}",
+                "  local factors (Dokchitser-Dokchitser case table):",
+                *(f"    place {place}: {_sign_str(sign)}  [{case}]"
+                  for place, sign, case in rn.local_factors),
+            ]
+
         return CommandResult(STATUS_OK, payload, text)
     d = args.twist
     data = local_data(model)
@@ -199,12 +257,15 @@ def _cmd_root_number(args) -> CommandResult:
         "direct_sign": direct.value,
         "agree": agree,
     }
-    text = [
-        f"twist root number, formula path: w(E^({d})) = ({d}/{N}) * w(E) "
-        f"= {symbol:+d} * {w:+d} = {_sign_str(formula)}",
-        f"  direct local product on the twisted curve: {_sign_str(direct.value)}"
-        + ("  [agrees]" if agree else "  [MISMATCH]"),
-    ]
+
+    def text() -> list[str]:
+        return [
+            f"twist root number, formula path: w(E^({d})) = ({d}/{N}) * w(E) "
+            f"= {symbol:+d} * {w:+d} = {_sign_str(formula)}",
+            f"  direct local product on the twisted curve: {_sign_str(direct.value)}"
+            + ("  [agrees]" if agree else "  [MISMATCH]"),
+        ]
+
     status = STATUS_OK if agree else STATUS_CHECK_FAILED
     return CommandResult(status, payload, text)
 
@@ -221,12 +282,15 @@ def _cmd_twist_root_check(args) -> CommandResult:
         "mismatches": mismatches,
     }
     ok = not mismatches
-    text = [
-        f"twist root-number equivalence for {name} (N = {N}), squarefree "
-        f"d = 1 mod 4, gcd(d, N) = 1, d <= {args.dmax}:",
-        f"  {len(signs)} twists checked, {len(mismatches)} mismatches"
-        + ("" if ok else f": {mismatches}"),
-    ]
+
+    def text() -> list[str]:
+        return [
+            f"twist root-number equivalence for {name} (N = {N}), squarefree "
+            f"d = 1 mod 4, gcd(d, N) = 1, d <= {args.dmax}:",
+            f"  {len(signs)} twists checked, {len(mismatches)} mismatches"
+            + ("" if ok else f": {mismatches}"),
+        ]
+
     return CommandResult(STATUS_OK if ok else STATUS_CHECK_FAILED, payload, text)
 
 
@@ -249,14 +313,17 @@ def _cmd_lvalue(args) -> CommandResult:
         "verdict": est.verdict,
         "note": EVIDENCE_NOTE,
     }
-    text = [
-        f"L(E,1) for {name}: N = {est.conductor}, root number {_sign_str(est.root_number)}",
-        f"  value = {_significant(est.value, 30)}",
-        f"  tail bound = {_significant(est.tail_bound, 10)} "
-        f"({est.terms_used} terms, margin factor {args.margin})",
-        f"  verdict: {est.verdict}",
-        f"  note: {EVIDENCE_NOTE}",
-    ]
+
+    def text() -> list[str]:
+        return [
+            f"L(E,1) for {name}: N = {est.conductor}, root number {_sign_str(est.root_number)}",
+            f"  value = {payload['value']}",
+            f"  tail bound = {payload['tail_bound']} "
+            f"({est.terms_used} terms, margin factor {args.margin})",
+            f"  verdict: {est.verdict}",
+            f"  note: {EVIDENCE_NOTE}",
+        ]
+
     return CommandResult(STATUS_OK, payload, text)
 
 
@@ -277,20 +344,24 @@ def _cmd_serre_check(args) -> CommandResult:
         "overall": report.overall,
         "statement": report.statement,
     }
-    text = [f"Serre criterion hypotheses for {name} at ell = {report.ell}:"]
-    for c in report.j_exponent_checks:
-        text.append(
-            f"  v_{c.q}(j) = {c.v_q_of_j}: ell | {abs(c.v_q_of_j)}? "
-            + ("no [ok]" if c.ok else "YES [fail]")
+
+    def text() -> list[str]:
+        lines = [f"Serre criterion hypotheses for {name} at ell = {report.ell}:"]
+        for c in report.j_exponent_checks:
+            lines.append(
+                f"  v_{c.q}(j) = {c.v_q_of_j}: ell | {abs(c.v_q_of_j)}? "
+                + ("no [ok]" if c.ok else "YES [fail]")
+            )
+        if not report.j_exponent_checks:
+            lines.append("  j is integral: no pole of j to check [fail]")
+        ac = report.aux_check
+        lines.append(
+            f"  #E(F_{ac.q}) = {ac.points}: ell | {ac.points}? "
+            + ("no [ok]" if ac.ok else "YES [fail]")
         )
-    if not report.j_exponent_checks:
-        text.append("  j is integral: no pole of j to check [fail]")
-    ac = report.aux_check
-    text.append(
-        f"  #E(F_{ac.q}) = {ac.points}: ell | {ac.points}? "
-        + ("no [ok]" if ac.ok else "YES [fail]")
-    )
-    text.append(f"  overall: {'PASS' if report.overall else 'FAIL'} ({report.statement})")
+        lines.append(f"  overall: {'PASS' if report.overall else 'FAIL'} ({report.statement})")
+        return lines
+
     status = STATUS_OK if report.overall else STATUS_CHECK_FAILED
     return CommandResult(status, payload, text)
 
@@ -304,14 +375,16 @@ def _cmd_search(args) -> CommandResult:
         "count": len(tuples),
         "tuples": [list(t.ds) for t in tuples],
     }
-    text = [
-        f"admissible {args.r}-tuples for p = {args.p} with d_i <= {args.bound} "
-        f"(squarefree, 1 mod 4, coprime to {3 * args.p}, Jacobi symbol +1, "
-        "independent modulo squares):",
-        f"  {len(tuples)} tuples",
-    ]
-    for t in tuples:
-        text.append("  " + ", ".join(str(d) for d in t.ds))
+
+    def text() -> list[str]:
+        return [
+            f"admissible {args.r}-tuples for p = {args.p} with d_i <= {args.bound} "
+            f"(squarefree, 1 mod 4, coprime to {3 * args.p}, Jacobi symbol +1, "
+            "independent modulo squares):",
+            f"  {len(tuples)} tuples",
+            *("  " + ", ".join(str(d) for d in t.ds) for t in tuples),
+        ]
+
     return CommandResult(STATUS_OK, payload, text)
 
 
@@ -347,22 +420,26 @@ def _cmd_check_hypothesis(args) -> CommandResult:
         ],
         "evidence_note": EVIDENCE_NOTE,
     }
-    text = [f"hypothesis check: p = {report.p}, tuple ({', '.join(map(str, report.ds))})"]
-    if not report.admissibility.ok:
-        text.append(f"  not admissible: {report.admissibility.failed_condition} "
-                    f"({report.admissibility.detail})")
-    else:
-        for c in report.per_character:
-            signs = "".join("+" if s == 1 else "-" for s in c.signs)
-            text.append(
-                f"  character {signs}: d_S = {c.discriminant}, N = {c.lvalue.conductor}, "
-                f"w = {_sign_str(c.root_number.value)} (formula {_sign_str(c.formula_sign)}), "
-                f"L(1) = {_significant(c.lvalue.value, 12)} [{c.lvalue.verdict}"
-                + (", retried x4 terms]" if c.retried else "]")
-            )
-        text.append(f"  unramified at primes dividing 6p: "
-                    f"{'yes (implied by admissibility)' if report.unramified_at_6p else 'no'}")
-    text.append(f"  overall: {report.overall} ({report.note})")
+
+    def text() -> list[str]:
+        lines = [f"hypothesis check: p = {report.p}, tuple ({', '.join(map(str, report.ds))})"]
+        if not report.admissibility.ok:
+            lines.append(f"  not admissible: {report.admissibility.failed_condition} "
+                         f"({report.admissibility.detail})")
+        else:
+            for c in report.per_character:
+                signs = "".join("+" if s == 1 else "-" for s in c.signs)
+                lines.append(
+                    f"  character {signs}: d_S = {c.discriminant}, N = {c.lvalue.conductor}, "
+                    f"w = {_sign_str(c.root_number.value)} (formula {_sign_str(c.formula_sign)}), "
+                    f"L(1) = {_significant(c.lvalue.value, 12)} [{c.lvalue.verdict}"
+                    + (", retried x4 terms]" if c.retried else "]")
+                )
+            lines.append(f"  unramified at primes dividing 6p: "
+                         f"{'yes (implied by admissibility)' if report.unramified_at_6p else 'no'}")
+        lines.append(f"  overall: {report.overall} ({report.note})")
+        return lines
+
     status = STATUS_OK if report.overall == OVERALL_VERIFIED else STATUS_CHECK_FAILED
     return CommandResult(status, payload, text)
 
@@ -386,13 +463,16 @@ def _cmd_descent_check(args) -> CommandResult:
             "all_passed": not failures,
             "failures": failures[:20],
         }
-        text = [
-            f"2^r decomposition check on (Z/2^{args.k})^{args.n} with r = {args.r} "
-            "commuting involutions (diagonal/swap generators):",
-            f"  {len(modules)} modules checked, "
-            + ("all elements received verified decomposition certificates"
-               if not failures else f"{len(failures)} FAILURES"),
-        ]
+
+        def text() -> list[str]:
+            return [
+                f"2^r decomposition check on (Z/2^{args.k})^{args.n} with r = {args.r} "
+                "commuting involutions (diagonal/swap generators):",
+                f"  {len(modules)} modules checked, "
+                + ("all elements received verified decomposition certificates"
+                   if not failures else f"{len(failures)} FAILURES"),
+            ]
+
         status = STATUS_OK if not failures else STATUS_CHECK_FAILED
         return CommandResult(status, payload, text)
 
@@ -433,16 +513,17 @@ def _cmd_descent_check(args) -> CommandResult:
         "points": rows,
         "all_passed": not bad,
     }
-    text = [
-        f"twist correspondence for {label} over Q(sqrt({args.d})), x-height <= {args.height}:",
-        f"  {len(points)} points found",
-    ]
-    for row in rows:
-        text.append(
-            f"  x = {row['x']}: {row['kind']}, image "
-            + ("rational" if row["image_rational"] else "not rational")
-            + ("  [ok]" if row["ok"] else "  [FAIL]")
-        )
+
+    def text() -> list[str]:
+        return [
+            f"twist correspondence for {label} over Q(sqrt({args.d})), x-height <= {args.height}:",
+            f"  {len(points)} points found",
+            *(f"  x = {row['x']}: {row['kind']}, image "
+              + ("rational" if row["image_rational"] else "not rational")
+              + ("  [ok]" if row["ok"] else "  [FAIL]")
+              for row in rows),
+        ]
+
     status = STATUS_OK if not bad else STATUS_CHECK_FAILED
     return CommandResult(status, payload, text)
 
@@ -547,10 +628,11 @@ def run(argv=None) -> CommandResult:
     args = _parser().parse_args(argv)
     try:
         result = args.handler(args)
+        lines = [] if args.json else result.text()
     except (TwistgateError, InvariantError) as exc:
         status = STATUS_UNSUPPORTED if isinstance(exc, TwistgateError) else STATUS_INTERNAL
         payload = {"error": str(exc), "error_type": type(exc).__name__}
-        result = CommandResult(status, payload, [])
+        result, lines = CommandResult(status, payload, list), []
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     if args.json:
         document = {
@@ -558,9 +640,9 @@ def run(argv=None) -> CommandResult:
             "command": args.command,
             "payload": result.payload,
         }
-        print(json.dumps(document, indent=2))
+        print(_json(document))
     else:
-        for line in result.text:
+        for line in lines:
             print(line)
     return result
 

@@ -216,10 +216,12 @@ def _scaled_sum(coeffs: list[int], Q: int, B: int) -> int:
 
 
 def check_margin(margin_factor: float) -> None:
-    """Raise MarginError unless 1 <= margin_factor < inf: |value| beyond
-    m times the tail bound proves L(E,1) != 0 only for m >= 1."""
-    if not 1 <= margin_factor < math.inf:  # nan fails both comparisons
-        raise MarginError(f"margin factor must be finite and at least 1, got {margin_factor}")
+    """Raise MarginError unless margin_factor is an int or a float, not a
+    bool, with 1 <= margin_factor < inf: |value| beyond m times the tail
+    bound proves L(E,1) != 0 only for m >= 1."""
+    real = isinstance(margin_factor, (int, float)) and not isinstance(margin_factor, bool)
+    if not real or not 1 <= margin_factor < math.inf:  # nan fails both comparisons
+        raise MarginError(f"margin factor must be finite and at least 1, got {margin_factor!r}")
 
 
 def l_value_at_1(
@@ -236,17 +238,18 @@ def l_value_at_1(
     margin_factor must be finite and at least 1 (MarginError).  At t = 1
     with root number -1 the value is exactly s1 - s1 = 0, returned without
     computing a coefficient (terms_summed = 0).  ArgumentError unless t is
-    positive and finite, and for a t so far from 1 that q1 or q2 is within
-    10^(10 - DEFAULT_DPS) of 1 at DEFAULT_DPS digits, where the tail bound
-    would divide by a 1 - q of too few digits.
+    a positive and finite int or float, not a bool, and for a t so far from
+    1 that q1 or q2 is within 10^(10 - DEFAULT_DPS) of 1 at DEFAULT_DPS
+    digits, where the tail bound would divide by a 1 - q of too few digits.
 
     The record remembers (value, tail bound, terms summed) per (terms, t)
     once an evaluation completes, and the verdict is taken from the margin
     on every call; so a record that lasts for the process, a twist of a
     curve of the curve table, sums each series once per process.
     """
-    if isinstance(t, bool) or not 0 < t < math.inf:  # nan fails both comparisons
-        raise ArgumentError(f"evaluation point t must be positive and finite, got {t!r}")
+    real = isinstance(t, (int, float)) and not isinstance(t, bool)
+    if not real or not 0 < t < math.inf:  # nan fails both comparisons
+        raise ArgumentError(f"evaluation point t must be a positive finite number, got {t!r}")
     check_margin(margin_factor)
     data = local_data(E)
     N = conductor(data)

@@ -88,7 +88,10 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, read from the sieve; ArgumentError above its bound."""
+    """All primes <= n, read from the sieve; ArgumentError above its bound
+    or unless n is an int and not a bool."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ArgumentError(f"primes_up_to expects an int, got {n!r}")
     if n > TRIAL_DIVISION_BOUND:
         raise ArgumentError(f"primes_up_to reads the sieve up to {TRIAL_DIVISION_BOUND}, not {n}")
     primes = _small_primes()[1]

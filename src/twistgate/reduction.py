@@ -678,9 +678,13 @@ class LocalData:
         """a_p at each of the ascending primes, and whether the reduction
         there is good.  2 and the primes of Delta(E) are read from at(p), in
         ascending order; the others from traces_up_to, or, for a record made
-        by X.twist(d), as (d/p) a_p(X) from X's table."""
+        by X.twist(d), as (d/p) a_p(X) from X's table.  ArgumentError
+        unless every prime is an int."""
         table, d = (self, 1) if self._base is None else self._base
-        ps = np.array(primes, dtype=np.int64)
+        ps = np.array(primes)
+        if ps.dtype.kind != "i" and len(ps):  # [] has dtype float64
+            raise ArgumentError(f"primes must be ints, got an array of {ps.dtype}")
+        ps = ps.astype(np.int64, copy=False)
         # The primes of Delta(X) are among these: quadratic_twist scales
         # (c4, c6) by (u^4 d^2, u^6 d^3) with u an integer, so
         # Delta(X^d) = d^6 u^12 Delta(X).

@@ -10,7 +10,7 @@ from twistgate.errors import ArgumentError, TwistgateError
 from twistgate.fieldsearch import check_hypothesis, is_admissible, search
 from twistgate.galois import serre_check
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
-from twistgate.numtheory import factor, jacobi
+from twistgate.numtheory import factor, jacobi, primes_up_to
 from twistgate.reduction import LocalData, classify, count_points
 from twistgate.rootnum import twist_parameters, twist_sweep
 
@@ -29,6 +29,9 @@ CALLS = {
     "l_value_at_1 at t = 1e300": lambda E: l_value_at_1(E, t=1e300),
     "l_value_at_1 at t = 1e-45": lambda E: l_value_at_1(E, t=1e-45),
     "l_value_at_1 at t = True": lambda E: l_value_at_1(E, t=True),
+    # not a number: would otherwise end in a bare TypeError
+    "l_value_at_1 at t = '1'": lambda E: l_value_at_1(E, t="1"),
+    "l_value_at_1 at t = None": lambda E: l_value_at_1(E, t=None),
     "search of rank 0": lambda E: search(5, 0, 10),
     "search to bound 0": lambda E: search(5, 1, 0),
     "quad_point_search to height 0": lambda E: quad_point_search(short_form(E), 17, 0),
@@ -61,6 +64,9 @@ CALLS = {
     "modules of (Z/2^1.0)^1": lambda E: enumerate_signed_modules(1.0, 1, 1),
     "serre_check with aux 7.0": lambda E: serre_check(E, 3, 7.0),
     "minimalize_at 7.0": lambda E: minimalize_at(E, 7.0),
+    "primes up to 10.0": lambda E: primes_up_to(10.0),
+    "primes up to True": lambda E: primes_up_to(True),
+    "a_p at primes [11.0, 13]": lambda E: LocalData(E).traces([11.0, 13]),
 }
 
 

@@ -286,7 +286,9 @@ def test_numpy_fill_matches_list_fill(M):
 
 
 class TestMargin:
-    @pytest.mark.parametrize("margin", [-1, 0, 0.5, math.nan, math.inf])
+    # not an int or a float: a str or None would end in a bare TypeError,
+    # and True would pass as a margin of 1
+    @pytest.mark.parametrize("margin", [-1, 0, 0.5, math.nan, math.inf, "2", None, True])
     def test_below_one_or_not_finite_is_rejected(self, e15, margin):
         with pytest.raises(MarginError):
             l_value_at_1(quadratic_twist(e15, 13), margin_factor=margin)
