@@ -1,11 +1,10 @@
 """Command-line surface: every library operation behind a subcommand, with
 human-readable text by default and a single JSON document under --json.
 
-The --json document has json.dumps(document, indent=2)'s layout byte for
-byte, written by a small writer here on the C string encoder that
-json.dumps itself uses (the stdlib's indented encoder is pure Python).  A
-handler returns its text as a function, so the lines are formatted only
-when they are printed, never under --json.
+The --json document is json.dumps(document), one line; pipe it through
+`python -m json.tool` for an indented view.  A handler returns its text as
+a function, so the lines are formatted only when they are printed, never
+under --json.
 
 It only parses, dispatches and prints; the library owns the argument rules
 (ArgumentError).  The CLI checks only --curve and --d, which it parses, and
@@ -25,8 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json.encoder
-import math
+import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -119,41 +117,6 @@ def _significant(x: Decimal, n: int) -> str:
     mantissa, _, exponent = f"{x:{'f' if fixed else 'e'}}".partition("e")
     whole, _, frac = mantissa.partition(".")
     return f"{whole}.{frac.rstrip('0') or '0'}" + (f"e{exponent}" if exponent else "")
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json(value, indent: str = "\n") -> str:
-    """value as json.dumps(value, indent=2) writes it, byte for byte, for
-    dicts with str keys, lists, tuples, str, int, float, bool and None;
-    TypeError for any other key or value."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        items = [_json(item, inner) for item in value]
-        return f"[{inner}{f',{inner}'.join(items)}{indent}]" if items else "[]"
-    if isinstance(value, dict):
-        items = [f"{_json_key(key)}: {_json(item, inner)}" for key, item in value.items()]
-        return f"{{{inner}{f',{inner}'.join(items)}{indent}}}" if items else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _encode_str(key)
-    raise TypeError(f"keys must be str, not {type(key).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +603,7 @@ def run(argv=None) -> CommandResult:
             "command": args.command,
             "payload": result.payload,
         }
-        print(_json(document))
+        print(json.dumps(document))
     else:
         for line in lines:
             print(line)

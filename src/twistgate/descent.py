@@ -254,8 +254,9 @@ class SignedModule:
     generators: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if self.k < 1 or self.n < 1:
-            raise ArgumentError("need k >= 1 and n >= 1")
+        ints = all(isinstance(v, int) and not isinstance(v, bool) for v in (self.k, self.n))
+        if not ints or self.k < 1 or self.n < 1:
+            raise ArgumentError(f"need ints k, n >= 1, got k={self.k!r} n={self.n!r}")
         mod = self.modulus
         gens = tuple(
             tuple(tuple(entry % mod for entry in row) for row in g)

@@ -102,6 +102,14 @@ def _reduce(mask: int, basis: list[int]) -> int:
     return mask
 
 
+def _as_tuple(ds) -> tuple:
+    try:
+        items = iter(ds)
+    except TypeError:
+        raise ArgumentError(f"the d_i must be given as an iterable, got {ds!r}") from None
+    return tuple(items)
+
+
 def is_admissible(p: int, ds) -> AdmissibilityCheck:
     """Check the tuple conditions in order, naming the first failure.
 
@@ -113,7 +121,7 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
     """
     if not isinstance(p, int) or p not in SUPPORTED_P:
         raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p!r}")
-    ds = list(ds)
+    ds = _as_tuple(ds)
     if not ds:
         return _fail("empty", None)
     n3p = 3 * p
@@ -153,8 +161,8 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
     signs = tuple(signs)
     if len(signs) != tup.r:
         raise ArgumentError(f"character has length {len(signs)}, tuple has rank {tup.r}")
-    if any(s not in (1, -1) for s in signs):
-        raise ArgumentError("character entries must be +1 or -1")
+    if any(isinstance(s, bool) or not isinstance(s, int) or s not in (1, -1) for s in signs):
+        raise ArgumentError(f"character entries must be the ints +1 or -1, got {signs!r}")
     return _character(tup.p, tup.ds, signs)
 
 
@@ -260,10 +268,11 @@ def check_hypothesis(p: int, ds, margin_factor: float = DEFAULT_MARGIN) -> Hypot
 
     margin_factor is checked first, admissible tuple or not (MarginError
     below 1 or not finite).  The d_i are taken as given: a value that is
-    not a positive int fails admissibility.
+    not a positive int fails admissibility, and ds that is not iterable
+    raises ArgumentError.
     """
     check_margin(margin_factor)
-    ds = tuple(ds)
+    ds = _as_tuple(ds)
     adm = is_admissible(p, ds)
     if not adm.ok:
         return HypothesisReport(

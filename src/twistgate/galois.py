@@ -73,12 +73,14 @@ def serre_check(
     aux defaults to the smallest odd good prime (7 for the conductor-15
     curve, 5 for the conductor-21 one).
     """
-    if not isinstance(ell, int) or ell < 3 or ell % 2 == 0 or not is_prime(ell):
+    if isinstance(ell, bool) or not isinstance(ell, int):
+        raise ArgumentError(f"ell must be an int, got {ell!r}")
+    if ell < 3 or ell % 2 == 0 or not is_prime(ell):
         raise UnsupportedPrimeError(f"criterion requires an odd prime ell >= 3, got {ell}")
     data = local_data(E)
     if aux is None:
         aux = default_aux_prime(data)
-    if not isinstance(aux, int):
+    if isinstance(aux, bool) or not isinstance(aux, int):
         raise ArgumentError(f"auxiliary prime must be an int, got {aux!r}")
     if not is_prime(aux):
         raise BadAuxPrimeError(f"auxiliary prime {aux} is not prime")

@@ -191,8 +191,9 @@ def is_squarefree(n: int) -> bool:
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n; 0 when gcd(a, n) > 1.
-    ArgumentError when a or n is not an int."""
-    if not isinstance(a, int) or not isinstance(n, int):
+    ArgumentError when a or n is a bool or not an int."""
+    ints = isinstance(a, int) and isinstance(n, int)
+    if not ints or isinstance(a, bool) or isinstance(n, bool):
         raise ArgumentError(f"Jacobi symbol needs int arguments, got ({a!r}/{n!r})")
     if n <= 0:
         raise EvenModulusError("Jacobi symbol needs a positive modulus")
@@ -221,9 +222,10 @@ def _int_valuation(n: int, p: int) -> int:
 
 
 def valuation(x, p: int) -> int:
-    """p-adic valuation of a nonzero integer or Fraction."""
-    if not is_prime(p):
-        raise ArgumentError(f"{p} is not prime")
+    """p-adic valuation of a nonzero integer or Fraction; ArgumentError
+    unless p is a prime int."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise ArgumentError(f"{p!r} is not prime")
     if x == 0:
         raise ZeroInputError("valuation of 0 is undefined")
     if isinstance(x, Fraction):

@@ -5,14 +5,22 @@ unsupported-input) and a ValueError (what library callers catch)."""
 import pytest
 
 from twistgate.curve import minimalize_at, short_form
-from twistgate.descent import enumerate_signed_modules, quad_point_search
+from twistgate.descent import SignedModule, enumerate_signed_modules, quad_point_search
 from twistgate.errors import ArgumentError, TwistgateError
-from twistgate.fieldsearch import check_hypothesis, is_admissible, search
+from twistgate.fieldsearch import (
+    AdmissibleTuple,
+    character_discriminant,
+    check_hypothesis,
+    is_admissible,
+    search,
+)
 from twistgate.galois import serre_check
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
-from twistgate.numtheory import factor, jacobi, primes_up_to
+from twistgate.numtheory import factor, jacobi, primes_up_to, valuation
 from twistgate.reduction import LocalData, classify, count_points
 from twistgate.rootnum import twist_parameters, twist_sweep
+
+TUPLE_17_61 = AdmissibleTuple(5, (17, 61))
 
 CALLS = {
     "classify at 4": lambda E: classify(E, 4),
@@ -67,6 +75,26 @@ CALLS = {
     "primes up to 10.0": lambda E: primes_up_to(10.0),
     "primes up to True": lambda E: primes_up_to(True),
     "a_p at primes [11.0, 13]": lambda E: LocalData(E).traces([11.0, 13]),
+    # not iterable: would otherwise end in a bare TypeError
+    "is_admissible of ds = 17": lambda E: is_admissible(5, 17),
+    "check_hypothesis of ds = 17": lambda E: check_hypothesis(5, 17),
+    # a float k would otherwise reach the involution check with modulus
+    # 2^1.5, and True would be read as 1
+    "SignedModule of (Z/2^1.5)^1": lambda E: SignedModule(1.5, 1, (((-1,),),)),
+    "SignedModule of (Z/2^True)^1": lambda E: SignedModule(True, 1, (((1,),),)),
+    "SignedModule of (Z/2)^True": lambda E: SignedModule(1, True, (((1,),),)),
+    # True and 1.0 would otherwise be read as the sign +1
+    "character (True, -1)": lambda E: character_discriminant(TUPLE_17_61, (True, -1)),
+    "character (1.0, -1)": lambda E: character_discriminant(TUPLE_17_61, (1.0, -1)),
+    # would otherwise end in BadAuxPrimeError or UnsupportedPrimeError
+    "serre_check with aux True": lambda E: serre_check(E, 3, True),
+    "serre_check at ell 5.0": lambda E: serre_check(E, 5.0),
+    "serre_check at ell True": lambda E: serre_check(E, True),
+    # True would otherwise be read as 1
+    "jacobi of True": lambda E: jacobi(True, 5),
+    "jacobi modulo True": lambda E: jacobi(3, True),
+    # would otherwise end in is_prime's bare TypeError
+    "valuation at 2.0": lambda E: valuation(10, 2.0),
 }
 
 
