@@ -37,7 +37,7 @@ from .errors import (
     SingularCurveError,
     UnsupportedPrimeError,
 )
-from .numtheory import factor, is_prime, is_squarefree, valuation
+from .numtheory import check_int, check_prime, factor, is_squarefree, valuation
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,10 @@ class WeierstrassModel:
     a4: int
     a6: int
     _inv: CurveInvariants | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, a in zip(("a1", "a2", "a3", "a4", "a6"), self.ainvs()):
+            check_int(a, name)
 
     def ainvs(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -144,11 +148,10 @@ def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
     d = 1 mod 4 twists of 2,3-minimal curves, and the result is then again
     2,3-minimal).  Otherwise we fall back to clearing denominators of the
     short model by the least scaling (x, y) -> (u^2 x, u^3 y), u made of 2s
-    and 3s.
+    and 3s.  ArgumentError unless d is an int; NotSquarefreeError for an
+    int d that is not squarefree, 0 included.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d == 0:
-        raise NotSquarefreeError("twist parameter must be a nonzero integer")
-    if not is_squarefree(d):
+    if not is_squarefree(check_int(d, "d")):
         raise NotSquarefreeError(f"twist parameter {d} is not squarefree")
     inv = invariants(E)
     model = model_from_c4c6(inv.c4 * d * d, inv.c6 * d**3)
@@ -176,8 +179,7 @@ def minimalize_at(E: WeierstrassModel, p: int) -> WeierstrassModel:
     untouched.  Minimalization at 2 and 3 is out of scope
     (UnsupportedPrimeError); a p that is not a prime int raises ArgumentError.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ArgumentError(f"{p!r} is not prime")
+    check_prime(p)
     if p in (2, 3):
         raise UnsupportedPrimeError(f"minimalization at p = {p} is not supported")
     inv = invariants(E)
@@ -254,6 +256,9 @@ def load_curve_table(path: str | None = None) -> dict[str, WeierstrassModel]:
 
 
 def curve_by_label(label: str) -> WeierstrassModel:
+    """The loaded table's model under label; ArgumentError unless a str."""
+    if not isinstance(label, str):
+        raise ArgumentError(f"label must be a str, got {label!r}")
     model = load_curve_table().get(label.strip().lower())
     if model is None:
         raise CurveTableError(f"unknown curve label {label!r}")

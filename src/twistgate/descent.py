@@ -36,7 +36,7 @@ from .errors import (
     NotOnCurveError,
     NotSquarefreeError,
 )
-from .numtheory import is_squarefree
+from .numtheory import check_int, is_squarefree
 
 MAX_SEARCH_HEIGHT = 10**4
 MAX_MODULE_SIZE = 2**16
@@ -187,15 +187,12 @@ def quad_point_search(
     nonnegative y is returned per x.  With D = lcm of the denominators of A
     and B, the integer F = D n (D m^3 + D A m n^2 + D B n^3) is D^2 n^4 f(x),
     so f(x) is a square iff F is, and d times a square iff d F is a square.
+    ArgumentError unless d and height are ints, height in [1,
+    MAX_SEARCH_HEIGHT]; NotSquarefreeError for an int d not squarefree > 1.
     """
-    if not isinstance(d, int) or d <= 1 or not is_squarefree(d):
+    if check_int(d, "d") <= 1 or not is_squarefree(d):
         raise NotSquarefreeError(f"search needs a squarefree integer d > 1, got {d}")
-    if (
-        isinstance(height, bool)
-        or not isinstance(height, int)
-        or not 1 <= height <= MAX_SEARCH_HEIGHT
-    ):
-        raise ArgumentError(f"height must be between 1 and {MAX_SEARCH_HEIGHT}, got {height!r}")
+    check_int(height, "height", 1, MAX_SEARCH_HEIGHT)
     A = _as_fraction(curve[0])
     B = _as_fraction(curve[1])
     D = lcm(A.denominator, B.denominator)
@@ -254,9 +251,8 @@ class SignedModule:
     generators: tuple[Matrix, ...]
 
     def __post_init__(self):
-        ints = all(isinstance(v, int) and not isinstance(v, bool) for v in (self.k, self.n))
-        if not ints or self.k < 1 or self.n < 1:
-            raise ArgumentError(f"need ints k, n >= 1, got k={self.k!r} n={self.n!r}")
+        check_int(self.k, "k", 1)
+        check_int(self.n, "n", 1)
         mod = self.modulus
         gens = tuple(
             tuple(tuple(entry % mod for entry in row) for row in g)
@@ -305,8 +301,8 @@ class SignedModule:
 
 
 def characters(r: int) -> list[tuple[int, ...]]:
-    """All sign characters of (Z/2)^r, the trivial one first."""
-    return list(itertools.product((1, -1), repeat=r))
+    """All sign characters of (Z/2)^r, an int r >= 0, the trivial one first."""
+    return list(itertools.product((1, -1), repeat=check_int(r, "r", 0)))
 
 
 @dataclass(frozen=True)
@@ -340,9 +336,9 @@ def enumerate_signed_modules(k: int, n: int, r: int) -> list[SignedModule]:
     k, n >= 1 and r >= 0, and LemmaSumSizeError when a bound
     (MAX_MODULE_SIZE, MAX_LEMMA_SUM_WORK) would be exceeded.
     """
-    ints = all(isinstance(v, int) and not isinstance(v, bool) for v in (k, n, r))
-    if not ints or k < 1 or n < 1 or r < 0:
-        raise ArgumentError(f"need k, n >= 1 and r >= 0, got k={k!r} n={n!r} r={r!r}")
+    check_int(k, "k", 1)
+    check_int(n, "n", 1)
+    check_int(r, "r", 0)
     if k * n > MAX_MODULE_SIZE.bit_length() - 1:
         raise LemmaSumSizeError(f"(Z/2^{k})^{n} has more than {MAX_MODULE_SIZE} elements")
     pool = involutive_generator_pool(k, n)

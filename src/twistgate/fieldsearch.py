@@ -29,7 +29,7 @@ from .lseries import (
     check_margin,
     l_value_at_1,
 )
-from .numtheory import Factorization, factor, jacobi
+from .numtheory import Factorization, check_int, factor, jacobi
 from .reduction import conductor, local_data
 from .rootnum import RootNumber, global_root_number, twist_root_number_formula
 from .rootnum import twist_parameter_failure, twist_parameters
@@ -161,8 +161,8 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
     signs = tuple(signs)
     if len(signs) != tup.r:
         raise ArgumentError(f"character has length {len(signs)}, tuple has rank {tup.r}")
-    if any(isinstance(s, bool) or not isinstance(s, int) or s not in (1, -1) for s in signs):
-        raise ArgumentError(f"character entries must be the ints +1 or -1, got {signs!r}")
+    if any(check_int(s, "a character entry") not in (1, -1) for s in signs):
+        raise ArgumentError(f"character entries must be +1 or -1, got {signs!r}")
     return _character(tup.p, tup.ds, signs)
 
 
@@ -192,14 +192,8 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     """
     if not isinstance(p, int) or p not in SUPPORTED_P:
         raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p!r}")
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise ArgumentError(f"rank r must be at least 1, got {r!r}")
-    if (
-        isinstance(bound, bool)
-        or not isinstance(bound, int)
-        or not 1 <= bound <= MAX_SEARCH_BOUND
-    ):
-        raise ArgumentError(f"bound must be between 1 and {MAX_SEARCH_BOUND}, got {bound!r}")
+    check_int(r, "rank r", 1)
+    check_int(bound, "bound", 1, MAX_SEARCH_BOUND)
     n3p = 3 * p
     singles = [factor(d) for d in twist_parameters(bound, n3p) if jacobi(d, n3p) == 1]
     work = sum(math.comb(len(singles), k) for k in range(min(r, len(singles)) + 1))

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 from .curve import WeierstrassModel
 from .errors import (
-    ArgumentError,
     BadAuxPrimeError,
     UnsupportedPrimeError,
     UnsupportedReductionAtTwoError,
 )
-from .numtheory import factor, is_prime, primes_up_to
+from .numtheory import check_int, factor, is_prime, primes_up_to
 from .reduction import LocalData, ReductionKind, local_data
 
 PASS_STATEMENT = (
@@ -71,18 +70,15 @@ def serre_check(
     only if all do.
 
     aux defaults to the smallest odd good prime (7 for the conductor-15
-    curve, 5 for the conductor-21 one).
+    curve, 5 for the conductor-21 one).  ArgumentError unless ell and aux
+    are ints; UnsupportedPrimeError or BadAuxPrimeError for other values.
     """
-    if isinstance(ell, bool) or not isinstance(ell, int):
-        raise ArgumentError(f"ell must be an int, got {ell!r}")
-    if ell < 3 or ell % 2 == 0 or not is_prime(ell):
+    if check_int(ell, "ell") < 3 or ell % 2 == 0 or not is_prime(ell):
         raise UnsupportedPrimeError(f"criterion requires an odd prime ell >= 3, got {ell}")
     data = local_data(E)
     if aux is None:
         aux = default_aux_prime(data)
-    if isinstance(aux, bool) or not isinstance(aux, int):
-        raise ArgumentError(f"auxiliary prime must be an int, got {aux!r}")
-    if not is_prime(aux):
+    if not is_prime(check_int(aux, "aux")):
         raise BadAuxPrimeError(f"auxiliary prime {aux} is not prime")
     try:
         aux_data = data.at(aux)

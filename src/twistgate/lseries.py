@@ -72,7 +72,7 @@ import numpy as np
 
 from .curve import WeierstrassModel
 from .errors import ArgumentError, InvariantError, MarginError, TermBudgetError
-from .numtheory import primes_up_to
+from .numtheory import check_int, primes_up_to
 from .reduction import LocalData, conductor, local_data
 from .rootnum import global_root_number
 
@@ -117,10 +117,9 @@ def dirichlet_coefficients(E: WeierstrassModel | LocalData, M: int) -> list[int]
     a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} (good) or a_p^k (bad);
     extended multiplicatively.  The sieve and the fill run in numpy int64,
     which holds every a_n exactly: |a_n| <= d(n) sqrt(n) < 2^62.
+    ArgumentError unless M is an int of at least 1.
     """
-    if isinstance(M, bool) or not isinstance(M, int) or M < 1:
-        raise ArgumentError("M must be a positive integer")
-    if M > COEFFICIENT_BUDGET:
+    if check_int(M, "M", 1) > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"M = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
     primes = primes_up_to(M)
     traces, good = local_data(E).traces(primes)
@@ -254,9 +253,7 @@ def l_value_at_1(
     data = local_data(E)
     N = conductor(data)
     root_number = global_root_number(data).value
-    M = default_terms(N) if terms is None else terms
-    if isinstance(M, bool) or not isinstance(M, int) or M < 1:
-        raise ArgumentError(f"terms must be a positive integer, got {terms!r}")
+    M = default_terms(N) if terms is None else check_int(terms, "terms", 1)
     if M > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"terms = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
     sums = data._sums.get((M, t))

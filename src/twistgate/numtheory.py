@@ -1,5 +1,9 @@
 """Exact integer primitives: primality, factorization, squarefree parts,
-Jacobi symbols, p-adic valuations.
+Jacobi symbols, p-adic valuations, and the two argument rules.
+
+check_int and check_prime are the one statement of the argument rules "an
+int, not a bool, within bounds" and "a prime int": a value of the wrong type
+or out of bounds raises ArgumentError, one message wherever it is passed.
 
 Everything here is pure and exact.  One byte sieve to TRIAL_DIVISION_BOUND =
 10^6, where every caller's primes stop, is the only source of small primes:
@@ -46,6 +50,27 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981  # psi_13
 
 
+def check_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """value if it is an int, not a bool, within the bounds given; else ArgumentError."""
+    # type() first: a hot caller's plain int skips the slower isinstance pair
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ArgumentError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least or most is not None and value > most:
+        if most is None:
+            raise ArgumentError(f"{name} must be at least {least}, got {value!r}")
+        if least is None:
+            raise ArgumentError(f"{name} must be at most {most}, got {value!r}")
+        raise ArgumentError(f"{name} must be between {least} and {most}, got {value!r}")
+    return value
+
+
+def check_prime(p, name: str = "p") -> int:
+    """p when it is a prime int; ArgumentError naming the argument otherwise."""
+    if isinstance(p, int) and is_prime(p):
+        return p
+    raise ArgumentError(f"{name} must be a prime, got {p!r}")
+
+
 @functools.cache
 def _small_primes() -> tuple[bytearray, array]:
     """The byte sieve of [0, TRIAL_DIVISION_BOUND], 1 at each prime, and its
@@ -88,12 +113,9 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, read from the sieve; ArgumentError above its bound
-    or unless n is an int and not a bool."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ArgumentError(f"primes_up_to expects an int, got {n!r}")
-    if n > TRIAL_DIVISION_BOUND:
-        raise ArgumentError(f"primes_up_to reads the sieve up to {TRIAL_DIVISION_BOUND}, not {n}")
+    """All primes <= n, read from the sieve; ArgumentError unless n is an
+    int of at most TRIAL_DIVISION_BOUND."""
+    check_int(n, "n", None, TRIAL_DIVISION_BOUND)
     primes = _small_primes()[1]
     return primes[: bisect_right(primes, n)].tolist()
 
@@ -139,8 +161,7 @@ def factor(n: int) -> Factorization:
     proven prime by is_prime (deterministic below psi_13 ~ 3.3e24), else
     CompositeResidueError signals that the input is out of desk scale.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ArgumentError("factor expects a positive integer")
+    check_int(n, "n", 1)
     known = _FACTORED.get(n)
     if known is None:
         known = _trial_division(n)
@@ -173,7 +194,7 @@ def _trial_division(n: int) -> Factorization:
 
 def squarefree_part(n: int) -> int:
     """sign(n) times the product of primes dividing n to an odd power."""
-    if n == 0:
+    if check_int(n, "n") == 0:
         raise ZeroInputError("squarefree part of 0 is undefined")
     sign = -1 if n < 0 else 1
     out = 1
@@ -184,18 +205,16 @@ def squarefree_part(n: int) -> int:
 
 
 def is_squarefree(n: int) -> bool:
-    if n == 0:
+    if check_int(n, "n") == 0:
         return False
     return all(e == 1 for _, e in factor(abs(n)).factors)
 
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n; 0 when gcd(a, n) > 1.
-    ArgumentError when a or n is a bool or not an int."""
-    ints = isinstance(a, int) and isinstance(n, int)
-    if not ints or isinstance(a, bool) or isinstance(n, bool):
-        raise ArgumentError(f"Jacobi symbol needs int arguments, got ({a!r}/{n!r})")
-    if n <= 0:
+    ArgumentError unless a and n are ints; EvenModulusError for another n."""
+    check_int(a, "a")
+    if check_int(n, "n") <= 0:
         raise EvenModulusError("Jacobi symbol needs a positive modulus")
     if n % 2 == 0:
         raise EvenModulusError(f"Jacobi symbol undefined for even modulus {n}")
@@ -224,8 +243,7 @@ def _int_valuation(n: int, p: int) -> int:
 def valuation(x, p: int) -> int:
     """p-adic valuation of a nonzero integer or Fraction; ArgumentError
     unless p is a prime int."""
-    if not isinstance(p, int) or not is_prime(p):
-        raise ArgumentError(f"{p!r} is not prime")
+    check_prime(p)
     if x == 0:
         raise ZeroInputError("valuation of 0 is undefined")
     if isinstance(x, Fraction):

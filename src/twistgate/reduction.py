@@ -89,7 +89,8 @@ from .errors import (
     UnsupportedReductionAtTwoError,
     UnsupportedReductionError,
 )
-from .numtheory import factor, is_prime, jacobi, primes_up_to, valuation
+from .numtheory import TRIAL_DIVISION_BOUND, check_int, check_prime, factor, jacobi
+from .numtheory import primes_up_to, valuation
 
 POINT_COUNT_BOUND = 10**6
 # _reduction decides good primes from BSGS_FROM on by _trace_bsgs: measured
@@ -162,11 +163,6 @@ class ReductionData:
                 raise InvariantError("additive reduction requires p + 1 - points = 0")
 
 
-def _check_prime(p: int):
-    if not isinstance(p, int) or not is_prime(p):
-        raise ArgumentError(f"p must be a prime, got {p!r}")
-
-
 def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
     """#X(F_p) of the reduced equation, singular point included; E is a
     model or its record.
@@ -176,7 +172,7 @@ def count_points(E: WeierstrassModel | LocalData, p: int) -> int:
     p + 1 + sum_x chi((4 x^3 + b2 x^2 + 2 b4 x + b6) mod p) with chi the
     quadratic character; evaluated vectorized in O(p).
     """
-    _check_prime(p)
+    check_prime(p)
     if p > POINT_COUNT_BOUND:
         raise PrimeTooLargeError(f"p = {p} exceeds the enumeration bound")
     model = E.model if isinstance(E, LocalData) else E
@@ -206,7 +202,7 @@ def classify(E: WeierstrassModel | LocalData, p: int) -> ReductionData:
     The model is p-minimalized first for p >= 5, then handed to _reduction,
     which refuses a model visibly non-minimal at 2 or 3.
     """
-    _check_prime(p)
+    check_prime(p)
     model = E.model if isinstance(E, LocalData) else E
     return _reduction(minimalize_at(model, p) if p >= 5 else model, p)
 
@@ -619,10 +615,9 @@ class LocalData:
         """a_p at the good odd primes p <= bound, indexed by p (0 elsewhere),
         each decided once, as callers ask for larger primes: every new prime
         from 5 on by _lane_traces, however few, and p = 3 and the stragglers
-        _lane_traces leaves, each with its candidates, by _reduction.
-        ArgumentError for a bound that is not an int."""
-        if isinstance(bound, bool) or not isinstance(bound, int):
-            raise ArgumentError(f"traces_up_to expects an int bound, got {bound!r}")
+        _lane_traces leaves, each with its candidates, by _reduction.  First,
+        ArgumentError unless bound is an int <= TRIAL_DIVISION_BOUND."""
+        check_int(bound, "bound", None, TRIAL_DIVISION_BOUND)
         known = len(self._a_p) - 1
         if bound > known:
             grown = np.zeros(bound + 1, dtype=np.int32)
@@ -679,12 +674,14 @@ class LocalData:
         there is good.  2 and the primes of Delta(E) are read from at(p), in
         ascending order; the others from traces_up_to, or, for a record made
         by X.twist(d), as (d/p) a_p(X) from X's table.  ArgumentError
-        unless every prime is an int."""
+        unless the primes are ints, strictly ascending."""
         table, d = (self, 1) if self._base is None else self._base
         ps = np.array(primes)
         if ps.dtype.kind != "i" and len(ps):  # [] has dtype float64
             raise ArgumentError(f"primes must be ints, got an array of {ps.dtype}")
         ps = ps.astype(np.int64, copy=False)
+        if (ps[1:] <= ps[:-1]).any():
+            raise ArgumentError("primes must be strictly ascending")
         # The primes of Delta(X) are among these: quadratic_twist scales
         # (c4, c6) by (u^4 d^2, u^6 d^3) with u an integer, so
         # Delta(X^d) = d^6 u^12 Delta(X).

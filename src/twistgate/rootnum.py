@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 from .curve import WeierstrassModel
 from .errors import (
-    ArgumentError,
     HypothesisViolationError,
     InvariantError,
     TwistgateError,
@@ -43,7 +42,7 @@ from .errors import (
     UnsupportedReductionError,
     WorkBoundError,
 )
-from .numtheory import SMALL_FACTOR_BOUND, factor, is_prime, jacobi, valuation
+from .numtheory import SMALL_FACTOR_BOUND, check_int, check_prime, factor, jacobi, valuation
 from .reduction import LocalData, ReductionKind, local_data
 
 INFINITE_PLACE = "inf"
@@ -95,9 +94,7 @@ class RootNumber:
 def _local_factor(data: LocalData, place) -> tuple[int, str]:
     if place == INFINITE_PLACE:
         return -1, CASE_ARCHIMEDEAN
-    p = place
-    if not isinstance(p, int) or not is_prime(p):
-        raise ArgumentError(f"place must be 'inf' or a prime, got {place!r}")
+    p = check_prime(place, "a place other than 'inf'")
     kind = data.at(p).kind
     if kind is ReductionKind.GOOD:
         return 1, CASE_GOOD
@@ -164,9 +161,9 @@ def twist_parameters(bound: int, n: int) -> list[int]:
     """The d <= bound that pass the rule against n, ascending.  Only d = 1
     mod 4 prime to n can pass, and no other d goes to factor; bound must be an
     int of at most SMALL_FACTOR_BOUND, up to which numtheory.factor keeps
-    each factorization (ArgumentError)."""
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound > SMALL_FACTOR_BOUND:
-        raise ArgumentError(f"bound must be an int of at most {SMALL_FACTOR_BOUND}, got {bound!r}")
+    each factorization, and n an int (ArgumentError)."""
+    check_int(bound, "bound", None, SMALL_FACTOR_BOUND)
+    check_int(n, "n")
     candidates = (d for d in range(1, bound + 1, 4) if math.gcd(d, n) == 1)
     return [d for d in candidates if twist_parameter_failure(d, n) is None]
 
@@ -214,8 +211,7 @@ def twist_sweep(
     d <= dmax, ascending.  E's hypotheses are decided before any d.  The
     direct sign classifies the twist's own model at every prime; an error
     there is re-raised with its d named."""
-    if isinstance(dmax, bool) or not isinstance(dmax, int) or dmax < 1:
-        raise ArgumentError(f"--dmax must be at least 1, got {dmax!r}")
+    check_int(dmax, "--dmax", 1)
     if dmax > MAX_TWIST_DMAX:
         raise WorkBoundError(f"--dmax must be at most {MAX_TWIST_DMAX}, got {dmax}")
     data = local_data(E)

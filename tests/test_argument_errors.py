@@ -1,11 +1,28 @@
 """Every argument rule is the library's: a value outside a function's
 domain raises ArgumentError, which is both a TwistgateError (the CLI's
-unsupported-input) and a ValueError (what library callers catch)."""
+unsupported-input) and a ValueError (what library callers catch).  The
+rule "an int, not a bool" is stated once, in numtheory.check_int."""
+
+import ast
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from twistgate.curve import minimalize_at, short_form
-from twistgate.descent import SignedModule, enumerate_signed_modules, quad_point_search
+import twistgate
+from twistgate.curve import (
+    WeierstrassModel,
+    curve_by_label,
+    minimalize_at,
+    quadratic_twist,
+    short_form,
+)
+from twistgate.descent import (
+    SignedModule,
+    characters,
+    enumerate_signed_modules,
+    quad_point_search,
+)
 from twistgate.errors import ArgumentError, TwistgateError
 from twistgate.fieldsearch import (
     AdmissibleTuple,
@@ -16,7 +33,14 @@ from twistgate.fieldsearch import (
 )
 from twistgate.galois import serre_check
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
-from twistgate.numtheory import factor, jacobi, primes_up_to, valuation
+from twistgate.numtheory import (
+    factor,
+    is_squarefree,
+    jacobi,
+    primes_up_to,
+    squarefree_part,
+    valuation,
+)
 from twistgate.reduction import LocalData, classify, count_points
 from twistgate.rootnum import twist_parameters, twist_sweep
 
@@ -95,6 +119,28 @@ CALLS = {
     "jacobi modulo True": lambda E: jacobi(3, True),
     # would otherwise end in is_prime's bare TypeError
     "valuation at 2.0": lambda E: valuation(10, 2.0),
+    # not strictly ascending: the table would be grown only to 11, and 13
+    # would end in a bare IndexError
+    "a_p at primes [13, 11]": lambda E: LocalData(E).traces([13, 11]),
+    # a model would otherwise be built, and its invariants end in a bare
+    # TypeError, or True be read as a1 = 1
+    "model with a6 = 0.5": lambda E: WeierstrassModel(0, 0, 1, -1, 0.5),
+    "model with a1 = '1'": lambda E: WeierstrassModel("1", 0, 1, -1, 0),
+    "model with a1 = True": lambda E: WeierstrassModel(True, 0, 1, -1, 0),
+    # would otherwise end in a bare AttributeError
+    "curve labelled 15": lambda E: curve_by_label(15),
+    # True would otherwise be read as 1
+    "squarefree part of True": lambda E: squarefree_part(True),
+    "is True squarefree": lambda E: is_squarefree(True),
+    "characters of rank True": lambda E: characters(True),
+    # would otherwise end in a bare TypeError
+    "characters of rank 1.5": lambda E: characters(1.5),
+    "twist parameters prime to 15.0": lambda E: twist_parameters(10, 15.0),
+    # the wrong type, not a non-squarefree int: would otherwise be a
+    # NotSquarefreeError
+    "quadratic twist by 2.0": lambda E: quadratic_twist(E, 2.0),
+    "quad_point_search over d = 17.0": lambda E: quad_point_search(short_form(E), 17.0, 5),
+    "quad_point_search over d = True": lambda E: quad_point_search(short_form(E), True, 5),
 }
 
 
@@ -104,3 +150,45 @@ def test_argument_rule_raises_argument_error(e15, call):
         call(e15)
     assert isinstance(excinfo.value, TwistgateError)
     assert isinstance(excinfo.value, ValueError)
+
+
+def test_an_a_p_table_beyond_the_sieve_is_refused_before_it_is_allocated(e15):
+    # a table to 5 * 10^7 would take 200 MB before the sieve's bound refused it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArgumentError, match="^bound must be at most 1000000, got 50000000$"):
+            LocalData(e15).traces_up_to(5 * 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+# the functions that may test for a bool themselves: check_int, the rule;
+# check_margin and l_value_at_1's t, which take real numbers; and
+# twist_parameter_failure, which names a failure and does not raise
+BOOL_TESTS_ALLOWED = {"check_int", "check_margin", "l_value_at_1", "twist_parameter_failure"}
+
+
+def bool_test_owners(node, owner):
+    """The innermost function (else owner) around each isinstance(_, bool)
+    or isinstance(_, (..., bool, ...)) under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(isinstance(t, ast.Name) and t.id == "bool" for t in ast.walk(node.args[1]))
+    ):
+        yield owner
+    for child in ast.iter_child_nodes(node):
+        yield from bool_test_owners(child, owner)
+
+
+def test_only_the_rule_tests_for_a_bool():
+    owners = set()
+    for path in Path(twistgate.__file__).parent.glob("*.py"):
+        owners.update(bool_test_owners(ast.parse(path.read_text()), path.name))
+    assert owners == BOOL_TESTS_ALLOWED

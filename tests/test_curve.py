@@ -15,6 +15,7 @@ from twistgate.curve import (
     short_form,
 )
 from twistgate.errors import (
+    ArgumentError,
     CurveTableError,
     NotSquarefreeError,
     SingularCurveError,
@@ -122,7 +123,7 @@ class TestQuadraticTwist:
     @pytest.mark.parametrize("d", [True, False])
     def test_a_bool_is_refused(self, e15, d):
         # True would otherwise pass as d = 1 and return e15's own model
-        with pytest.raises(NotSquarefreeError, match="nonzero integer"):
+        with pytest.raises(ArgumentError, match=f"^d must be an int, got {d}$"):
             quadratic_twist(e15, d)
 
     @pytest.mark.parametrize("d", SQUAREFREE_D)

@@ -415,15 +415,25 @@ class TestSignedModule:
         with pytest.raises(LemmaSumSizeError):
             enumerate_signed_modules(10**9, 10**9, 1)
 
-    @pytest.mark.parametrize("k, n, r", [(0, 1, 1), (1, 0, 1), (1, 1, -1)])
-    def test_empty_or_negative_family_is_refused_before_the_pool(self, monkeypatch, k, n, r):
+    @pytest.mark.parametrize(
+        "k, n, r, message",
+        [
+            (0, 1, 1, "k must be at least 1, got 0"),
+            (1, 0, 1, "n must be at least 1, got 0"),
+            (1, 1, -1, "r must be at least 0, got -1"),
+        ],
+        ids=["0-1-1", "1-0-1", "1-1--1"],
+    )
+    def test_empty_or_negative_family_is_refused_before_the_pool(
+        self, monkeypatch, k, n, r, message
+    ):
         # k = 0 gives an empty pool, hence no modules, which the harness
         # would report as all passed; r = -1 would fail inside itertools
         def no_pool(k, n):
             raise AssertionError("the generator pool was built")
 
         monkeypatch.setattr(descent, "involutive_generator_pool", no_pool)
-        with pytest.raises(ArgumentError, match=f"got k={k} n={n} r={r}"):
+        with pytest.raises(ArgumentError, match=f"^{message}$"):
             enumerate_signed_modules(k, n, r)
 
     def test_agrees_with_the_loop_oracle_on_every_acceptance_family(self):

@@ -131,7 +131,7 @@ class TestLValue:
 
     @pytest.mark.parametrize("terms", [1000.9, "1000"])
     def test_terms_must_be_an_int(self, e15, terms):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="terms must be an int"):
             l_value_at_1(e15, terms=terms)
 
     def test_tail_bound_dominates_true_tail(self, e15):

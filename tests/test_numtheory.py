@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from twistgate import numtheory
 from twistgate.curve import curve_by_label, invariants
 from twistgate.errors import (
+    ArgumentError,
     CompositeResidueError,
     EvenModulusError,
     InvariantError,
@@ -19,6 +21,8 @@ from twistgate.errors import (
 from twistgate.numtheory import (
     SMALL_FACTOR_BOUND,
     Factorization,
+    check_int,
+    check_prime,
     factor,
     is_prime,
     is_squarefree,
@@ -270,6 +274,44 @@ class TestValuation:
                 x = -x
             for p in (2, 3, 5, 7):
                 assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize(
+        "value, least, most",
+        [(0, None, None), (-7, None, 3), (1, 1, None), (10**30, 1, None), (5, 5, 5), (3, 1, 10)],
+    )
+    def test_returns_the_value_within_its_bounds(self, value, least, most):
+        assert check_int(value, "x", least, most) is value
+
+    @pytest.mark.parametrize(
+        "value, least, most, message",
+        [
+            (True, None, None, "x must be an int, got True"),
+            (False, 0, 1, "x must be an int, got False"),
+            (2.0, None, None, "x must be an int, got 2.0"),
+            ("3", 1, None, "x must be an int, got '3'"),
+            (None, None, None, "x must be an int, got None"),
+            (0, 1, None, "x must be at least 1, got 0"),
+            (11, None, 10, "x must be at most 10, got 11"),
+            (0, 1, 10, "x must be between 1 and 10, got 0"),
+            (11, 1, 10, "x must be between 1 and 10, got 11"),
+        ],
+    )
+    def test_each_message(self, value, least, most, message):
+        with pytest.raises(ArgumentError, match=f"^{message}$"):
+            check_int(value, "x", least, most)
+
+
+class TestCheckPrime:
+    def test_returns_a_prime(self):
+        assert check_prime(2) == 2
+        assert check_prime(10**6 + 3, "q") == 10**6 + 3
+
+    @pytest.mark.parametrize("p", [4, 1, 0, -3, 7.0, True, "7", None])
+    def test_names_the_argument(self, p):
+        with pytest.raises(ArgumentError, match=f"^q must be a prime, got {re.escape(repr(p))}$"):
+            check_prime(p, "q")
 
 
 def test_primes_up_to():
