@@ -36,7 +36,7 @@ from .errors import (
     NotOnCurveError,
     NotSquarefreeError,
 )
-from .numtheory import check_int, is_squarefree
+from .numtheory import check_int, check_rational, is_squarefree
 
 MAX_SEARCH_HEIGHT = 10**4
 MAX_MODULE_SIZE = 2**16
@@ -44,14 +44,6 @@ MAX_MODULE_SIZE = 2**16
 # products) and over enumerate_signed_modules(k, n, r) (|pool|^r such modules);
 # at the bound, under 0.3 s (2-core Xeon host).
 MAX_LEMMA_SUM_WORK = 2**19
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected an exact rational, got {type(v).__name__}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +55,9 @@ class QuadElt:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        if self.d in (0, 1) or not is_squarefree(self.d):
+        object.__setattr__(self, "a", check_rational(self.a, "a"))
+        object.__setattr__(self, "b", check_rational(self.b, "b"))
+        if check_int(self.d, "d") in (0, 1) or not is_squarefree(self.d):
             raise NotSquarefreeError(f"field parameter {self.d} must be squarefree, not 0 or 1")
 
     @classmethod
@@ -77,14 +69,14 @@ class QuadElt:
 
     @classmethod
     def rational(cls, value, d: int) -> "QuadElt":
-        return cls(_as_fraction(value), Fraction(0), d)
+        return cls(check_rational(value, "value"), Fraction(0), d)
 
     def _coerce(self, other) -> "QuadElt":
         if isinstance(other, QuadElt):
             if other.d != self.d:
                 raise ArgumentError("elements live in different quadratic fields")
             return other
-        return QuadElt._checked(_as_fraction(other), Fraction(0), self.d)
+        return QuadElt._checked(check_rational(other, "other"), Fraction(0), self.d)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -152,7 +144,7 @@ class QuadPoint:
 
     def __post_init__(self):
         A, B = self.curve
-        object.__setattr__(self, "curve", (_as_fraction(A), _as_fraction(B)))
+        object.__setattr__(self, "curve", (check_rational(A, "A"), check_rational(B, "B")))
         if self.x.d != self.y.d:
             raise ArgumentError("coordinates live in different quadratic fields")
         A, B = self.curve
@@ -188,13 +180,14 @@ def quad_point_search(
     and B, the integer F = D n (D m^3 + D A m n^2 + D B n^3) is D^2 n^4 f(x),
     so f(x) is a square iff F is, and d times a square iff d F is a square.
     ArgumentError unless d and height are ints, height in [1,
-    MAX_SEARCH_HEIGHT]; NotSquarefreeError for an int d not squarefree > 1.
+    MAX_SEARCH_HEIGHT], and A and B ints or Fractions; NotSquarefreeError
+    for an int d not squarefree > 1.
     """
     if check_int(d, "d") <= 1 or not is_squarefree(d):
         raise NotSquarefreeError(f"search needs a squarefree integer d > 1, got {d}")
     check_int(height, "height", 1, MAX_SEARCH_HEIGHT)
-    A = _as_fraction(curve[0])
-    B = _as_fraction(curve[1])
+    A = check_rational(curve[0], "A")
+    B = check_rational(curve[1], "B")
     D = lcm(A.denominator, B.denominator)
     DA, DB = int(D * A), int(D * B)
     zero = Fraction(0)
@@ -215,8 +208,13 @@ def quad_point_search(
 
 
 def twist_curve(curve: tuple[Fraction, Fraction], d: int) -> tuple[Fraction, Fraction]:
-    A = _as_fraction(curve[0])
-    B = _as_fraction(curve[1])
+    """(A d^2, B d^3), the twist by d of y^2 = x^3 + A x + B.  ArgumentError
+    unless A and B are ints or Fractions and d is an int; NotSquarefreeError
+    for d = 0."""
+    A = check_rational(curve[0], "A")
+    B = check_rational(curve[1], "B")
+    if check_int(d, "d") == 0:
+        raise NotSquarefreeError("the twist parameter 0 is not squarefree")
     return (A * d * d, B * d**3)
 
 

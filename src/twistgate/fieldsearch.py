@@ -110,6 +110,13 @@ def _as_tuple(ds) -> tuple:
     return tuple(items)
 
 
+def _check_p(p) -> None:
+    """ArgumentError unless p is one of SUPPORTED_P."""
+    # the isinstance refuses 5.0, since 5.0 in (5, 7) is true
+    if not isinstance(p, int) or p not in SUPPORTED_P:
+        raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p!r}")
+
+
 def is_admissible(p: int, ds) -> AdmissibilityCheck:
     """Check the tuple conditions in order, naming the first failure.
 
@@ -119,8 +126,7 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
     prime bits one bit per d_i it combines, so a d_i that reduces to no
     prime bits names a subset with a square product.
     """
-    if not isinstance(p, int) or p not in SUPPORTED_P:
-        raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p!r}")
+    _check_p(p)
     ds = _as_tuple(ds)
     if not ds:
         return _fail("empty", None)
@@ -190,8 +196,7 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     WorkBoundError, before recursing, when the subsets of at most r
     candidates number more than MAX_SEARCH_WORK.
     """
-    if not isinstance(p, int) or p not in SUPPORTED_P:
-        raise ArgumentError(f"p must be one of {SUPPORTED_P}, got {p!r}")
+    _check_p(p)
     check_int(r, "rank r", 1)
     check_int(bound, "bound", 1, MAX_SEARCH_BOUND)
     n3p = 3 * p

@@ -1,14 +1,16 @@
 """Dirichlet coefficients from local reduction data and an exponentially
 convergent evaluation of L(E,1) with a rigorous tail majorant.
 
-Every a_p, a_2 included, and the conductor and root number come from the
-model's LocalData record (reduction.py); both public functions take a
-model or its record, and l_value_at_1 hands its record on to
-dirichlet_coefficients.  For a record made by X.twist(d), the a_p at the
-odd primes not dividing Delta(X^d) are (d/p) a_p(X), read from X's a_p
-table, which lasts for the process when X is a curve of the curve
-table; the other primes are decided on the twist itself.  A bare model
-counts its own points, whether or not it is a twist of another curve.
+Every a_p, a_2 included, comes from the model's LocalData record
+(reduction.py) as one array, LocalData.traces(M), that
+dirichlet_coefficients fills in place; so do the conductor and root
+number.  Both public functions take a model or its record, and
+l_value_at_1 hands its record on to dirichlet_coefficients.  For a record
+made by X.twist(d), the a_p at the odd primes not dividing Delta(X^d) are
+(d/p) a_p(X), read from X's a_p table, which lasts for the process when X
+is a curve of the curve table; the other primes are decided on the twist
+itself.  A bare model counts its own points, whether or not it is a twist
+of another curve.
 
 l_value_at_1 remembers, on the record, each evaluation's value, tail
 bound and terms summed under its (terms, t), and takes the verdict from
@@ -64,7 +66,6 @@ implication for curves over Q), never a proof; reports carry that label.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Context, Decimal, getcontext, localcontext
 
@@ -112,26 +113,25 @@ def dirichlet_coefficients(E: WeierstrassModel | LocalData, M: int) -> list[int]
     """Coefficients a_1..a_M of L(E,s); returned as a list with a_n at index n.
 
     a_p = p + 1 - #X(F_p) at good p, +1 / -1 / 0 at split / nonsplit /
-    additive p (LocalData.traces, which derives the a_p of a record made
-    by X.twist(d) from X's at their common good odd primes); prime powers by
-    a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} (good) or a_p^k (bad);
-    extended multiplicatively.  The sieve and the fill run in numpy int64,
-    which holds every a_n exactly: |a_n| <= d(n) sqrt(n) < 2^62.
-    ArgumentError unless M is an int of at least 1.
+    additive p, in the array indexed by p that LocalData.traces(M) returns
+    with the bad primes (it derives the a_p of a record made by X.twist(d)
+    from X's at their common good odd primes); prime powers, filled into
+    that array in place, by a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} (good)
+    or a_p^k (bad); extended multiplicatively.  The sieve and the fill run
+    in numpy int64, which holds every a_n exactly: |a_n| <= d(n) sqrt(n) <
+    2^62.  ArgumentError unless M is an int of at least 1.
     """
     if check_int(M, "M", 1) > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"M = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
-    primes = primes_up_to(M)
-    traces, good = local_data(E).traces(primes)
     # prime_power[p^k] = a_{p^k}
-    prime_power = np.zeros(M + 1, dtype=np.int64)
-    prime_power[primes] = traces
-    small = primes[: bisect_right(primes, math.isqrt(M))]
-    for p, a_p, is_good in zip(small, traces, good):
+    prime_power, bad = local_data(E).traces(M)
+    small = primes_up_to(math.isqrt(M))
+    for p in small:
+        a_p = int(prime_power[p])
         prev, cur = 1, a_p
         pk = p * p
         while pk <= M:
-            prev, cur = cur, a_p * cur - (p * prev if is_good else 0)
+            prev, cur = cur, a_p * cur - (0 if p in bad else p * prev)
             prime_power[pk] = cur
             pk *= p
     # smallest prime factor: the primes up to sqrt(M) mark their multiples

@@ -1,9 +1,10 @@
 """Exact integer primitives: primality, factorization, squarefree parts,
-Jacobi symbols, p-adic valuations, and the two argument rules.
+Jacobi symbols, p-adic valuations, and the three argument rules.
 
-check_int and check_prime are the one statement of the argument rules "an
-int, not a bool, within bounds" and "a prime int": a value of the wrong type
-or out of bounds raises ArgumentError, one message wherever it is passed.
+check_int, check_rational and check_prime are the one statement of the
+argument rules "an int, not a bool, within bounds", "an exact rational: an
+int or a Fraction" and "a prime int": a value of the wrong type or out of
+bounds raises ArgumentError, one message wherever it is passed.
 
 Everything here is pure and exact.  One byte sieve to TRIAL_DIVISION_BOUND =
 10^6, where every caller's primes stop, is the only source of small primes:
@@ -62,6 +63,16 @@ def check_int(value, name: str, least: int | None = None, most: int | None = Non
             raise ArgumentError(f"{name} must be at most {most}, got {value!r}")
         raise ArgumentError(f"{name} must be between {least} and {most}, got {value!r}")
     return value
+
+
+def check_rational(value, name: str) -> Fraction:
+    """value if it is a Fraction, Fraction(value) if it passes check_int;
+    else ArgumentError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(check_int(value, name))
+    raise ArgumentError(f"{name} must be an int or a Fraction, got {value!r}")
 
 
 def check_prime(p, name: str = "p") -> int:
@@ -136,7 +147,7 @@ class Factorization:
             if e < 1:
                 raise InvariantError("exponents must be >= 1")
             if p <= last:
-                raise InvariantError("primes must be strictly increasing")
+                raise InvariantError("prime factors must be strictly increasing")
             if not is_prime(p):
                 raise InvariantError(f"{p} is not prime")
             prod *= p**e
@@ -241,13 +252,10 @@ def _int_valuation(n: int, p: int) -> int:
 
 
 def valuation(x, p: int) -> int:
-    """p-adic valuation of a nonzero integer or Fraction; ArgumentError
-    unless p is a prime int."""
+    """p-adic valuation of a nonzero int or Fraction; ArgumentError unless p
+    is a prime int and x an int or a Fraction."""
     check_prime(p)
+    x = check_rational(x, "x")
     if x == 0:
         raise ZeroInputError("valuation of 0 is undefined")
-    if isinstance(x, Fraction):
-        return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
-    if isinstance(x, int):
-        return _int_valuation(x, p)
-    raise TypeError(f"valuation expects int or Fraction, got {type(x).__name__}")
+    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)

@@ -27,7 +27,7 @@ stragglers, the lanes left undecided, each with the candidates for #E that
 its lane proved: from BSGS_FROM on _trace_bsgs starts at its second point;
 below, and where that cannot decide, the point count must lie among them.
 at(p) keeps only the primes it is asked for, 2 and the primes of Delta in
-LocalData.traces.
+LocalData.traces(M), which returns a_p to M as one array indexed by p.
 Each curve X of the loaded curve table has one record per process, which
 local_data() hands to every caller, so X's table lasts for the process.
 X.twist(d) is the record of the quadratic twist X^d, made once per d and
@@ -82,7 +82,6 @@ from .curve import (
     quadratic_twist,
 )
 from .errors import (
-    ArgumentError,
     InvariantError,
     NonMinimalModelError,
     PrimeTooLargeError,
@@ -556,8 +555,9 @@ class LocalData:
     compare and hash by identity: two records of one model are two caches.
     at(p) decides p on first use and keeps it in _decided; walking
     delta_primes in ascending order, callers meet the first failing prime's
-    error first.  a_p at the good odd primes, which only traces reads, is
-    kept in the table _a_p of traces_up_to instead.  A record made by
+    error first.  a_p at the good odd primes is kept in the table _a_p of
+    traces_up_to instead; traces(M) copies every a_p to M into a new array,
+    which lseries.dirichlet_coefficients fills in place.  A record made by
     X.twist(d) keeps (X, d) as its base, set there only, and X keeps the
     record under d in _twists.  The record is the one owner of its
     conductor and global root number: conductor is decided once, and
@@ -669,29 +669,27 @@ class LocalData:
             self._twists[d] = record
         return record
 
-    def traces(self, primes: list[int]) -> tuple[list[int], list[bool]]:
-        """a_p at each of the ascending primes, and whether the reduction
-        there is good.  2 and the primes of Delta(E) are read from at(p), in
+    def traces(self, M: int) -> tuple[np.ndarray, tuple[int, ...]]:
+        """A new int64 array of length M + 1 with a_p at each prime p <= M
+        and 0 elsewhere, and the primes p <= M where the reduction is not
+        good.  2 and the primes of Delta(E) are read from at(p), in
         ascending order; the others from traces_up_to, or, for a record made
-        by X.twist(d), as (d/p) a_p(X) from X's table.  ArgumentError
-        unless the primes are ints, strictly ascending."""
+        by X.twist(d), as (d/p) a_p(X) from X's table.  ArgumentError unless
+        M is an int from 1 to TRIAL_DIVISION_BOUND."""
+        check_int(M, "M", 1, TRIAL_DIVISION_BOUND)
         table, d = (self, 1) if self._base is None else self._base
-        ps = np.array(primes)
-        if ps.dtype.kind != "i" and len(ps):  # [] has dtype float64
-            raise ArgumentError(f"primes must be ints, got an array of {ps.dtype}")
-        ps = ps.astype(np.int64, copy=False)
-        if (ps[1:] <= ps[:-1]).any():
-            raise ArgumentError("primes must be strictly ascending")
+        ps = np.array(primes_up_to(M), dtype=np.int64)
         # The primes of Delta(X) are among these: quadratic_twist scales
         # (c4, c6) by (u^4 d^2, u^6 d^3) with u an integer, so
         # Delta(X^d) = d^6 u^12 Delta(X).
         direct = (ps == 2) | (_residues(self.inv.delta, ps) == 0)
-        a_p = np.zeros(len(ps), dtype=np.int64)
-        good = np.ones(len(ps), dtype=bool)
-        for i in np.flatnonzero(direct).tolist():
-            data = self.at(primes[i])
-            a_p[i] = data.a_p
-            good[i] = data.kind is ReductionKind.GOOD
+        a_p = np.zeros(M + 1, dtype=np.int64)
+        bad = []
+        for p in ps[direct].tolist():
+            data = self.at(p)
+            a_p[p] = data.a_p
+            if data.kind is not ReductionKind.GOOD:
+                bad.append(p)
         derived = ps[~direct]
         chi = 1 if d == 1 else _legendre(_residues(d, derived), derived)
         if not np.all(chi):
@@ -700,8 +698,8 @@ class LocalData:
                 f"({d}/p) = 0 at the good prime p = {derived[chi == 0][0]}"
             )
         if len(derived):
-            a_p[~direct] = chi * table.traces_up_to(int(derived[-1]))[derived]
-        return a_p.tolist(), good.tolist()
+            a_p[derived] = chi * table.traces_up_to(int(derived[-1]))[derived]
+        return a_p, tuple(bad)
 
 
 # One record per curve of the curve table, made on first use and shared by

@@ -18,10 +18,12 @@ from twistgate.curve import (
     short_form,
 )
 from twistgate.descent import (
+    QuadElt,
     SignedModule,
     characters,
     enumerate_signed_modules,
     quad_point_search,
+    twist_curve,
 )
 from twistgate.errors import ArgumentError, TwistgateError
 from twistgate.fieldsearch import (
@@ -98,7 +100,9 @@ CALLS = {
     "minimalize_at 7.0": lambda E: minimalize_at(E, 7.0),
     "primes up to 10.0": lambda E: primes_up_to(10.0),
     "primes up to True": lambda E: primes_up_to(True),
-    "a_p at primes [11.0, 13]": lambda E: LocalData(E).traces([11.0, 13]),
+    "a_p to M = 13.0": lambda E: LocalData(E).traces(13.0),
+    "a_p to M = True": lambda E: LocalData(E).traces(True),
+    "a_p to M = 0": lambda E: LocalData(E).traces(0),
     # not iterable: would otherwise end in a bare TypeError
     "is_admissible of ds = 17": lambda E: is_admissible(5, 17),
     "check_hypothesis of ds = 17": lambda E: check_hypothesis(5, 17),
@@ -119,9 +123,6 @@ CALLS = {
     "jacobi modulo True": lambda E: jacobi(3, True),
     # would otherwise end in is_prime's bare TypeError
     "valuation at 2.0": lambda E: valuation(10, 2.0),
-    # not strictly ascending: the table would be grown only to 11, and 13
-    # would end in a bare IndexError
-    "a_p at primes [13, 11]": lambda E: LocalData(E).traces([13, 11]),
     # a model would otherwise be built, and its invariants end in a bare
     # TypeError, or True be read as a1 = 1
     "model with a6 = 0.5": lambda E: WeierstrassModel(0, 0, 1, -1, 0.5),
@@ -141,6 +142,14 @@ CALLS = {
     "quadratic twist by 2.0": lambda E: quadratic_twist(E, 2.0),
     "quad_point_search over d = 17.0": lambda E: quad_point_search(short_form(E), 17.0, 5),
     "quad_point_search over d = True": lambda E: quad_point_search(short_form(E), True, 5),
+    # not an exact rational: would otherwise end in a bare TypeError, or
+    # True be read as 1, or a float twist be computed in floats
+    "quad_point_search on A = 1.5": lambda E: quad_point_search((1.5, 0), 17, 5),
+    "QuadElt with a = 0.5": lambda E: QuadElt(0.5, 1, 2),
+    "QuadElt with a = True": lambda E: QuadElt(True, 1, 2),
+    "valuation of 1.5": lambda E: valuation(1.5, 5),
+    "valuation of True": lambda E: valuation(True, 5),
+    "twist_curve by 2.5": lambda E: twist_curve(short_form(E), 2.5),
 }
 
 
@@ -150,6 +159,11 @@ def test_argument_rule_raises_argument_error(e15, call):
         call(e15)
     assert isinstance(excinfo.value, TwistgateError)
     assert isinstance(excinfo.value, ValueError)
+
+
+def test_a_field_parameter_that_is_not_an_int_is_named_d():
+    with pytest.raises(ArgumentError, match="^d must be an int, got 2.0$"):
+        QuadElt(1, 2, 2.0)
 
 
 def test_an_a_p_table_beyond_the_sieve_is_refused_before_it_is_allocated(e15):

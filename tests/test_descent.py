@@ -209,6 +209,10 @@ class TestQuadPointSearch:
         with pytest.raises(NotSquarefreeError):
             quad_point_search(curve, 1, 10)
 
+    def test_twist_by_zero_is_refused(self, e15):
+        with pytest.raises(NotSquarefreeError):
+            twist_curve(short_form(e15), 0)
+
     def test_height_validation(self, e15):
         with pytest.raises(ValueError):
             quad_point_search(short_form(e15), 17, 10**5)

@@ -253,13 +253,13 @@ def list_coefficients(E, M):
     if M == 1:
         return coeffs
     primes = primes_up_to(M)
-    traces, good = local_data(E).traces(primes)
+    a_p, bad = local_data(E).traces(M)
     prime_power_values = {}
-    for p, a_p, is_good in zip(primes, traces, good):
-        pows = [1, a_p]
+    for p in primes:
+        pows = [1, int(a_p[p])]
         pk = p * p
         while pk <= M:
-            pows.append(a_p * pows[-1] - (p * pows[-2] if is_good else 0))
+            pows.append(pows[1] * pows[-1] - (0 if p in bad else p * pows[-2]))
             pk *= p
         prime_power_values[p] = pows
     spf = list(range(M + 1))

@@ -22,7 +22,14 @@ from twistgate.errors import InvariantError
 from twistgate.fieldsearch import AdmissibleTuple, character_discriminant, check_hypothesis
 from twistgate.lseries import dirichlet_coefficients, l_value_at_1
 from twistgate.numtheory import factor, jacobi, primes_up_to
-from twistgate.reduction import LocalData, conductor, count_points, local_data
+from twistgate.reduction import (
+    LocalData,
+    ReductionKind,
+    classify,
+    conductor,
+    count_points,
+    local_data,
+)
 from twistgate.rootnum import twist_parameters
 
 # d = 1 mod 4 keeps every twist minimal at 2 and 3 (d = -1 or 2 would be
@@ -141,8 +148,32 @@ def test_records_compare_and_hash_by_identity():
     assert X.twist(13) is X.twist(13)
     fresh = LocalData(X.twist(13).model)
     assert X.twist(13) != fresh
-    primes = primes_up_to(2000)
-    assert X.twist(13).traces(primes) == fresh.traces(primes)
+    a_p, bad = X.twist(13).traces(2000)
+    fresh_a_p, fresh_bad = fresh.traces(2000)
+    assert np.array_equal(a_p, fresh_a_p) and bad == fresh_bad
+
+
+@pytest.mark.parametrize("M", [1, 2000])
+def test_traces_hold_a_p_at_the_primes_and_name_the_bad_ones(M):
+    X = local_data(curve_by_label("15a1"))
+    records = [
+        X,
+        local_data(curve_by_label("21a1")),
+        X.twist(13),
+        LocalData(WeierstrassModel(0, -1, 1, -29, -30)),
+    ]
+    primes = primes_up_to(M)
+    for record in records:
+        # dirichlet_coefficients fills its own array, not the record's
+        dirichlet_coefficients(record, M)
+        a_p, bad = record.traces(M)
+        assert a_p.dtype == np.int64 and len(a_p) == M + 1
+        not_prime = np.ones(M + 1, dtype=bool)
+        not_prime[primes] = False
+        assert not a_p[not_prime].any(), str(record.model)
+        assert bad == tuple(
+            p for p in primes if classify(record, p).kind is not ReductionKind.GOOD
+        )
 
 
 def test_base_discriminant_divides_the_twist_discriminant():
