@@ -208,19 +208,24 @@ PINNED_J = {
 
 CURVES_ENV_VAR = "TWISTGATE_CURVES"
 
-_table_cache: dict[str, dict[str, WeierstrassModel]] = {}
+_table_cache: dict[str | os.PathLike | None, dict[str, WeierstrassModel]] = {}
 
 
-def load_curve_table(path: str | None = None) -> dict[str, WeierstrassModel]:
+def load_curve_table(path: str | os.PathLike | None = None) -> dict[str, WeierstrassModel]:
     """Parse a curve table (label TAB a1..a6 per line, '#' comments).
 
     With no path, uses $TWISTGATE_CURVES if set, else the bundled table.
+    ArgumentError unless path is None, a str or an os.PathLike.
     """
     if path is None:
         path = os.environ.get(CURVES_ENV_VAR) or None
-    key = path or "<bundled>"
-    if key in _table_cache:
-        return _table_cache[key]
+    elif not isinstance(path, (str, os.PathLike)):
+        # an int would be opened as a file descriptor, and closed after
+        raise ArgumentError(f"path must be a str or an os.PathLike, got {path!r}")
+    # keyed by the path itself, None for the bundled table: no str stands
+    # for it, so "" or "<bundled>" is read as a file
+    if path in _table_cache:
+        return _table_cache[path]
     if path is None:
         text = resources.files("twistgate").joinpath("curves.tsv").read_text()
     else:
@@ -251,7 +256,7 @@ def load_curve_table(path: str | None = None) -> dict[str, WeierstrassModel]:
                 f"line {lineno}: curve {label} has j = {inv.j}, expected {pinned}"
             )
         table[label] = model
-    _table_cache[key] = table
+    _table_cache[path] = table
     return table
 
 

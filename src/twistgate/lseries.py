@@ -2,15 +2,15 @@
 convergent evaluation of L(E,1) with a rigorous tail majorant.
 
 Every a_p, a_2 included, comes from the model's LocalData record
-(reduction.py) as one array, LocalData.traces(M), that
-dirichlet_coefficients fills in place; so do the conductor and root
-number.  Both public functions take a model or its record, and
-l_value_at_1 hands its record on to dirichlet_coefficients.  For a record
-made by X.twist(d), the a_p at the odd primes not dividing Delta(X^d) are
-(d/p) a_p(X), read from X's a_p table, which lasts for the process when X
-is a curve of the curve table; the other primes are decided on the twist
-itself.  A bare model counts its own points, whether or not it is a twist
-of another curve.
+(reduction.py) as one array, LocalData.traces(M), from which
+dirichlet_coefficients builds the a_n one small prime at a time; so do
+the conductor and root number.  Both public functions take a model or its
+record, and l_value_at_1 hands its record on to dirichlet_coefficients.
+For a record made by X.twist(d), the a_p at the odd primes not dividing
+Delta(X^d) are (d/p) a_p(X), read from X's a_p table, which lasts for the
+process when X is a curve of the curve table; the other primes are
+decided on the twist itself.  A bare model counts its own points, whether
+or not it is a twist of another curve.
 
 l_value_at_1 remembers, on the record, each evaluation's value, tail
 bound and terms summed under its (terms, t), and takes the verdict from
@@ -115,61 +115,36 @@ def dirichlet_coefficients(E: WeierstrassModel | LocalData, M: int) -> list[int]
     a_p = p + 1 - #X(F_p) at good p, +1 / -1 / 0 at split / nonsplit /
     additive p, in the array indexed by p that LocalData.traces(M) returns
     with the bad primes (it derives the a_p of a record made by X.twist(d)
-    from X's at their common good odd primes); prime powers, filled into
-    that array in place, by a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} (good)
-    or a_p^k (bad); extended multiplicatively.  The sieve and the fill run
-    in numpy int64, which holds every a_n exactly: |a_n| <= d(n) sqrt(n) <
-    2^62.  ArgumentError unless M is an int of at least 1.
+    from X's at their common good odd primes).  Each n <= M is the product
+    of its p-parts p^v, p <= sqrt(M), and of rest, 1 or a prime above
+    sqrt(M); so a_n = prod a_{p^v} * a_rest, one pass per small prime, with
+    a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} (good) or a_p^k (bad).  The
+    fill runs in numpy int64, which holds every a_n exactly: each partial
+    product is a_m for a divisor m of n, and |a_m| <= d(m) sqrt(m) < 2^62.
+    ArgumentError unless M is an int of at least 1.
     """
     if check_int(M, "M", 1) > COEFFICIENT_BUDGET:
         raise TermBudgetError(f"M = {M} exceeds the coefficient budget {COEFFICIENT_BUDGET}")
-    # prime_power[p^k] = a_{p^k}
-    prime_power, bad = local_data(E).traces(M)
-    small = primes_up_to(math.isqrt(M))
-    for p in small:
-        a_p = int(prime_power[p])
-        prev, cur = 1, a_p
-        pk = p * p
-        while pk <= M:
-            prev, cur = cur, a_p * cur - (0 if p in bad else p * prev)
-            prime_power[pk] = cur
-            pk *= p
-    # smallest prime factor: the primes up to sqrt(M) mark their multiples
-    n = np.arange(M + 1, dtype=np.int64)
-    spf = np.zeros(M + 1, dtype=np.int64)
-    for p in small:
-        multiples = spf[p * p :: p]
-        multiples[multiples == 0] = p
-    unmarked = spf == 0
-    spf[unmarked] = n[unmarked]
-    spf[:2] = 1
-    # n = p_part * rest, p_part the power of spf(n) that divides n exactly
-    p_part = spf.copy()
-    rest = n // spf
-    dividing = 2 + np.flatnonzero(rest[2:] % spf[2:] == 0)
-    while len(dividing):
-        p_part[dividing] *= spf[dividing]
-        rest[dividing] //= spf[dividing]
-        dividing = dividing[rest[dividing] % spf[dividing] == 0]
-    coeffs = prime_power[p_part]
-    coeffs[1] = 1
-    # a_n = a_{p_part} a_rest, and rest has one distinct prime factor fewer
-    # than n: one pass per further distinct prime fills every n <= M
-    composite = np.flatnonzero(rest > 1)
-    factor_at_p, rest = coeffs[composite], rest[composite]
-    for _ in range(_max_distinct_primes(M) - 1):
-        coeffs[composite] = factor_at_p * coeffs[rest]
+    a, bad = local_data(E).traces(M)
+    a[1] = 1
+    coeffs = np.ones(M + 1, dtype=np.int64)
+    rest = np.arange(M + 1, dtype=np.int64)
+    for p in primes_up_to(math.isqrt(M)):
+        # v[i] = v_p((i + 1) p), over the multiples p, 2p, ... of p up to M
+        v = np.ones(M // p, dtype=np.int64)
+        q = p
+        while q <= M // p:
+            v[q - 1 :: q] += 1
+            q *= p
+        a_p, good = int(a[p]), p not in bad
+        a_pk = [1, a_p]
+        for _ in range(int(v.max()) - 1):
+            a_pk.append(a_p * a_pk[-1] - (p * a_pk[-2] if good else 0))
+        coeffs[p::p] *= np.array(a_pk, dtype=np.int64)[v]
+        rest[p::p] //= p**v
+    # rest is 1 or a prime above sqrt(M), and 0 at n = 0, where a_0 = 0
+    coeffs *= a[rest]
     return coeffs.tolist()
-
-
-def _max_distinct_primes(M: int) -> int:
-    """Most distinct prime factors an n <= M can have."""
-    count, product = 0, 1
-    for p in primes_up_to(64):
-        if product * p > M:
-            break
-        count, product = count + 1, product * p
-    return count
 
 
 def default_terms(N: int) -> int:

@@ -255,7 +255,8 @@ def valuation(x, p: int) -> int:
     """p-adic valuation of a nonzero int or Fraction; ArgumentError unless p
     is a prime int and x an int or a Fraction."""
     check_prime(p)
-    x = check_rational(x, "x")
+    # an int carries its own numerator and denominator: no Fraction is built
+    x = check_int(x, "x") if isinstance(x, int) else check_rational(x, "x")
     if x == 0:
         raise ZeroInputError("valuation of 0 is undefined")
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)

@@ -557,9 +557,9 @@ class LocalData:
     delta_primes in ascending order, callers meet the first failing prime's
     error first.  a_p at the good odd primes is kept in the table _a_p of
     traces_up_to instead; traces(M) copies every a_p to M into a new array,
-    which lseries.dirichlet_coefficients fills in place.  A record made by
-    X.twist(d) keeps (X, d) as its base, set there only, and X keeps the
-    record under d in _twists.  The record is the one owner of its
+    from which lseries.dirichlet_coefficients builds the a_n.  A record
+    made by X.twist(d) keeps (X, d) as its base, set there only, and X
+    keeps the record under d in _twists.  The record is the one owner of its
     conductor and global root number: conductor is decided once, and
     _root_number is written by rootnum.global_root_number alone; neither is
     kept after a raise.  _sums is written by lseries.l_value_at_1 alone:
@@ -591,7 +591,9 @@ class LocalData:
         return factor(abs(self.inv.delta)).primes()
 
     def at(self, p: int) -> ReductionData:
-        """Reduction data at the prime p: classify(self, p), remembered."""
+        """Reduction data at the prime p: classify(self, p), remembered.
+        ArgumentError unless p is a prime int, also once p is remembered."""
+        check_prime(p)
         data = self._decided.get(p)
         if data is None:
             data = self._decided[p] = classify(self, p)
@@ -643,7 +645,9 @@ class LocalData:
         among 2, 3 and the primes of this record's Delta and of d, as
         Delta(X^d) = d^6 u^12 Delta(X) with u made of 2s and 3s: those that
         divide Delta(X^d), certified by dividing them out of it
-        (InvariantError if a cofactor is left)."""
+        (InvariantError if a cofactor is left).  ArgumentError unless d is
+        an int, also once d is remembered."""
+        check_int(d, "d")
         record = self._twists.get(d)
         if record is None:
             model = quadratic_twist(self.model, d)

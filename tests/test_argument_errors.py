@@ -13,6 +13,7 @@ import twistgate
 from twistgate.curve import (
     WeierstrassModel,
     curve_by_label,
+    load_curve_table,
     minimalize_at,
     quadratic_twist,
     short_form,
@@ -47,6 +48,14 @@ from twistgate.reduction import LocalData, classify, count_points
 from twistgate.rootnum import twist_parameters, twist_sweep
 
 TUPLE_17_61 = AdmissibleTuple(5, (17, 61))
+
+
+def warmed(E, method, arg):
+    """The bound method of a new record of E, once called with arg."""
+    bound = getattr(LocalData(E), method)
+    bound(arg)
+    return bound
+
 
 CALLS = {
     "classify at 4": lambda E: classify(E, 4),
@@ -150,6 +159,14 @@ CALLS = {
     "valuation of 1.5": lambda E: valuation(1.5, 5),
     "valuation of True": lambda E: valuation(True, 5),
     "twist_curve by 2.5": lambda E: twist_curve(short_form(E), 2.5),
+    # a remembered argument would otherwise be answered from the memo:
+    # the record of the twist by 13, the record itself, the data at 5
+    "twist by 13.0 after 13": lambda E: warmed(E, "twist", 13)(13.0),
+    "twist by True after 1": lambda E: warmed(E, "twist", 1)(True),
+    "reduction at 5.0 after 5": lambda E: warmed(E, "at", 5)(5.0),
+    # 0 would otherwise be read as no path, and 2.5 end in a bare TypeError
+    "curve table at 0": lambda E: load_curve_table(0),
+    "curve table at 2.5": lambda E: load_curve_table(2.5),
 }
 
 

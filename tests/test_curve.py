@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +246,30 @@ class TestCurveTable:
 
     def test_pinned_values_match_known_j(self):
         assert PINNED_J["15a1"] == Fraction(111284641, 50625)
+
+    @pytest.mark.parametrize("path", ["", "<bundled>"])
+    def test_no_path_names_the_bundled_table(self, path):
+        load_curve_table()
+        with pytest.raises(CurveTableError):
+            load_curve_table(path)
+
+    def test_a_file_descriptor_is_refused_and_left_open(self):
+        # in a child process: at fd 1 the table would be read from the
+        # process's stdout and close it
+        script = (
+            "import sys; sys.path[:0] = sys.argv[1:2]\n"
+            "from twistgate import load_curve_table\n"
+            "from twistgate.errors import ArgumentError\n"
+            "try:\n"
+            "    load_curve_table(1)\n"
+            "except ArgumentError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(src)], capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "path must be a str or an os.PathLike, got 1\n"
 
     def test_env_var_override(self, tmp_path, monkeypatch):
         path = tmp_path / "alt.tsv"

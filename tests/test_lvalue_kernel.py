@@ -276,7 +276,10 @@ def list_coefficients(E, M):
     return coeffs
 
 
-@pytest.mark.parametrize("M", [1, 2, 81, 2000, 40163])
+# M = 3 has no prime up to sqrt(M); 4, 9 and 961 = 31^2 end on the square
+# of their largest such prime, and 1024 on 2^10; 4457 is the median length
+# of a w = +1 lvalue-fresh series
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 9, 81, 961, 1024, 2000, 4457, 40163])
 def test_numpy_fill_matches_list_fill(M):
     curves = [curve_terms("15a1^1037")[0]]
     if M <= 2000:
