@@ -36,7 +36,7 @@ from .errors import (
     NotOnCurveError,
     NotSquarefreeError,
 )
-from .numtheory import check_int, check_rational, is_squarefree
+from .numtheory import check_int, check_rational, check_tuple, is_squarefree
 
 MAX_SEARCH_HEIGHT = 10**4
 MAX_MODULE_SIZE = 2**16
@@ -143,7 +143,7 @@ class QuadPoint:
     curve: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        A, B = self.curve
+        A, B = check_tuple(self.curve, "curve", 2)
         object.__setattr__(self, "curve", (check_rational(A, "A"), check_rational(B, "B")))
         if self.x.d != self.y.d:
             raise ArgumentError("coordinates live in different quadratic fields")
@@ -180,14 +180,15 @@ def quad_point_search(
     and B, the integer F = D n (D m^3 + D A m n^2 + D B n^3) is D^2 n^4 f(x),
     so f(x) is a square iff F is, and d times a square iff d F is a square.
     ArgumentError unless d and height are ints, height in [1,
-    MAX_SEARCH_HEIGHT], and A and B ints or Fractions; NotSquarefreeError
-    for an int d not squarefree > 1.
+    MAX_SEARCH_HEIGHT], and the curve a pair (A, B) of ints or Fractions;
+    NotSquarefreeError for an int d not squarefree > 1.
     """
     if check_int(d, "d") <= 1 or not is_squarefree(d):
         raise NotSquarefreeError(f"search needs a squarefree integer d > 1, got {d}")
     check_int(height, "height", 1, MAX_SEARCH_HEIGHT)
-    A = check_rational(curve[0], "A")
-    B = check_rational(curve[1], "B")
+    A, B = check_tuple(curve, "curve", 2)
+    A = check_rational(A, "A")
+    B = check_rational(B, "B")
     D = lcm(A.denominator, B.denominator)
     DA, DB = int(D * A), int(D * B)
     zero = Fraction(0)
@@ -209,10 +210,11 @@ def quad_point_search(
 
 def twist_curve(curve: tuple[Fraction, Fraction], d: int) -> tuple[Fraction, Fraction]:
     """(A d^2, B d^3), the twist by d of y^2 = x^3 + A x + B.  ArgumentError
-    unless A and B are ints or Fractions and d is an int; NotSquarefreeError
-    for d = 0."""
-    A = check_rational(curve[0], "A")
-    B = check_rational(curve[1], "B")
+    unless the curve is a pair (A, B) of ints or Fractions and d is an int;
+    NotSquarefreeError for d = 0."""
+    A, B = check_tuple(curve, "curve", 2)
+    A = check_rational(A, "A")
+    B = check_rational(B, "B")
     if check_int(d, "d") == 0:
         raise NotSquarefreeError("the twist parameter 0 is not squarefree")
     return (A * d * d, B * d**3)
@@ -224,7 +226,10 @@ def twist_map(P: QuadPoint, d: int) -> QuadPoint:
     Anti-invariant points land on rational points of the twist; invariant
     points with y != 0 land off the rational locus.  The image is verified
     on the twisted equation exactly (QuadPoint construction re-checks).
+    ArgumentError unless P is a QuadPoint over Q(sqrt(d)).
     """
+    if not isinstance(P, QuadPoint):
+        raise ArgumentError(f"P must be a QuadPoint, got {P!r}")
     if d != P.d:
         raise ArgumentError(f"point lives over Q(sqrt({P.d})), not Q(sqrt({d}))")
     sqrt_d = QuadElt._checked(Fraction(0), Fraction(1), d)
@@ -242,7 +247,8 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class SignedModule:
-    """(Z/2^k)^n acted on by r commuting involutions given as matrices."""
+    """(Z/2^k)^n acted on by r commuting involutions given as matrices;
+    ArgumentError unless k, n >= 1 and each generator is n x n, of ints."""
 
     k: int
     n: int
@@ -253,15 +259,19 @@ class SignedModule:
         check_int(self.n, "n", 1)
         mod = self.modulus
         gens = tuple(
-            tuple(tuple(entry % mod for entry in row) for row in g)
-            for g in self.generators
+            tuple(
+                tuple(
+                    check_int(entry, "a generator entry") % mod
+                    for entry in check_tuple(row, "a generator row", self.n)
+                )
+                for row in check_tuple(g, "a generator", self.n)
+            )
+            for g in check_tuple(self.generators, "generators")
         )
         object.__setattr__(self, "generators", gens)
         # arrays of Python integers (dtype object) stay exact for every k
         ident = np.identity(self.n, dtype=object)
         for g in gens:
-            if len(g) != self.n or any(len(row) != self.n for row in g):
-                raise ArgumentError(f"generator is not {self.n}x{self.n}")
             a = np.array(g, dtype=object)
             if ((a @ a - ident) % mod).any():
                 raise NonInvolutiveActionError(f"generator {g} does not square to 1 mod {mod}")

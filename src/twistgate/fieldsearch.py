@@ -29,7 +29,7 @@ from .lseries import (
     check_margin,
     l_value_at_1,
 )
-from .numtheory import Factorization, check_int, factor, jacobi
+from .numtheory import Factorization, check_int, check_tuple, factor, jacobi
 from .reduction import conductor, local_data
 from .rootnum import RootNumber, global_root_number, twist_root_number_formula
 from .rootnum import twist_parameter_failure, twist_parameters
@@ -62,12 +62,13 @@ class AdmissibilityCheck:
 @dataclass(frozen=True)
 class AdmissibleTuple:
     """An admissible (d_1, ..., d_r) for p, rechecked in full on
-    construction."""
+    construction; ds is kept as a tuple."""
 
     p: int
     ds: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "ds", check_tuple(self.ds, "the d_i"))
         check = is_admissible(self.p, self.ds)
         if not check.ok:
             raise ArgumentError(
@@ -102,14 +103,6 @@ def _reduce(mask: int, basis: list[int]) -> int:
     return mask
 
 
-def _as_tuple(ds) -> tuple:
-    try:
-        items = iter(ds)
-    except TypeError:
-        raise ArgumentError(f"the d_i must be given as an iterable, got {ds!r}") from None
-    return tuple(items)
-
-
 def _check_p(p) -> None:
     """ArgumentError unless p is one of SUPPORTED_P."""
     # the isinstance refuses 5.0, since 5.0 in (5, 7) is true
@@ -127,9 +120,9 @@ def is_admissible(p: int, ds) -> AdmissibilityCheck:
     prime bits names a subset with a square product.
     """
     _check_p(p)
-    ds = _as_tuple(ds)
+    ds = check_tuple(ds, "the d_i")
     if not ds:
-        return _fail("empty", None)
+        return _fail("empty", None, "no d_i given")
     n3p = 3 * p
     failures = []
     for i, d in enumerate(ds):
@@ -164,9 +157,7 @@ def character_discriminant(tup: AdmissibleTuple, signs) -> int:
     again (multiplicativity of the Jacobi symbol); this closure is checked
     on every call, raising InvariantError.
     """
-    signs = tuple(signs)
-    if len(signs) != tup.r:
-        raise ArgumentError(f"character has length {len(signs)}, tuple has rank {tup.r}")
+    signs = check_tuple(signs, "character", tup.r)
     if any(check_int(s, "a character entry") not in (1, -1) for s in signs):
         raise ArgumentError(f"character entries must be +1 or -1, got {signs!r}")
     return _character(tup.p, tup.ds, signs)
@@ -271,7 +262,7 @@ def check_hypothesis(p: int, ds, margin_factor: float = DEFAULT_MARGIN) -> Hypot
     raises ArgumentError.
     """
     check_margin(margin_factor)
-    ds = _as_tuple(ds)
+    ds = check_tuple(ds, "the d_i")
     adm = is_admissible(p, ds)
     if not adm.ok:
         return HypothesisReport(

@@ -1,9 +1,10 @@
 """Exact integer primitives: primality, factorization, squarefree parts,
-Jacobi symbols, p-adic valuations, and the three argument rules.
+Jacobi symbols, p-adic valuations, and the four argument rules.
 
-check_int, check_rational and check_prime are the one statement of the
-argument rules "an int, not a bool, within bounds", "an exact rational: an
-int or a Fraction" and "a prime int": a value of the wrong type or out of
+check_int, check_rational, check_prime and check_tuple are the one
+statement of the argument rules "an int, not a bool, within bounds", "an
+exact rational: an int or a Fraction", "a prime int" and "an iterable,
+taken as a tuple, of a given length": a value of the wrong type or out of
 bounds raises ArgumentError, one message wherever it is passed.
 
 Everything here is pure and exact.  One byte sieve to TRIAL_DIVISION_BOUND =
@@ -73,6 +74,22 @@ def check_rational(value, name: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(check_int(value, name))
     raise ArgumentError(f"{name} must be an int or a Fraction, got {value!r}")
+
+
+def check_tuple(value, name: str, length: int | None = None) -> tuple:
+    """tuple(value) if value is an iterable, of the length given; else
+    ArgumentError."""
+    items = value
+    # type() first: a hot caller's tuple is used as it is
+    if type(items) is not tuple:
+        try:
+            items = iter(value)
+        except TypeError:
+            raise ArgumentError(f"{name} must be given as an iterable, got {value!r}") from None
+        items = tuple(items)
+    if length is not None and len(items) != length:
+        raise ArgumentError(f"{name} must have {length} entries, got {value!r}")
+    return items
 
 
 def check_prime(p, name: str = "p") -> int:

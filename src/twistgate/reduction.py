@@ -66,7 +66,6 @@ count as the oracle of this derivation, p = 3 included.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -495,9 +494,10 @@ def _lane_inverses(z, p):
 def _lane_traces(inv: CurveInvariants, primes) -> tuple[np.ndarray, dict[int, set[int]]]:
     """a_p of E at good primes 5 <= p < LANE_PRIME_BOUND, however few, by
     _trace_bsgs's method in numpy int64 lanes, one lane per prime, in
-    batches of at most BSGS_LANES lanes of nearly equal size; returns a_p in
-    each lane and the stragglers, the primes of the lanes not decided (whose
-    a_p is meaningless), each with its candidates for #E.
+    batches of at most BSGS_LANES lanes of nearly equal size, which all
+    write into one array of a_p in each lane and one dict of stragglers,
+    the primes of the lanes not decided (whose a_p is meaningless),
+    ascending, each with its candidates for #E; returns the two.
 
     Each lane takes _trace_bsgs's first point only, and its orders
     (_lane_orders), N -> 2p + 2 - N when t is not a square mod p.  A lane is
@@ -507,44 +507,42 @@ def _lane_traces(inv: CurveInvariants, primes) -> tuple[np.ndarray, dict[int, se
     candidates) starts from: _trace_bsgs at the second point from
     BSGS_FROM on, and a point count, which must lie in it, below."""
     ps = np.asarray(primes, dtype=np.int64)
+    a_p = np.empty_like(ps)
+    stragglers: dict[int, set[int]] = {}
     if not len(ps):
-        return ps, {}
+        return a_p, stragglers
     if int(ps.max()) >= LANE_PRIME_BOUND:
         raise PrimeTooLargeError(f"lanes hold primes below 2^31, not p = {int(ps.max())}")
-    batches = np.array_split(ps, -(-len(ps) // BSGS_LANES))
-    a_p, stragglers = zip(*(_lane_batch(inv, batch) for batch in batches))
-    return np.concatenate(a_p), {q: c for batch in stragglers for q, c in batch.items()}
-
-
-def _lane_batch(inv: CurveInvariants, p: np.ndarray) -> tuple[np.ndarray, dict[int, set[int]]]:
-    """_lane_traces on one batch of lanes."""
-    A = _residues(-27 * inv.c4, p)
-    B = _residues(-54 * inv.c6, p)
-    H = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
-    # the first x0 with t = f(x0) != 0, from 0, or from 1 when A = 0, as in
-    # _trace_bsgs
-    x, t = np.where(A == 0, 0, -1), np.zeros_like(p)
-    while not t.all():
-        x = np.where(t == 0, x + 1, x)
-        t = (x * x % p * x % p + A * x % p + B) % p
-    tt = t * t % p
-    P = (t * x % p, tt, np.ones_like(p))
-    count, least, greatest = _lane_orders(P, A * tt % p, p, H)
-    gaps = np.maximum(count - 1, 1)
-    if ((greatest - least) % gaps).any():
-        raise InvariantError("a point's orders in the Hasse interval are not a progression")
-    if not count.all():
-        q = int(p[count == 0][0])
-        raise InvariantError(f"no group order in the Hasse interval at p = {q}")
-    # #E's candidates, from the least: the progression, mirrored on the twist
-    points = np.where(_legendre(t, p) == -1, 2 * p + 2 - greatest, least)
-    step = (greatest - least) // gaps
-    undecided = count > 1
-    stragglers = {
-        q: set(range(n, n + c * s, s))
-        for q, n, c, s in zip(*(v[undecided].tolist() for v in (p, points, count, step)))
-    }
-    return p + 1 - points, stragglers
+    for lanes in np.array_split(np.arange(len(ps)), -(-len(ps) // BSGS_LANES)):
+        p = ps[lanes]
+        A = _residues(-27 * inv.c4, p)
+        B = _residues(-54 * inv.c6, p)
+        H = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
+        # the first x0 with t = f(x0) != 0, from 0, or from 1 when A = 0, as
+        # in _trace_bsgs
+        x, t = np.where(A == 0, 0, -1), np.zeros_like(p)
+        while not t.all():
+            x = np.where(t == 0, x + 1, x)
+            t = (x * x % p * x % p + A * x % p + B) % p
+        tt = t * t % p
+        P = (t * x % p, tt, np.ones_like(p))
+        count, least, greatest = _lane_orders(P, A * tt % p, p, H)
+        gaps = np.maximum(count - 1, 1)
+        if ((greatest - least) % gaps).any():
+            raise InvariantError("a point's orders in the Hasse interval are not a progression")
+        if not count.all():
+            q = int(p[count == 0][0])
+            raise InvariantError(f"no group order in the Hasse interval at p = {q}")
+        # #E's candidates, from the least: the progression, mirrored on the twist
+        points = np.where(_legendre(t, p) == -1, 2 * p + 2 - greatest, least)
+        step = (greatest - least) // gaps
+        undecided = count > 1
+        a_p[lanes] = p + 1 - points
+        stragglers.update(
+            (q, set(range(n, n + c * s, s)))
+            for q, n, c, s in zip(*(v[undecided].tolist() for v in (p, points, count, step)))
+        )
+    return a_p, stragglers
 
 
 class LocalData:
@@ -556,8 +554,9 @@ class LocalData:
     at(p) decides p on first use and keeps it in _decided; walking
     delta_primes in ascending order, callers meet the first failing prime's
     error first.  a_p at the good odd primes is kept in the table _a_p of
-    traces_up_to instead; traces(M) copies every a_p to M into a new array,
-    from which lseries.dirichlet_coefficients builds the a_n.  A record
+    traces_up_to instead; traces(M) copies that table, X's for a twist, to
+    M into a new array, from which lseries.dirichlet_coefficients builds
+    the a_n.  A record
     made by X.twist(d) keeps (X, d) as its base, set there only, and X
     keeps the record under d in _twists.  The record is the one owner of its
     conductor and global root number: conductor is decided once, and
@@ -624,14 +623,13 @@ class LocalData:
         if bound > known:
             grown = np.zeros(bound + 1, dtype=np.int32)
             grown[: known + 1] = self._a_p
-            primes = primes_up_to(bound)
-            new = np.array(primes[bisect_right(primes, known) :], dtype=np.int64)
-            new = new[_residues(self.inv.delta, new) != 0]
+            new = np.array(primes_up_to(bound), dtype=np.int64)
+            new = new[(new > known) & (_residues(self.inv.delta, new) != 0)]
             lanes = new[new >= 5]
             a_p, stragglers = _lane_traces(self.inv, lanes)
             grown[lanes] = a_p
             if 3 in new:
-                grown[3] = _reduction(self.model, 3).a_p
+                stragglers = {3: None, **stragglers}
             for p, candidates in stragglers.items():
                 grown[p] = _reduction(self.model, p, candidates).a_p
             self._a_p = grown
@@ -644,9 +642,9 @@ class LocalData:
         the process last with it.  The new record's delta_primes are found
         among 2, 3 and the primes of this record's Delta and of d, as
         Delta(X^d) = d^6 u^12 Delta(X) with u made of 2s and 3s: those that
-        divide Delta(X^d), certified by dividing them out of it
-        (InvariantError if a cofactor is left).  ArgumentError unless d is
-        an int, also once d is remembered."""
+        divide Delta(X^d), certified by valuation: the product of their
+        powers in it must be |Delta(X^d)| (InvariantError if not).
+        ArgumentError unless d is an int, also once d is remembered."""
         check_int(d, "d")
         record = self._twists.get(d)
         if record is None:
@@ -656,20 +654,15 @@ class LocalData:
             else:
                 record = LocalData(model)
                 delta = record.inv.delta
-                m = abs(delta)
-                primes = []
-                for q in sorted({2, 3, *self.delta_primes, *factor(abs(d)).primes()}):
-                    if m % q == 0:
-                        primes.append(q)
-                        while m % q == 0:
-                            m //= q
-                if m != 1:
+                candidates = sorted({2, 3, *self.delta_primes, *factor(abs(d)).primes()})
+                primes = tuple(q for q in candidates if delta % q == 0)
+                if math.prod(q ** valuation(delta, q) for q in primes) != abs(delta):
                     raise InvariantError(
                         f"Delta = {delta} of the twist by {d} has a prime factor "
                         f"outside 2, 3 and the primes of {self.inv.delta} and {d}"
                     )
                 record._base = (self, d)
-                record.delta_primes = tuple(primes)
+                record.delta_primes = primes
             self._twists[d] = record
         return record
 
@@ -682,27 +675,27 @@ class LocalData:
         M is an int from 1 to TRIAL_DIVISION_BOUND."""
         check_int(M, "M", 1, TRIAL_DIVISION_BOUND)
         table, d = (self, 1) if self._base is None else self._base
+        a_p = table.traces_up_to(M)[: M + 1].astype(np.int64)
         ps = np.array(primes_up_to(M), dtype=np.int64)
         # The primes of Delta(X) are among these: quadratic_twist scales
         # (c4, c6) by (u^4 d^2, u^6 d^3) with u an integer, so
         # Delta(X^d) = d^6 u^12 Delta(X).
         direct = (ps == 2) | (_residues(self.inv.delta, ps) == 0)
-        a_p = np.zeros(M + 1, dtype=np.int64)
+        if d != 1:
+            derived = ps[~direct]
+            chi = _legendre(_residues(d, derived), derived)
+            if not np.all(chi):
+                # the odd primes of d divide Delta(X^d): this record has a wrong d
+                raise InvariantError(
+                    f"({d}/p) = 0 at the good prime p = {derived[chi == 0][0]}"
+                )
+            a_p[derived] *= chi
         bad = []
         for p in ps[direct].tolist():
             data = self.at(p)
             a_p[p] = data.a_p
             if data.kind is not ReductionKind.GOOD:
                 bad.append(p)
-        derived = ps[~direct]
-        chi = 1 if d == 1 else _legendre(_residues(d, derived), derived)
-        if not np.all(chi):
-            # the odd primes of d divide Delta(X^d): this record has a wrong d
-            raise InvariantError(
-                f"({d}/p) = 0 at the good prime p = {derived[chi == 0][0]}"
-            )
-        if len(derived):
-            a_p[derived] = chi * table.traces_up_to(int(derived[-1]))[derived]
         return a_p, tuple(bad)
 
 

@@ -92,10 +92,10 @@ class RootNumber:
 
 
 def _local_factor(data: LocalData, place) -> tuple[int, str]:
+    """(sign, case) at 'inf' or at a prime, which data.at checks."""
     if place == INFINITE_PLACE:
         return -1, CASE_ARCHIMEDEAN
-    p = check_prime(place, "a place other than 'inf'")
-    kind = data.at(p).kind
+    kind = data.at(place).kind
     if kind is ReductionKind.GOOD:
         return 1, CASE_GOOD
     if kind is ReductionKind.MULT_SPLIT:
@@ -104,21 +104,24 @@ def _local_factor(data: LocalData, place) -> tuple[int, str]:
         return 1, CASE_NONSPLIT
     if kind is ReductionKind.ADD_POT_MULT:
         # (-1/p): +1 iff -1 is a square mod p iff p = 1 mod 4
-        return (1 if p % 4 == 1 else -1), CASE_ADD_POT_MULT
+        return (1 if place % 4 == 1 else -1), CASE_ADD_POT_MULT
     # additive potentially good
-    if p == 3:
+    if place == 3:
         raise UnsupportedPlaceError(
             "additive potentially good reduction at 3 is not covered"
         )
     # Minimalizing lowers v_p(Delta) by a multiple of 12, and a p-minimal
     # model with potentially good reduction has v_p(Delta) < 12.
-    v = valuation(data.inv.delta, p) % 12
-    sign = -1 if (v * p // 12) % 2 else 1
+    v = valuation(data.inv.delta, place) % 12
+    sign = -1 if (v * place // 12) % 2 else 1
     return sign, CASE_ADD_POT_GOOD
 
 
 def local_root_number(E: WeierstrassModel | LocalData, place) -> int:
-    """Local root number at 'inf' or a prime (model p-minimalized first)."""
+    """Local root number at 'inf' or a prime (model p-minimalized first);
+    ArgumentError naming the place unless it is one of these."""
+    if place != INFINITE_PLACE:
+        check_prime(place, "a place other than 'inf'")
     return _local_factor(local_data(E), place)[0]
 
 

@@ -20,11 +20,13 @@ from twistgate.curve import (
 )
 from twistgate.descent import (
     QuadElt,
+    QuadPoint,
     SignedModule,
     characters,
     enumerate_signed_modules,
     quad_point_search,
     twist_curve,
+    twist_map,
 )
 from twistgate.errors import ArgumentError, TwistgateError
 from twistgate.fieldsearch import (
@@ -167,6 +169,25 @@ CALLS = {
     # 0 would otherwise be read as no path, and 2.5 end in a bare TypeError
     "curve table at 0": lambda E: load_curve_table(0),
     "curve table at 2.5": lambda E: load_curve_table(2.5),
+    # not an iterable: would otherwise end in a bare TypeError
+    "character 5": lambda E: character_discriminant(AdmissibleTuple(5, (17,)), 5),
+    "character None": lambda E: character_discriminant(AdmissibleTuple(5, (17,)), None),
+    "SignedModule with generators 5": lambda E: SignedModule(2, 2, 5),
+    # a str entry would otherwise end in a bare TypeError, a float entry be
+    # kept as a float and True be read as 1
+    "SignedModule with an entry '1'": lambda E: SignedModule(1, 1, ((("1",),),)),
+    "SignedModule with an entry 3.0": lambda E: SignedModule(2, 1, (((3.0,),),)),
+    "SignedModule with an entry True": lambda E: SignedModule(1, 1, (((True,),),)),
+    # not a pair (A, B): would otherwise end in a bare TypeError, IndexError
+    # or ValueError, or drop the third entry
+    "quad_point_search on the curve 5": lambda E: quad_point_search(5, 17, 5),
+    "quad_point_search on the curve (1,)": lambda E: quad_point_search((1,), 17, 5),
+    "twist_curve of (1, 2, 3)": lambda E: twist_curve((1, 2, 3), 17),
+    "QuadPoint on the curve (0, 1, 2)": lambda E: QuadPoint(
+        QuadElt(0, 0, 17), QuadElt(1, 0, 17), (0, 1, 2)
+    ),
+    # would otherwise end in a bare AttributeError
+    "twist_map of 5": lambda E: twist_map(5, 17),
 }
 
 
@@ -176,6 +197,13 @@ def test_argument_rule_raises_argument_error(e15, call):
         call(e15)
     assert isinstance(excinfo.value, TwistgateError)
     assert isinstance(excinfo.value, ValueError)
+
+
+def test_an_admissible_tuple_keeps_its_d_i_as_a_tuple():
+    # a list would otherwise be kept, and hash() of the tuple raise TypeError
+    tup = AdmissibleTuple(5, [17])
+    assert tup.ds == (17,)
+    assert hash(tup) == hash(AdmissibleTuple(5, (17,)))
 
 
 def test_a_field_parameter_that_is_not_an_int_is_named_d():

@@ -493,6 +493,11 @@ class TestCheckHypothesis:
         assert result.status == STATUS_CHECK_FAILED
         assert result.exit_code == 1
 
+    def test_the_empty_tuple_names_its_failure(self, capsys):
+        result = run(["check-hypothesis", "--p", "5", "--d", ","])
+        assert result.exit_code == 1
+        assert "not admissible: empty (no d_i given)" in capsys.readouterr().out
+
 
 class TestDescentCheck:
     def test_lemma_sum(self, capsys):

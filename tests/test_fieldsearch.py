@@ -389,6 +389,11 @@ class TestCheckHypothesis:
         assert report.per_character == ()
         assert report.admissibility.failed_condition == "jacobi"
 
+    def test_the_empty_tuple_names_its_failure(self):
+        report = check_hypothesis(5, ())
+        assert report.admissibility.detail == "no d_i given"
+        assert report.note == "admissibility failed: empty (no d_i given)"
+
     @pytest.mark.parametrize("d", [17.9, "17", True])
     def test_non_int_is_not_coerced(self, d):
         # int(17.9) and int("17") would be the admissible 17
