@@ -448,15 +448,14 @@ def _cmd_descent_check(args) -> CommandResult:
     rows = []
     for pt in points:
         image_rational = twist_map(pt, args.d).is_invariant
+        # quad_point_search keeps only anti-invariant points (2-torsion
+        # included) and rational points with y != 0
         if pt.is_anti_invariant:
             kind = "anti-invariant"
             ok = image_rational
-        elif pt.is_invariant and pt.y:
+        else:
             kind = "invariant (y != 0)"
             ok = not image_rational
-        else:
-            kind = "other"
-            ok = True
         rows.append(
             {
                 "x": str(pt.x.a),

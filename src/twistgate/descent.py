@@ -38,6 +38,9 @@ from .errors import (
 )
 from .numtheory import check_int, check_rational, check_tuple, is_squarefree
 
+# quad_point_search scans (2h + 1) h pairs (m, n) at height h: on 15a1's
+# short model over Q(sqrt 17), 0.12 s at h = 300, 1.5 s at 1 000, 12 s at
+# 3 000 and 125 s at the bound (one run each, 2-core Xeon host).
 MAX_SEARCH_HEIGHT = 10**4
 MAX_MODULE_SIZE = 2**16
 # Most products lemma_sum_check may make on one module (2^(k n) elements x 4^r

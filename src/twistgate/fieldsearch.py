@@ -61,8 +61,10 @@ class AdmissibilityCheck:
 
 @dataclass(frozen=True)
 class AdmissibleTuple:
-    """An admissible (d_1, ..., d_r) for p, rechecked in full on
-    construction; ds is kept as a tuple."""
+    """An admissible (d_1, ..., d_r) for p, rechecked in full by
+    is_admissible on every public construction; ds is kept as a tuple.
+    search alone builds its results through _proven, its echelon being
+    their proof."""
 
     p: int
     ds: tuple[int, ...]
@@ -75,6 +77,14 @@ class AdmissibleTuple:
                 f"tuple {self.ds} is not admissible for p = {self.p}: "
                 f"{check.failed_condition} (index {check.failed_index})"
             )
+
+    @classmethod
+    def _proven(cls, p: int, ds: tuple[int, ...]) -> "AdmissibleTuple":
+        """The tuple (p, ds) without the recheck, for ds that search has
+        proven admissible."""
+        tup = object.__new__(cls)
+        tup.__dict__.update(p=p, ds=ds)
+        return tup
 
     @property
     def r(self) -> int:
@@ -182,10 +192,13 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
     """All admissible r-tuples with d_1 < ... < d_r <= bound, lexicographic.
 
     Candidates are pruned by GF(2) independence of their prime-exponent
-    vectors while recursing, and every produced tuple passes the full
-    is_admissible recheck, whose independence test is the same echelon.
-    WorkBoundError, before recursing, when the subsets of at most r
-    candidates number more than MAX_SEARCH_WORK.
+    vectors while recursing.  That echelon is the proof of each produced
+    tuple, which is built without the is_admissible recheck; the oracles
+    are the subset-square scan of tests/test_fieldsearch.py and acceptance
+    criterion 8.  Each candidate's factorization is checked squarefree once,
+    before recursing (ArgumentError if not).  WorkBoundError, before
+    recursing, when the subsets of at most r candidates number more than
+    MAX_SEARCH_WORK.
     """
     _check_p(p)
     check_int(r, "rank r", 1)
@@ -198,14 +211,16 @@ def search(p: int, r: int, bound: int) -> list[AdmissibleTuple]:
             f"{len(singles)} candidates give {work} subsets of at most {r}, "
             f"above {MAX_SEARCH_WORK}"
         )
+    for f in singles:
+        if any(e > 1 for _, e in f.factors):
+            raise ArgumentError(f"candidate {f.value} is not squarefree")
     prime_bits: dict[int, int] = {}
     masks = [_odd_exponent_mask(f, prime_bits) for f in singles]
     results: list[AdmissibleTuple] = []
 
     def extend(start: int, chosen: list[int], basis: list[int]):
         if len(chosen) == r:
-            tup = AdmissibleTuple(p, tuple(chosen))  # full recheck
-            results.append(tup)
+            results.append(AdmissibleTuple._proven(p, tuple(chosen)))
             return
         for idx in range(start, len(singles)):
             reduced = _reduce(masks[idx], basis)

@@ -88,7 +88,7 @@ from .errors import (
     UnsupportedReductionError,
 )
 from .numtheory import TRIAL_DIVISION_BOUND, check_int, check_prime, factor, jacobi
-from .numtheory import primes_up_to, valuation
+from .numtheory import _int_valuation, primes_up_to, valuation
 
 POINT_COUNT_BOUND = 10**6
 # _reduction decides good primes from BSGS_FROM on by _trace_bsgs: measured
@@ -642,8 +642,9 @@ class LocalData:
         the process last with it.  The new record's delta_primes are found
         among 2, 3 and the primes of this record's Delta and of d, as
         Delta(X^d) = d^6 u^12 Delta(X) with u made of 2s and 3s: those that
-        divide Delta(X^d), certified by valuation: the product of their
-        powers in it must be |Delta(X^d)| (InvariantError if not).
+        divide Delta(X^d), certified by dividing them out, with no second
+        primality lookup: the product of their powers in it must be
+        |Delta(X^d)| (InvariantError if not).
         ArgumentError unless d is an int, also once d is remembered."""
         check_int(d, "d")
         record = self._twists.get(d)
@@ -656,7 +657,7 @@ class LocalData:
                 delta = record.inv.delta
                 candidates = sorted({2, 3, *self.delta_primes, *factor(abs(d)).primes()})
                 primes = tuple(q for q in candidates if delta % q == 0)
-                if math.prod(q ** valuation(delta, q) for q in primes) != abs(delta):
+                if math.prod(q ** _int_valuation(delta, q) for q in primes) != abs(delta):
                     raise InvariantError(
                         f"Delta = {delta} of the twist by {d} has a prime factor "
                         f"outside 2, 3 and the primes of {self.inv.delta} and {d}"

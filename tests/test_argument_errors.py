@@ -125,6 +125,7 @@ CALLS = {
     # True and 1.0 would otherwise be read as the sign +1
     "character (True, -1)": lambda E: character_discriminant(TUPLE_17_61, (True, -1)),
     "character (1.0, -1)": lambda E: character_discriminant(TUPLE_17_61, (1.0, -1)),
+    "character (2,)": lambda E: character_discriminant(AdmissibleTuple(5, (17,)), (2,)),
     # would otherwise end in BadAuxPrimeError or UnsupportedPrimeError
     "serre_check with aux True": lambda E: serre_check(E, 3, True),
     "serre_check at ell 5.0": lambda E: serre_check(E, 5.0),
@@ -188,6 +189,9 @@ CALLS = {
     ),
     # would otherwise end in a bare AttributeError
     "twist_map of 5": lambda E: twist_map(5, 17),
+    "QuadPoint with coordinates over Q(sqrt 17) and Q(sqrt 13)": lambda E: QuadPoint(
+        QuadElt(0, 0, 17), QuadElt(0, 0, 13), (0, 0)
+    ),
 }
 
 

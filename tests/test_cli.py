@@ -109,6 +109,11 @@ class TestCurveInfo:
         assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
         assert "missing.tsv" in doc["payload"]["error"]
 
+    def test_a_coefficient_that_is_not_an_integer_is_unsupported_input(self, capsys):
+        result, doc = run_json(capsys, ["curve-info", "--curve", "0,0,1,-1,x"])
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert "bad curve coefficients" in doc["payload"]["error"]
+
     def test_unknown_label(self, capsys):
         result = run(["curve-info", "--label", "99z9"])
         assert result.status == STATUS_UNSUPPORTED
@@ -372,6 +377,13 @@ class TestSerreCheck:
         assert doc["payload"]["aux_prime"]["ok"] is True
         assert doc["payload"]["statement"] == "criterion hypotheses NOT verified"
 
+    def test_aux_2_of_a_curve_additive_at_2_is_a_bad_aux_prime(self, capsys):
+        # 2 is not decided on y^2 = x^3 - x, so it is no good auxiliary prime
+        argv = ["serre-check", "--curve", "0,0,0,-1,0", "--ell", "5", "--aux", "2"]
+        result, doc = run_json(capsys, argv)
+        assert (result.exit_code, doc["status"]) == (2, STATUS_UNSUPPORTED)
+        assert doc["payload"]["error_type"] == "BadAuxPrimeError"
+
     def test_ell_2_unsupported(self, capsys):
         result = run(["serre-check", "--ell", "2", "--label", "15a1"])
         assert result.exit_code == 2
@@ -515,6 +527,10 @@ class TestDescentCheck:
         assert result.status == STATUS_OK
         assert doc["payload"]["points_found"] >= 4
         assert doc["payload"]["all_passed"] is True
+        # the three 2-torsion points have y = 0, which counts as anti-rational
+        torsion = [row for row in doc["payload"]["points"] if row["y"] == "0 + 0*sqrt(17)"]
+        assert [row["x"] for row in torsion] == ["-17/6", "-7/12", "41/12"]
+        assert all(row["kind"] == "anti-invariant" and row["ok"] is True for row in torsion)
 
     def test_lemma_sum_failure_is_check_failed(self, capsys, monkeypatch):
         # two copies of the trivial character cannot sum to 2 m

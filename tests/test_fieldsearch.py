@@ -1,5 +1,7 @@
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from twistgate.fieldsearch import (
 )
 from twistgate.lseries import VERDICT_NONZERO
 from twistgate.numtheory import jacobi
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +356,30 @@ class TestSearch:
         monkeypatch.setattr(fieldsearch, "factor", lambda n: real(13 * 13 * n if n == 17 else n))
         with pytest.raises(ArgumentError, match="squarefree"):
             search(5, 2, 100)
+
+    def test_every_pool_tuple_passes_the_public_recheck(self):
+        # search's echelon is the only proof of its tuples; the public
+        # constructor reruns is_admissible on each tuple of the benchmark
+        # pool's 28 searches, and must accept it and give an equal tuple
+        reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+        pool = reference["workloads"]["exact-mix"]["pool"]
+        searches = [op["argv"] for op in pool if op["group"] == "search"]
+        assert len(searches) == 28
+        for argv in searches:
+            p, r, bound = (int(argv[argv.index(flag) + 1]) for flag in ("--p", "--r", "--bound"))
+            found = search(p, r, bound)
+            assert found, argv
+            for tup in found:
+                assert AdmissibleTuple(p, tup.ds) == tup, (argv, tup)
+
+    def test_search_does_not_rerun_is_admissible(self, monkeypatch):
+        calls = []
+        real = fieldsearch.is_admissible
+        monkeypatch.setattr(
+            fieldsearch, "is_admissible", lambda p, ds: calls.append(ds) or real(p, ds)
+        )
+        assert len(search(7, 2, 600)) == 595
+        assert calls == []
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):

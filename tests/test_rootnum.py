@@ -12,7 +12,7 @@ from twistgate.errors import (
     WorkBoundError,
 )
 from twistgate.numtheory import SMALL_FACTOR_BOUND, factor, jacobi, primes_up_to, squarefree_part
-from twistgate.reduction import conductor
+from twistgate.reduction import conductor, local_data
 from twistgate.rootnum import (
     CASE_ADD_POT_GOOD,
     CASE_ADD_POT_MULT,
@@ -123,6 +123,13 @@ class TestGlobalRootNumber:
 
     def test_twist_by_17(self, e15):
         assert global_root_number(quadratic_twist(e15, 17)).value == 1
+
+    def test_a_prime_good_after_minimalization_is_left_out_of_the_ledger(self, e15):
+        # 15a1 with (c4, c6) scaled by (7^4, 7^6): 7 divides Delta but the
+        # 7-minimal model has good reduction there
+        scaled = WeierstrassModel(1, 1, 1, -24060, -674388)
+        assert 7 in local_data(scaled).delta_primes
+        assert global_root_number(scaled) == global_root_number(e15)
 
     def test_ledger_product_invariant(self, e15):
         for d in (13, 17, 21, 29, 65):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistgate import fieldsearch, reduction
+from twistgate import fieldsearch, numtheory, reduction
 from twistgate.curve import WeierstrassModel, curve_by_label, invariants, quadratic_twist
 from twistgate.errors import InvariantError
 from twistgate.fieldsearch import AdmissibleTuple, character_discriminant, check_hypothesis
@@ -212,6 +212,19 @@ def test_twist_delta_primes_match_factor(label):
     inv = X.twist(7).inv
     assert inv.c4 == 6**4 * 7**2 * X.inv.c4 and 2 in X.twist(7).delta_primes
     assert 2 not in X.delta_primes
+
+
+def test_a_new_twist_looks_up_no_prime_again(monkeypatch):
+    # the candidate primes of Delta(X^d) are 2, 3 and primes already
+    # certified, by the base record or by factor's kept factorization of d
+    X = LocalData(curve_by_label("15a1"))
+    X.delta_primes
+    factor(1037)
+    looked_up = []
+    real = numtheory.is_prime
+    monkeypatch.setattr(numtheory, "is_prime", lambda n: looked_up.append(n) or real(n))
+    assert X.twist(1037).delta_primes == (3, 5, 17, 61)
+    assert looked_up == []
 
 
 def test_a_twist_delta_with_an_uncertified_prime_is_an_internal_error():
